@@ -40,12 +40,14 @@
 //                      threads (0 = classic serial engine). Fingerprints
 //                      are bit-identical for every N >= 1; see
 //                      DESIGN.md §3e for the determinism contract
-//   --timeseries FILE  write 1 Hz network time series CSV
+//   --timeseries FILE  write 1 Hz network time series CSV (serial engine
+//                      only: rejected with --shards, exit code 1)
 //   --flows-csv FILE   write per-flow results CSV
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -209,8 +211,13 @@ int main(int argc, char** argv) {
   exp::Scenario scenario(cfg);
   std::unique_ptr<exp::TimeseriesProbe> probe;
   if (!timeseries_path.empty()) {
-    probe = std::make_unique<exp::TimeseriesProbe>(scenario,
-                                                   sim::Time::seconds(1.0));
+    try {
+      probe = std::make_unique<exp::TimeseriesProbe>(scenario,
+                                                     sim::Time::seconds(1.0));
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "--timeseries: " << e.what() << "\n";
+      return 1;
+    }
   }
 
   std::cout << "running: " << cfg.n_nodes << " nodes, "

@@ -2,12 +2,20 @@
 
 #include <algorithm>
 #include <fstream>
+#include <stdexcept>
 
 namespace wmn::exp {
 
 TimeseriesProbe::TimeseriesProbe(Scenario& scenario, sim::Time interval,
                                  sim::Time start)
     : scenario_(scenario), interval_(interval) {
+  // The probe samples from Scenario::simulator(), which a sharded run
+  // leaves idle: it would record nothing and export an empty series.
+  if (scenario_.sharded()) {
+    throw std::invalid_argument(
+        "time-series probe needs the serial engine: it cannot sample a "
+        "sharded scenario (intra_run_shards > 0)");
+  }
   scenario_.simulator().schedule_at(start, [this] { sample(); });
 }
 

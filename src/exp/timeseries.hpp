@@ -27,6 +27,8 @@ struct TimeSample {
 class TimeseriesProbe {
  public:
   // Samples every `interval` from `start` until the simulation ends.
+  // Throws std::invalid_argument for a sharded scenario, whose serial
+  // simulator never runs.
   TimeseriesProbe(Scenario& scenario, sim::Time interval,
                   sim::Time start = sim::Time::zero());
 

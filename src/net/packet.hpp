@@ -50,7 +50,7 @@ class Packet {
       : uid_(uid), payload_bytes_(payload_bytes), created_(created),
         arena_(arena) {
     WMN_CHECK_NOTNULL(arena_, "packets require an arena (use PacketFactory)");
-    arena_->add_ref();
+    if (arena_ != nullptr) arena_->add_ref();
   }
 
   // Copies share immutable header payloads (cheap broadcast fan-out).

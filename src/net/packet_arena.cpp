@@ -18,4 +18,6 @@ void PacketArena::grow() {
   chunks_.push_back(std::move(chunk));
 }
 
+void PacketArena::destroy(PacketArena* arena) { delete arena; }
+
 }  // namespace wmn::net

@@ -75,7 +75,7 @@ class PacketArena {
   void add_ref() { ++refs_; }
   void release_ref() {
     WMN_CHECK_GT(refs_, std::uint64_t{0}, "arena refcount underflow");
-    if (--refs_ == 0) delete this;
+    if (--refs_ == 0) destroy(this);
   }
 
   // --- node allocation -------------------------------------------------
@@ -131,6 +131,11 @@ class PacketArena {
   }
 
   void grow();
+  // Out of line on purpose: with `delete this` inlined into two
+  // successive release_ref() calls on one arena (a packet, then its
+  // factory), GCC 12 reports a use-after-free on the path where the
+  // first call already deleted it — a path the refcount rules out.
+  static void destroy(PacketArena* arena);
 
   Node* free_head_ = nullptr;
   std::size_t free_count_ = 0;

@@ -48,15 +48,10 @@ void WirelessChannel::set_shard_router(ShardRouter* router, std::uint32_t region
 void WirelessChannel::accept_cross(WifiPhy* rx, net::Packet packet, double p_dbm,
                                    double p_mw, sim::Time release_at,
                                    sim::Time duration) {
-  const std::uint32_t slot = acquire_slot();
-  PendingDelivery& d = pending_[slot];
-  d.packet.emplace(std::move(packet));
-  d.rx = rx;
-  d.rx_power_dbm = p_dbm;
-  d.rx_power_mw = p_mw;
-  d.duration = duration;
-  ++in_flight_;
-  sim_.schedule_at(release_at, [this, slot] { deliver(slot); });
+  const std::uint32_t id = open_stream(std::move(packet), duration);
+  streams_[id].copies.push_back(
+      Copy{release_at, sim_.reserve_seq(), p_dbm, p_mw, 0, rx});
+  launch_stream(id, /*sorted=*/true);
 }
 
 void WirelessChannel::enable_spatial_index(double area_width_m,
@@ -76,64 +71,132 @@ double WirelessChannel::link_rx_power_dbm(const WifiPhy& tx,
                                     rx.position(now), tx.node_id(), rx.node_id());
 }
 
-std::uint32_t WirelessChannel::acquire_slot() {
-  if (free_head_ != kNilSlot) {
-    const std::uint32_t slot = free_head_;
-    free_head_ = pending_[slot].next_free;
-    pending_[slot].next_free = kNilSlot;
-    return slot;
+std::uint32_t WirelessChannel::open_stream(net::Packet packet,
+                                           sim::Time duration) {
+  std::uint32_t id = free_head_;
+  if (id != kNilStream) {
+    free_head_ = streams_[id].next_free;
+    streams_[id].next_free = kNilStream;
+  } else {
+    id = static_cast<std::uint32_t>(streams_.size());
+    streams_.emplace_back();
   }
-  pending_.emplace_back();
-  return static_cast<std::uint32_t>(pending_.size() - 1);
+  Stream& s = streams_[id];
+  s.packet.emplace(std::move(packet));
+  s.duration = duration;
+  return id;
 }
 
-void WirelessChannel::deliver(std::uint32_t slot) {
-  PendingDelivery& d = pending_[slot];
-  WMN_CHECK(d.packet.has_value(), "delivery slot fired twice");
-  net::Packet packet = std::move(*d.packet);
-  WifiPhy* rx = d.rx;
-  const double p_dbm = d.rx_power_dbm;
-  const double p_mw = d.rx_power_mw;
-  const sim::Time duration = d.duration;
-  d.packet.reset();
-  d.rx = nullptr;
-  d.next_free = free_head_;
-  free_head_ = slot;
-  --in_flight_;
-  // The receiver may have crashed during the propagation delay.
-  if (fault_ != nullptr && !fault_->node_up(rx->node_id())) {
-    ++counters_.copies_dropped_fault;
-    return;
-  }
-  rx->begin_arrival(std::move(packet), p_dbm, p_mw, duration);
+void WirelessChannel::release_stream(std::uint32_t id) {
+  Stream& s = streams_[id];
+  s.packet.reset();
+  s.copies.clear();
+  s.next_begin = 0;
+  s.next_end = 0;
+  s.ends_pending = 0;
+  s.next_free = free_head_;
+  free_head_ = id;
 }
 
-void WirelessChannel::schedule_delivery(WifiPhy* rx, const net::Packet& packet,
-                                        double p_dbm, double p_mw,
-                                        sim::Time delay, sim::Time duration) {
+void WirelessChannel::add_copy(std::uint32_t id, WifiPhy* rx, double p_dbm,
+                               double p_mw, sim::Time at) {
   ++counters_.copies_delivered;
+  Stream& s = streams_[id];
   // Sharded runs route receivers homed in another region through the
   // barrier-merged inboxes; the copy is accounted here, where the
   // physics decided it.
   if (router_ != nullptr) {
     const std::uint32_t dst = router_->region_of(rx->node_id());
     if (dst != region_id_) {
-      router_->post(region_id_, dst, rx, packet, p_dbm, p_mw, sim_.now() + delay,
-                    duration);
+      router_->post(region_id_, dst, rx, *s.packet, p_dbm, p_mw, at, s.duration);
       return;
     }
   }
-  // Each receiver gets its own (cheap, header-sharing) packet copy,
-  // parked in a recycled slot until the propagation delay elapses.
-  const std::uint32_t slot = acquire_slot();
-  PendingDelivery& d = pending_[slot];
-  d.packet.emplace(packet);
-  d.rx = rx;
-  d.rx_power_dbm = p_dbm;
-  d.rx_power_mw = p_mw;
-  d.duration = duration;
-  ++in_flight_;
-  sim_.schedule(delay, [this, slot] { deliver(slot); });
+  s.copies.push_back(Copy{at, sim_.reserve_seq(), p_dbm, p_mw, 0, rx});
+}
+
+namespace {
+
+template <typename Item>
+bool key_before(const Item& a, const Item& b) {
+  return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+}
+
+}  // namespace
+
+void WirelessChannel::launch_stream(std::uint32_t id, bool sorted) {
+  Stream& s = streams_[id];
+  if (s.copies.empty()) {
+    release_stream(id);
+    return;
+  }
+  if (!sorted) {
+    std::sort(s.copies.begin(), s.copies.end(), key_before<Copy>);
+  }
+  in_flight_ += s.copies.size();
+  key_stream(id, s.copies.front());
+}
+
+void WirelessChannel::key_stream(std::uint32_t id, const Copy& next) {
+  // The calendar entry stands for the next item; the rest are held.
+  sim_.add_held_events(static_cast<std::int64_t>(streams_[id].items_pending()) - 1);
+  sim_.schedule_keyed(next.at, next.seq, [this, id] { run_stream(id); });
+}
+
+void WirelessChannel::run_stream(std::uint32_t id) {
+  sim_.add_held_events(1 - static_cast<std::int64_t>(streams_[id].items_pending()));
+  // The first item is the one the calendar entry was keyed by; each
+  // later one runs inline only where the run loop would have popped it
+  // next anyway.
+  bool first = true;
+  for (;;) {
+    // Next item: the earlier, by key, of the first pending end (copies
+    // dropped at their begin have none) and the next begin.
+    Stream& s = streams_[id];
+    while (s.next_end < s.next_begin && s.copies[s.next_end].key == 0) {
+      ++s.next_end;
+    }
+    const bool has_end = s.next_end < s.next_begin;
+    const bool has_begin = s.next_begin < s.copies.size();
+    if (!has_end && !has_begin) {
+      release_stream(id);
+      return;
+    }
+    const bool is_end =
+        has_end && (!has_begin || key_before(s.copies[s.next_end],
+                                             s.copies[s.next_begin]));
+    const std::size_t i = is_end ? s.next_end : s.next_begin;
+    const Copy c = s.copies[i];
+    if (!first && !sim_.advance_inline(c.at, c.seq)) {
+      key_stream(id, c);
+      return;
+    }
+    first = false;
+
+    if (is_end) {
+      ++s.next_end;
+      --s.ends_pending;
+      c.rx->end_arrival(c.key);
+      continue;
+    }
+    ++s.next_begin;
+    --in_flight_;
+    // The receiver may have crashed during the propagation delay.
+    if (fault_ != nullptr && !fault_->node_up(c.rx->node_id())) {
+      ++counters_.copies_dropped_fault;
+      continue;
+    }
+    const WifiPhy::ArrivalEnd end =
+        c.rx->begin_arrival(*s.packet, c.power_dbm, c.power_mw);
+    if (end.key == 0) continue;  // radio down: no end
+    // begin_arrival's callbacks may have grown the pool: index afresh.
+    Stream& t = streams_[id];
+    Copy& e = t.copies[i];
+    e.at = c.at + t.duration;
+    e.seq = end.seq;
+    e.key = end.key;
+    ++t.ends_pending;
+  }
 }
 
 void WirelessChannel::refresh_ranges() {
@@ -176,6 +239,7 @@ void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
   nc.power_dbm.clear();
   nc.power_mw.clear();
   nc.delay.clear();
+  nc.order.clear();
   nc.culled = 0;
   nc.n_live = 0;
   const WifiPhy& src = *radios_[src_index];
@@ -226,6 +290,18 @@ void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
       ++nc.n_live;
     }
   }
+  if (nc.n_live == 0) {
+    // Copies begin in (delay, candidate position) order; a static list
+    // sorts once here, not per transmission.
+    const std::size_t n = nc.rx_index.size();
+    nc.order.resize(n);
+    for (std::size_t k = 0; k < n; ++k) nc.order[k] = static_cast<std::uint32_t>(k);
+    std::sort(nc.order.begin(), nc.order.end(),
+              [&nc](std::uint32_t a, std::uint32_t b) {
+                return nc.delay[a] < nc.delay[b] ||
+                       (nc.delay[a] == nc.delay[b] && a < b);
+              });
+  }
   nc.built_version = index_->version();
 }
 
@@ -242,21 +318,28 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
   // scan's (N-1 - examined) + individually-dropped identity.
   counters_.copies_dropped_floor += nc.culled;
   const std::size_t n = nc.rx_index.size();
+  const std::uint32_t id = open_stream(packet, duration);
 
-  if (nc.n_live == 0) {
-    // Static mesh: every budget is memoised. Branch-free sweep over
-    // the SoA arrays; per candidate this is a packet copy, a slot and
-    // a scheduled event — no propagation math, no unit conversions.
-    for (std::size_t i = 0; i < n; ++i) {
-      schedule_delivery(radios_[nc.rx_index[i]], packet, nc.power_dbm[i],
-                        nc.power_mw[i], nc.delay[i], duration);
+  if (nc.n_live == 0 && router_ == nullptr) {
+    // Static mesh: every budget is memoised and every copy is local, so
+    // the i-th candidate takes the i-th seq of one reserved block and
+    // the cached order is the stream's begin order — no propagation
+    // math, no unit conversions, no sort.
+    counters_.copies_delivered += n;
+    const std::uint64_t first_seq = sim_.reserve_seq(n);
+    std::vector<Copy>& copies = streams_[id].copies;
+    for (const std::uint32_t i : nc.order) {
+      copies.push_back(Copy{now + nc.delay[i], first_seq + i, nc.power_dbm[i],
+                            nc.power_mw[i], 0, radios_[nc.rx_index[i]]});
     }
+    launch_stream(id, /*sorted=*/true);
     return;
   }
 
-  // Mixed cache: batch the mobile candidates through the kernel, then
-  // merge with the memoised ones in ascending attach order (the order
-  // the full scan visits, so tie-broken event order is identical).
+  // Mixed cache (or a sharded run, whose remote copies go to the
+  // router): batch the mobile candidates through the kernel, then merge
+  // with the memoised ones in ascending attach order (the order the
+  // full scan visits, so every copy takes the same seq).
   batch_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (nc.is_cached[i] == 0) {
@@ -269,8 +352,8 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
   std::size_t cursor = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (nc.is_cached[i] != 0) {
-      schedule_delivery(radios_[nc.rx_index[i]], packet, nc.power_dbm[i],
-                        nc.power_mw[i], nc.delay[i], duration);
+      add_copy(id, radios_[nc.rx_index[i]], nc.power_dbm[i], nc.power_mw[i],
+               now + nc.delay[i]);
       continue;
     }
     const double p_dbm = batch_.power_dbm[cursor];
@@ -281,9 +364,10 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
       ++counters_.copies_dropped_floor;
       continue;
     }
-    schedule_delivery(rx, packet, p_dbm, dbm_to_mw(p_dbm),
-                      sim::Time::seconds(dist / kSpeedOfLight), duration);
+    add_copy(id, rx, p_dbm, dbm_to_mw(p_dbm),
+             now + sim::Time::seconds(dist / kSpeedOfLight));
   }
+  launch_stream(id, /*sorted=*/false);
 }
 
 void WirelessChannel::transmit_full_scan(const WifiPhy& src,
@@ -323,6 +407,7 @@ void WirelessChannel::transmit_full_scan(const WifiPhy& src,
 
   LinkBudgetKernel::evaluate_with_distances(
       *propagation_, src.config().tx_power_dbm, tx_pos, src.node_id(), batch_);
+  const std::uint32_t id = open_stream(packet, duration);
   for (std::size_t i = 0; i < n; ++i) {
     WifiPhy* rx = radios_[batch_.rx_index[i]];
     const double p_dbm = batch_.power_dbm[i];
@@ -330,10 +415,10 @@ void WirelessChannel::transmit_full_scan(const WifiPhy& src,
       ++counters_.copies_dropped_floor;
       continue;
     }
-    schedule_delivery(rx, packet, p_dbm, dbm_to_mw(p_dbm),
-                      sim::Time::seconds(batch_.distance_m[i] / kSpeedOfLight),
-                      duration);
+    add_copy(id, rx, p_dbm, dbm_to_mw(p_dbm),
+             now + sim::Time::seconds(batch_.distance_m[i] / kSpeedOfLight));
   }
+  launch_stream(id, /*sorted=*/false);
 }
 
 void WirelessChannel::transmit_fault_scan(const WifiPhy& src,
@@ -343,6 +428,7 @@ void WirelessChannel::transmit_fault_scan(const WifiPhy& src,
   // Per-pair scalar walk: the overlay decides per receiver whether a
   // drop is a fault drop or a floor drop, and that attribution (plus
   // blackout attenuation) must see every pair in order.
+  const std::uint32_t id = open_stream(packet, duration);
   for (WifiPhy* rx : radios_) {
     if (rx == &src) continue;
     const mobility::Vec2 rx_pos = rx->position(now);
@@ -357,11 +443,11 @@ void WirelessChannel::transmit_fault_scan(const WifiPhy& src,
       ++counters_.copies_dropped_floor;
       continue;
     }
-    schedule_delivery(
-        rx, packet, p_dbm, dbm_to_mw(p_dbm),
-        sim::Time::seconds(link_distance_m(tx_pos, rx_pos) / kSpeedOfLight),
-        duration);
+    add_copy(id, rx, p_dbm, dbm_to_mw(p_dbm),
+             now + sim::Time::seconds(link_distance_m(tx_pos, rx_pos) /
+                                      kSpeedOfLight));
   }
+  launch_stream(id, /*sorted=*/false);
 }
 
 void WirelessChannel::transmit(const WifiPhy& src, const net::Packet& packet,
@@ -393,13 +479,13 @@ void WirelessChannel::transmit(const WifiPhy& src, const net::Packet& packet,
 }
 
 std::size_t WirelessChannel::memory_bytes() const {
-  std::size_t bytes = sizeof(*this) +
-                      pending_.capacity() * sizeof(PendingDelivery) +
+  std::size_t bytes = sizeof(*this) + streams_.capacity() * sizeof(Stream) +
                       radios_.capacity() * sizeof(WifiPhy*) +
                       radio_range_m_.capacity() * sizeof(double) +
                       gather_scratch_.capacity() * sizeof(std::uint32_t) +
                       batch_.memory_bytes() + rebuild_batch_.memory_bytes() +
                       neighbor_caches_.capacity() * sizeof(NeighborCache);
+  for (const Stream& s : streams_) bytes += s.copies.capacity() * sizeof(Copy);
   for (const NeighborCache& nc : neighbor_caches_) bytes += nc.memory_bytes();
   if (index_ != nullptr) bytes += index_->memory_bytes();
   return bytes;

@@ -7,11 +7,25 @@
 // arrival is a decodable frame, carrier-sense energy, or interference
 // is the *receiving* radio's business (see WifiPhy).
 //
-// In-flight copies are parked in a free-listed slot pool rather than
-// captured inside the scheduled event: the event captures only (this,
-// slot index), which keeps it inside EventFn's inline buffer — a packet
-// capture would not fit, by design — and reuses delivery storage
-// instead of allocating per receiver.
+// Arrival streams: a transmission's per-receiver copies do not become
+// calendar events of their own. Each transmission opens one stream
+// holding the frame's single packet copy and one entry per local
+// receiver above the floor. An entry is first the copy's begin (keyed
+// by its arrival time and the calendar seq reserved for it, in
+// candidate order, exactly where a per-copy delivery event would have
+// been scheduled); once begun it becomes the copy's end, keyed by
+// begin + air time and the seq WifiPhy::begin_arrival reserved. Begins
+// run in (time, seq) order and ends follow in the same order, so the
+// stream merges its begin and end cursors by key. Only the earliest
+// pending item sits in the calendar; after each item the stream asks
+// sim::Simulator::advance_inline whether its next item would be the
+// calendar's next pop anyway and, if so, runs it inline. Every item
+// still runs at its own (time, seq) position and counts as one event,
+// so event order, event counts and every fingerprint are exactly those
+// of per-copy events. Streams live in a free-listed pool; the calendar
+// event captures only (this, stream index), and nothing holds a
+// reference into the pool across a PHY/MAC callback, which may
+// transmit and grow it.
 //
 // Broadcast fan-out cost: all candidate-link math runs through the
 // phy::LinkBudgetKernel over reusable SoA buffers (one batched
@@ -77,14 +91,15 @@ class WirelessChannel {
   void attach_remote(WifiPhy* phy);
 
   // Install the cross-region router and this channel's region id. With
-  // a router installed, schedule_delivery() forwards any receiver
-  // homed elsewhere to the router instead of the local slot pool.
+  // a router installed, every transmission forwards each receiver homed
+  // elsewhere to the router instead of its local arrival stream.
   void set_shard_router(ShardRouter* router, std::uint32_t region_id);
 
-  // Router re-entry on the destination region: park a re-materialised
-  // cross-region copy and deliver it at `release_at` (>= the physical
-  // arrival; see DESIGN.md §3e). Runs on the coordinating thread at an
-  // epoch barrier, with every worker parked.
+  // Router re-entry on the destination region: a re-materialised
+  // cross-region copy becomes a one-item arrival stream that begins at
+  // `release_at` (>= the physical arrival; see DESIGN.md §3e). Runs on
+  // the coordinating thread at an epoch barrier, with every worker
+  // parked.
   void accept_cross(WifiPhy* rx, net::Packet packet, double p_dbm, double p_mw,
                     sim::Time release_at, sim::Time duration);
 
@@ -127,24 +142,45 @@ class WirelessChannel {
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
-  // Copies currently propagating (diagnostics / tests).
+  // Copies still propagating: queued in a stream, not yet begun at
+  // their receiver (diagnostics / tests).
   [[nodiscard]] std::size_t deliveries_in_flight() const { return in_flight_; }
 
-  // Dynamic footprint of the channel's own state (slot pool, SoA
+  // Dynamic footprint of the channel's own state (stream pool, SoA
   // caches, kernel batches, spatial index scratch) — feeds the
   // bytes_per_node bench counter.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  struct PendingDelivery {
-    std::optional<net::Packet> packet;
-    WifiPhy* rx = nullptr;
-    double rx_power_dbm = 0.0;
-    double rx_power_mw = 0.0;
-    sim::Time duration{};
-    std::uint32_t next_free = kNilSlot;
+  // One receiver's copy within a stream. Until it begins, (at, seq) is
+  // the begin's key; begin_arrival turns it into the end's key and sets
+  // `key`. A copy dropped at its begin keeps key == 0 and has no end.
+  struct Copy {
+    sim::Time at;
+    std::uint64_t seq;
+    double power_dbm;
+    double power_mw;
+    std::uint64_t key;
+    WifiPhy* rx;
   };
-  static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
+
+  // One transmission's arrivals. `copies` is sorted by begin key; the
+  // begun prefix [0, next_begin) holds the ends, whose keys are sorted
+  // too (begin + the common air time, seqs reserved in begin order).
+  struct Stream {
+    std::optional<net::Packet> packet;
+    sim::Time duration{};
+    std::vector<Copy> copies;
+    std::size_t next_begin = 0;
+    std::size_t next_end = 0;
+    std::size_t ends_pending = 0;
+    std::uint32_t next_free = kNilStream;
+
+    [[nodiscard]] std::size_t items_pending() const {
+      return copies.size() - next_begin + ends_pending;
+    }
+  };
+  static constexpr std::uint32_t kNilStream = 0xFFFFFFFFu;
 
   // Per-source candidate list in SoA form, valid for one SpatialIndex
   // version, elements in ascending attach order. Memoised (pinned-
@@ -159,6 +195,10 @@ class WirelessChannel {
   // budget is under the receiver's floor) — bulk-added to
   // copies_dropped_floor per transmission so the counter matches the
   // full scan exactly.
+  //
+  // A fully memoised list (n_live == 0) also stores `order`: candidate
+  // positions sorted by (delay, position), the order its copies begin
+  // in, so a static mesh never sorts a stream.
   struct NeighborCache {
     std::uint64_t built_version = ~std::uint64_t{0};
     std::uint64_t culled = 0;
@@ -168,20 +208,32 @@ class WirelessChannel {
     std::vector<double> power_dbm;
     std::vector<double> power_mw;
     std::vector<sim::Time> delay;
+    std::vector<std::uint32_t> order;
 
     [[nodiscard]] std::size_t memory_bytes() const {
       return rx_index.capacity() * sizeof(std::uint32_t) +
              is_cached.capacity() +
              power_dbm.capacity() * sizeof(double) +
              power_mw.capacity() * sizeof(double) +
-             delay.capacity() * sizeof(sim::Time);
+             delay.capacity() * sizeof(sim::Time) +
+             order.capacity() * sizeof(std::uint32_t);
     }
   };
 
-  std::uint32_t acquire_slot();
-  void deliver(std::uint32_t slot);
-  void schedule_delivery(WifiPhy* rx, const net::Packet& packet, double p_dbm,
-                         double p_mw, sim::Time delay, sim::Time duration);
+  std::uint32_t open_stream(net::Packet packet, sim::Time duration);
+  // Account one copy above the floor, in candidate order: post it to
+  // the router if its receiver is homed elsewhere, else queue it in the
+  // stream with a freshly reserved seq.
+  void add_copy(std::uint32_t id, WifiPhy* rx, double p_dbm, double p_mw,
+                sim::Time at);
+  // Order the queued copies by begin key (unless already sorted) and
+  // key the stream into the calendar; an empty stream is released.
+  void launch_stream(std::uint32_t id, bool sorted);
+  // Calendar entry point: run the stream's next item, then keep going
+  // inline while Simulator::advance_inline allows it.
+  void run_stream(std::uint32_t id);
+  void key_stream(std::uint32_t id, const Copy& next);
+  void release_stream(std::uint32_t id);
   void refresh_ranges();
   void build_spatial_index();
   void rebuild_neighbor_cache(std::uint32_t src_index);
@@ -201,8 +253,8 @@ class WirelessChannel {
   ShardRouter* router_ = nullptr;
   std::uint32_t region_id_ = 0;
   std::vector<WifiPhy*> radios_;
-  std::vector<PendingDelivery> pending_;
-  std::uint32_t free_head_ = kNilSlot;
+  std::vector<Stream> streams_;
+  std::uint32_t free_head_ = kNilStream;
   std::size_t in_flight_ = 0;
   Counters counters_;
   LinkBudgetKernel::Mode eval_mode_ = LinkBudgetKernel::Mode::kAuto;

@@ -2,11 +2,12 @@
 // sharded engine (sim/sharded_simulator.hpp).
 //
 // During an epoch, each region's channel classifies every delivery by
-// the receiver's home region. Intra-region copies take the normal slot
-// pool; cross-region copies are posted here, into the (src-region,
-// dst-region) outbox row, stamped with a per-row monotone sequence
-// number. Rows are strictly single-writer (only src's worker posts to
-// row (src, *)), so posting needs no synchronisation.
+// the receiver's home region. Intra-region copies join the
+// transmission's arrival stream; cross-region copies are posted here,
+// into the (src-region, dst-region) outbox row, stamped with a per-row
+// monotone sequence number. Rows are strictly single-writer (only
+// src's worker posts to row (src, *)), so posting needs no
+// synchronisation.
 //
 // At each epoch barrier merge_epoch() runs on the coordinating thread
 // with every worker parked. Per destination region it collects all
@@ -17,8 +18,8 @@
 // finished epoch is clamped to the barrier — never early, late by less
 // than one epoch), sorts them by the fixed total order
 //     (release, src region, row sequence)
-// and schedules each into the destination region's calendar in that
-// order. The destination calendar's own insertion sequence then makes
+// and hands each to the destination region's channel in that order, as
+// a one-item arrival stream. The destination calendar's seqs then make
 // same-release ties deterministic forever after. Packets are deep-
 // cloned into the destination region's arena (arenas are single-
 // threaded by contract); the source-side references die on the

@@ -38,6 +38,7 @@ void WifiPhy::set_up(bool up) {
     // powered down before the radio and must see no further callbacks.
     if (locked_) {
       locked_ = false;
+      locked_packet_.reset();
       counters_.rx_airtime += sim_.now() - locked_since_;
       if (state_ == State::kRx) state_ = State::kIdle;
     }
@@ -92,23 +93,24 @@ void WifiPhy::finish_tx() {
   if (listener_ != nullptr) listener_->on_tx_end();
 }
 
-void WifiPhy::begin_arrival(net::Packet packet, double rx_power_dbm,
-                            double rx_power_mw, sim::Time duration) {
+WifiPhy::ArrivalEnd WifiPhy::begin_arrival(const net::Packet& packet,
+                                            double rx_power_dbm,
+                                            double rx_power_mw) {
   if (!up_) {
     // Crashed mid-window: energy that was already in flight when the
     // channel-side fault check ran lands here and evaporates.
     ++counters_.rx_dropped_down;
-    return;
+    return {};
   }
   const std::uint64_t key = ++next_arrival_key_;
-  arrivals_.push_back(
-      Arrival{key, std::move(packet), rx_power_mw, sim_.now() + duration});
+  arrivals_.push_back(Arrival{key, rx_power_mw});
 
   const bool decodable = rx_power_dbm >= cfg_.rx_sensitivity_dbm;
   if (state_ == State::kIdle && !locked_ && decodable) {
     // Lock onto this frame.
     locked_ = true;
     locked_key_ = key;
+    locked_packet_.emplace(packet);
     locked_since_ = sim_.now();
     locked_power_mw_ = rx_power_mw;
     locked_power_dbm_ = rx_power_dbm;
@@ -132,20 +134,18 @@ void WifiPhy::begin_arrival(net::Packet packet, double rx_power_dbm,
     }
   }
 
-  sim_.schedule(duration, [this, key] { end_arrival(key); });
+  const ArrivalEnd end{key, sim_.reserve_seq()};
   refresh_cca();
+  return end;
 }
 
 void WifiPhy::end_arrival(std::uint64_t key) {
   const auto it = std::find_if(arrivals_.begin(), arrivals_.end(),
                                [key](const Arrival& a) { return a.key == key; });
   WMN_CHECK(it != arrivals_.end(), "end_arrival for an unknown arrival key");
-
-  const bool was_locked_frame = locked_ && key == locked_key_;
-  net::Packet packet = std::move(it->packet);
   arrivals_.erase(it);
 
-  if (was_locked_frame) {
+  if (locked_ && key == locked_key_) {
     locked_ = false;
     counters_.rx_airtime += sim_.now() - locked_since_;
     state_ = State::kIdle;
@@ -155,6 +155,8 @@ void WifiPhy::end_arrival(std::uint64_t key) {
     // the linear domain so the decode path never calls log10.
     const bool ok = sinr_lin >= sinr_threshold_lin_;
     const double rx_dbm = locked_power_dbm_;
+    std::optional<net::Packet> packet = std::move(locked_packet_);
+    locked_packet_.reset();
     if (ok) {
       ++counters_.rx_ok;
       if (listener_ != nullptr) listener_->on_rx_end(std::move(packet), rx_dbm);

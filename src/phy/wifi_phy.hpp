@@ -104,13 +104,32 @@ class WifiPhy {
   [[nodiscard]] bool is_up() const { return up_; }
 
   // --- channel-facing API ----------------------------------------------
-  // An energy arrival begins at this radio (called by the channel after
-  // propagation delay). `rx_power_dbm` is already path-loss adjusted;
-  // `rx_power_mw` is the same power in linear units — the channel
-  // memoises the dBm->mW conversion per cached link, so the radio's
-  // hot path never calls pow().
-  void begin_arrival(net::Packet packet, double rx_power_dbm,
-                     double rx_power_mw, sim::Time duration);
+  // Where an arrival's end goes: `key` names it to end_arrival(), `seq`
+  // is the calendar sequence number reserved for it. key == 0 means the
+  // arrival was dropped on the spot and has no end.
+  struct ArrivalEnd {
+    std::uint64_t key = 0;
+    std::uint64_t seq = 0;
+  };
+
+  // An energy arrival begins at this radio (run by the channel's arrival
+  // stream after the propagation delay). `rx_power_dbm` is already
+  // path-loss adjusted; `rx_power_mw` is the same power in linear units
+  // — the channel memoises the dBm->mW conversion per cached link, so
+  // the radio's hot path never calls pow(). `packet` is the stream's one
+  // shared copy: it is read only before the first listener callback,
+  // and only the frame the radio locks onto copies it. The caller runs
+  // end_arrival(key) when the frame's air time has elapsed, in the
+  // calendar position of the returned seq — reserved where a scheduled
+  // end event would have taken it (after the lock decision, before the
+  // CCA update).
+  [[nodiscard]] ArrivalEnd begin_arrival(const net::Packet& packet,
+                                         double rx_power_dbm,
+                                         double rx_power_mw);
+
+  // The arrival `key` (from begin_arrival) leaves the air: decode the
+  // locked frame if this was it, then update CCA.
+  void end_arrival(std::uint64_t key);
 
   [[nodiscard]] mobility::Vec2 position(sim::Time now) const {
     return mobility_->position(now);
@@ -174,12 +193,9 @@ class WifiPhy {
  private:
   struct Arrival {
     std::uint64_t key;
-    net::Packet packet;
     double power_mw;
-    sim::Time end;
   };
 
-  void end_arrival(std::uint64_t key);
   void finish_tx();
   // Sum of arrival power excluding the given key (linear mW).
   [[nodiscard]] double interference_mw(std::uint64_t except_key) const;
@@ -206,6 +222,7 @@ class WifiPhy {
   // Reception lock.
   bool locked_ = false;
   std::uint64_t locked_key_ = 0;
+  std::optional<net::Packet> locked_packet_;
   sim::Time locked_since_{};
   double locked_power_mw_ = 0.0;
   double locked_power_dbm_ = 0.0;  // as delivered; avoids log10 at decode

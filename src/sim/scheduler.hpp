@@ -17,10 +17,20 @@
 // index plus one integer compare. Together with the allocation-free
 // EventFn this makes schedule/cancel/pop malloc-free after the slab and
 // heap reach steady-state size.
+//
+// Keyed scheduling: reserve_seq() hands out the insertion sequence
+// numbers the next schedule() calls would have taken, without inserting
+// anything, and schedule_keyed() inserts at an explicit (time, seq)
+// key. A caller that holds many future items (an arrival stream, see
+// phy/channel.hpp) reserves each item's seq where it would have
+// scheduled the item, keeps the items itself, and keeps only its
+// earliest one in the calendar: the pop order is exactly the one the
+// individually scheduled items would have produced.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/check.hpp"
@@ -36,13 +46,38 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   // Insert an event at absolute time `at`. Returns a cancellable id.
-  // Defined inline below: schedule/pop run once per simulated event,
-  // and keeping them visible to callers lets the fixed-size EventFn
-  // moves and the heap arithmetic fold into the call site. Templated
-  // on the callable so a lambda's captures are constructed directly in
-  // the calendar slot (no intermediate full-capacity EventFn copy).
+  // Inline, like schedule_keyed and pop below: they run once per
+  // simulated event, and keeping them visible to callers lets the
+  // fixed-size EventFn moves and the heap arithmetic fold into the call
+  // site. Templated on the callable so a lambda's captures are
+  // constructed directly in the calendar slot (no intermediate
+  // full-capacity EventFn copy).
   template <typename F>
-  EventId schedule(Time at, F&& fn);
+  EventId schedule(Time at, F&& fn) {
+    return schedule_keyed(at, ++next_seq_, std::forward<F>(fn));
+  }
+
+  // Reserve `n` consecutive sequence numbers and return the first. Seqs
+  // start at 1; 0 is never handed out.
+  [[nodiscard]] std::uint64_t reserve_seq(std::uint64_t n = 1) {
+    const std::uint64_t first = next_seq_ + 1;
+    next_seq_ += n;
+    return first;
+  }
+
+  // Insert at the key (at, seq); `seq` must come from reserve_seq() and
+  // be used at most once.
+  template <typename F>
+  EventId schedule_keyed(Time at, std::uint64_t seq, F&& fn);
+
+  // True iff the key (at, seq) orders before every live event.
+  // Compacts stale heap tops as a side effect.
+  [[nodiscard]] bool precedes_top(Time at, std::uint64_t seq) {
+    if (live_count_ == 0) return true;
+    drop_dead_top();
+    const Entry& top = heap_.front();
+    return at < top.at || (at == top.at && seq < top.seq);
+  }
 
   // Remove a pending event; no-op on fired, cancelled, or invalid ids.
   // Releases the callable (and anything it captures) eagerly.
@@ -73,7 +108,8 @@ class Scheduler {
   // Drop everything (used when a run is aborted).
   void clear();
 
-  // Total events ever scheduled (diagnostics / micro-benchmarks).
+  // Sequence numbers ever handed out: events scheduled plus seqs
+  // reserved (diagnostics / micro-benchmarks).
   [[nodiscard]] std::uint64_t total_scheduled() const { return next_seq_; }
 
  private:
@@ -196,9 +232,9 @@ inline void Scheduler::drop_dead_top() {
 }
 
 template <typename F>
-inline EventId Scheduler::schedule(Time at, F&& fn) {
+inline EventId Scheduler::schedule_keyed(Time at, std::uint64_t seq, F&& fn) {
   WMN_CHECK(!at.is_negative(), "events cannot be scheduled before t=0");
-  const std::uint64_t seq = ++next_seq_;  // ids start at 1; 0 = invalid
+  WMN_CHECK(seq != 0 && seq <= next_seq_, "event key was never reserved");
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.fn = std::forward<F>(fn);
@@ -208,9 +244,14 @@ inline EventId Scheduler::schedule(Time at, F&& fn) {
   return make_id(slot, s.gen);
 }
 
+// Both peeks test live_count_ rather than heap_.empty(): with no live
+// event the heap holds only stale entries, if any, and with one the
+// compacted top is live. (GCC 12's -Wnull-dereference also cannot see
+// through an empty() test on a just-constructed vector.)
 inline Time Scheduler::next_time() {
+  if (live_count_ == 0) return Time::max();
   drop_dead_top();
-  return heap_.empty() ? Time::max() : heap_[0].at;
+  return heap_.front().at;
 }
 
 inline Scheduler::Fired Scheduler::pop() {

@@ -1,7 +1,7 @@
 // ShardedSimulator: conservative-PDES parallel intra-run simulation.
 //
 // The engine owns one sim::Simulator (and therefore one slab-backed
-// calendar, see sim/calendar.hpp) per ShardMap region and advances all
+// calendar, see sim/scheduler.hpp) per ShardMap region and advances all
 // regions in lockstep epochs of width `epoch` — the conservative
 // lookahead (ShardMap::lookahead): no event executed inside an epoch
 // can cause an event in ANOTHER region earlier than the epoch's end
@@ -32,7 +32,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/calendar.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 

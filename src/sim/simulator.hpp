@@ -7,7 +7,9 @@
 // safe because instances share no mutable state.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "core/check.hpp"
 #include "sim/cancel_token.hpp"
@@ -53,6 +55,49 @@ class Simulator {
 
   void cancel(EventId id) { calendar_.cancel(id); }
   [[nodiscard]] bool pending(EventId id) const { return calendar_.pending(id); }
+
+  // --- keyed streams ---------------------------------------------------
+  // A stream is a component-held, (time, seq)-sorted run of future
+  // items that keeps only its earliest item in the calendar (see
+  // phy::WirelessChannel's arrival streams). Each item reserves its seq
+  // exactly where it would have been scheduled on its own, runs at that
+  // same (time, seq) position and counts as one executed event, so a
+  // stream is indistinguishable from individually scheduled items.
+  [[nodiscard]] std::uint64_t reserve_seq(std::uint64_t n = 1) {
+    return calendar_.reserve_seq(n);
+  }
+
+  // Key a stream into the calendar at its next item (at, seq). Same
+  // past-time clamp as schedule_at().
+  template <typename F>
+  EventId schedule_keyed(Time at, std::uint64_t seq, F&& fn) {
+    WMN_CHECK_GE(at, now_, "cannot schedule in the past");
+    if (at < now_) at = now_;
+    return calendar_.schedule_keyed(at, seq, std::forward<F>(fn));
+  }
+
+  // Called by a stream after it ran an item, with its next item's key.
+  // True means: the finished item is counted and the clock stands at
+  // `at` — run the next item now, inline. That holds only where the run
+  // loop would have popped that item next anyway: it precedes the
+  // calendar top, lies within the run_until() deadline, no stop() is
+  // pending, the event budget does not trip and the cancel token is not
+  // due for a poll. False means: key the stream back into the calendar
+  // at (at, seq) and return; the run loop counts the finished item.
+  [[nodiscard]] bool advance_inline(Time at, std::uint64_t seq) {
+    if (stopped_ || at > deadline_) return false;
+    if (event_budget_ != 0 && events_executed_ + 1 >= event_budget_) return false;
+    if (cancel_token_ != nullptr && cancel_countdown_ == 1) return false;
+    if (!calendar_.precedes_top(at, seq)) return false;
+    ++events_executed_;
+    if (cancel_token_ != nullptr) --cancel_countdown_;
+    now_ = at;
+    return true;
+  }
+
+  // Items streams hold beyond their one calendar entry each, so that
+  // events_pending() reads as if every item were scheduled on its own.
+  void add_held_events(std::int64_t delta) { held_events_ += delta; }
 
   // --- supervision ----------------------------------------------------
   // Why a run loop ended early, beyond an explicit stop().
@@ -103,6 +148,7 @@ class Simulator {
   void run_until(Time deadline) {
     stopped_ = false;
     abort_reason_ = AbortReason::kNone;
+    deadline_ = deadline;
     while (!stopped_ && !calendar_.empty()) {
       if (event_budget_ != 0 && events_executed_ >= event_budget_)
           [[unlikely]] {
@@ -149,13 +195,17 @@ class Simulator {
 
   // --- diagnostics ----------------------------------------------------
   [[nodiscard]] std::uint64_t events_executed() const { return events_executed_; }
-  [[nodiscard]] std::size_t events_pending() const { return calendar_.size(); }
+  [[nodiscard]] std::size_t events_pending() const {
+    return calendar_.size() + static_cast<std::size_t>(held_events_);
+  }
 
  private:
   Scheduler calendar_;
   Time now_ = Time::zero();
   std::uint64_t master_seed_;
+  Time deadline_ = Time::zero();  // of the active run_until()
   std::uint64_t events_executed_ = 0;
+  std::int64_t held_events_ = 0;
   std::uint64_t event_budget_ = 0;  // 0 = unlimited
   const CancelToken* cancel_token_ = nullptr;
   std::uint64_t cancel_poll_every_ = 1024;

@@ -1,0 +1,100 @@
+// Golden digests: exact fingerprints of four pinned configurations.
+//
+// test_determinism proves a run repeats itself; it cannot notice a
+// change that moves every run the same way. These digests were
+// recorded once and must never drift silently: a change that perturbs
+// event order (a same-time tie, an extra or missing event, a different
+// draw) fails here loudly. A change that is meant to move the physics
+// re-pins them, and says why.
+//
+// The configurations are the simulator benchmark's four workloads
+// (simbench/simbench.cpp) at seed 1000, cut to 2 s of warm-up, 3 s of
+// traffic and 1 s of drain.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+
+#include "exp/metrics.hpp"
+#include "exp/scenario.hpp"
+
+namespace wmn {
+namespace {
+
+exp::ScenarioConfig mesh100() {
+  exp::ScenarioConfig cfg;
+  cfg.n_nodes = 100;
+  cfg.area_width_m = 1000.0;
+  cfg.area_height_m = 1000.0;
+  cfg.placement = exp::Placement::kPerturbedGrid;
+  cfg.placement_jitter_m = 60.0;
+  cfg.traffic.n_flows = 10;
+  cfg.traffic.rate_pps = 6.0;
+  cfg.traffic.packet_bytes = 512;
+  cfg.warmup = sim::Time::seconds(2.0);
+  cfg.traffic_time = sim::Time::seconds(3.0);
+  cfg.drain = sim::Time::seconds(1.0);
+  cfg.seed = 1000;
+  cfg.protocol = core::Protocol::kClnlr;
+  return cfg;
+}
+
+exp::ScenarioConfig mesh400() {
+  exp::ScenarioConfig cfg = mesh100();
+  cfg.n_nodes = 400;
+  cfg.area_width_m = 2000.0;
+  cfg.area_height_m = 2000.0;
+  cfg.traffic.n_flows = 40;
+  return cfg;
+}
+
+exp::ScenarioConfig gateway_sessions() {
+  exp::ScenarioConfig cfg = mesh100();
+  cfg.traffic.pattern = exp::TrafficSpec::Pattern::kGateway;
+  cfg.traffic.n_gateways = 3;
+  cfg.traffic.n_flows = 12;
+  cfg.traffic.model = exp::TrafficSpec::Model::kSessions;
+  cfg.traffic.users_per_node = 1000;
+  cfg.traffic.session_rate_per_user_per_s = 0.004;
+  cfg.traffic.mean_arrival_gap_s = 1.0;
+  return cfg;
+}
+
+exp::ScenarioConfig mobile100() {
+  exp::ScenarioConfig cfg = mesh100();
+  cfg.mobility.max_speed_mps = 10.0;
+  cfg.mobility.pause = sim::Time::seconds(2.0);
+  return cfg;
+}
+
+struct Golden {
+  std::uint64_t events;
+  std::uint64_t digest;
+};
+
+void expect_golden(const exp::ScenarioConfig& cfg, Golden want) {
+  exp::Scenario s(cfg);
+  s.run();
+  const Golden got{s.simulator().events_executed(), exp::fingerprint(s.metrics())};
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.digest, want.digest)
+      << "fingerprint drifted: got 0x" << std::hex << got.digest;
+}
+
+TEST(GoldenDigest, Mesh100) {
+  expect_golden(mesh100(), {949616, 0x4c07c3c259083572});
+}
+
+TEST(GoldenDigest, Mesh400) {
+  expect_golden(mesh400(), {10156009, 0x626f0d1216b69e4d});
+}
+
+TEST(GoldenDigest, GatewaySessions) {
+  expect_golden(gateway_sessions(), {436097, 0xd7f6ff3d31ee9be3});
+}
+
+TEST(GoldenDigest, Mobile100) {
+  expect_golden(mobile100(), {878380, 0xc652723dc98e3b00});
+}
+
+}  // namespace
+}  // namespace wmn

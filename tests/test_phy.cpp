@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mobility/mobility_model.hpp"
 #include "phy/channel.hpp"
+#include "phy/fault_overlay.hpp"
 
 namespace wmn::phy {
 namespace {
@@ -14,11 +16,23 @@ namespace {
 using mobility::ConstantPositionModel;
 using mobility::Vec2;
 
-// Records every PHY callback for assertions.
+// One PHY callback, stamped with the radio and the simulated time.
+struct Callback {
+  std::uint32_t node;
+  char kind;  // 'S' rx start, 'E' rx end, 'C' CCA change
+  sim::Time at;
+};
+
+// Records every PHY callback for assertions; a shared journal, when
+// set, also keeps the order of callbacks across radios.
 class RecordingListener final : public PhyListener {
  public:
-  void on_rx_start() override { ++rx_starts; }
+  void on_rx_start() override {
+    ++rx_starts;
+    note('S');
+  }
   void on_rx_end(std::optional<net::Packet> packet, double power) override {
+    note('E');
     if (packet) {
       received.push_back(std::move(*packet));
       rx_power_dbm.push_back(power);
@@ -27,7 +41,14 @@ class RecordingListener final : public PhyListener {
     }
   }
   void on_tx_end() override { ++tx_ends; }
-  void on_cca_change(bool busy) override { cca_changes.push_back(busy); }
+  void on_cca_change(bool busy) override {
+    note('C');
+    cca_changes.push_back(busy);
+  }
+
+  void note(char kind) {
+    if (journal != nullptr) journal->push_back(Callback{node, kind, sim->now()});
+  }
 
   int rx_starts = 0;
   int rx_failures = 0;
@@ -35,30 +56,62 @@ class RecordingListener final : public PhyListener {
   std::vector<net::Packet> received;
   std::vector<double> rx_power_dbm;
   std::vector<bool> cca_changes;
+  std::uint32_t node = 0;
+  const sim::Simulator* sim = nullptr;
+  std::vector<Callback>* journal = nullptr;
 };
 
 struct TestBed {
-  explicit TestBed(std::vector<Vec2> positions, std::uint64_t seed = 1)
+  explicit TestBed(std::vector<Vec2> positions, std::uint64_t seed = 1,
+                   const PhyConfig& cfg = PhyConfig{})
       : sim(seed), channel(sim, std::make_unique<LogDistanceModel>()) {
     for (std::size_t i = 0; i < positions.size(); ++i) {
       mobilities.push_back(std::make_unique<ConstantPositionModel>(positions[i]));
-      phys.push_back(std::make_unique<WifiPhy>(sim, PhyConfig{},
+      phys.push_back(std::make_unique<WifiPhy>(sim, cfg,
                                                static_cast<std::uint32_t>(i),
                                                mobilities.back().get()));
       listeners.push_back(std::make_unique<RecordingListener>());
+      listeners.back()->node = static_cast<std::uint32_t>(i);
+      listeners.back()->sim = &sim;
+      listeners.back()->journal = &journal;
       phys.back()->set_listener(listeners.back().get());
       channel.attach(phys.back().get());
     }
   }
 
+  // The callbacks of one kind, in the order they ran.
+  std::vector<Callback> journal_of(char kind) const {
+    std::vector<Callback> out;
+    for (const Callback& c : journal) {
+      if (c.kind == kind) out.push_back(c);
+    }
+    return out;
+  }
+
   net::Packet packet(std::uint32_t bytes) { return factory.make(bytes, sim.now()); }
 
   sim::Simulator sim;
+  // Declared before the channel: an enabled spatial index detaches from
+  // the models when the channel dies, so they must outlive it.
+  std::vector<std::unique_ptr<ConstantPositionModel>> mobilities;
   WirelessChannel channel;
   net::PacketFactory factory;
-  std::vector<std::unique_ptr<ConstantPositionModel>> mobilities;
   std::vector<std::unique_ptr<WifiPhy>> phys;
   std::vector<std::unique_ptr<RecordingListener>> listeners;
+  std::vector<Callback> journal;
+};
+
+// Fault view with one settable crashed node.
+class SwitchableOverlay final : public FaultOverlay {
+ public:
+  [[nodiscard]] bool node_up(std::uint32_t node) const override {
+    return node != down;
+  }
+  [[nodiscard]] double link_loss_db(std::uint32_t, std::uint32_t,
+                                    sim::Time) const override {
+    return 0.0;
+  }
+  std::uint32_t down = 0xFFFFFFFFu;  // none
 };
 
 TEST(WifiPhy, TxDurationMatchesRateAndPreamble) {
@@ -197,6 +250,151 @@ TEST(WifiPhy, PropagationDelayOrdersDistantReceivers) {
   EXPECT_EQ(tb.listeners[1]->received[0].uid(), tb.listeners[2]->received[0].uid());
   (void)near_start;
   (void)far_start;
+}
+
+// --- arrival streams --------------------------------------------------
+// A transmission's copies run as one stream; these pin the stream's
+// ordering and accounting against what per-copy events would do.
+
+TEST(ArrivalStream, DelaySpreadLongerThanTheFrame) {
+  // A 64-byte frame at 1 Gb/s with no preamble lasts 512 ns; the far
+  // receiver's copy needs 3 us to arrive. The near receiver's end must
+  // run before the far receiver's begin, not after all begins.
+  PhyConfig cfg;
+  cfg.tx_power_dbm = 40.0;
+  cfg.bit_rate_bps = 1e9;
+  cfg.preamble = sim::Time::zero();
+  TestBed tb({{0, 0}, {10, 0}, {900, 0}}, 1, cfg);
+  const sim::Time air = tb.phys[0]->tx_duration(64);
+  ASSERT_EQ(air, sim::Time::nanos(512));
+  tb.sim.schedule(sim::Time::zero(), [&] { tb.phys[0]->send(tb.packet(64)); });
+  tb.sim.run();
+  ASSERT_EQ(tb.listeners[1]->received.size(), 1u);
+  ASSERT_EQ(tb.listeners[2]->received.size(), 1u);
+  const std::vector<Callback> starts = tb.journal_of('S');
+  const std::vector<Callback> ends = tb.journal_of('E');
+  ASSERT_EQ(starts.size(), 2u);
+  ASSERT_EQ(ends.size(), 2u);
+  EXPECT_EQ(starts[0].node, 1u);
+  EXPECT_EQ(ends[0].node, 1u);
+  EXPECT_EQ(ends[0].at, starts[0].at + air);
+  EXPECT_LT(ends[0].at, starts[1].at);  // near end before far begin
+  EXPECT_EQ(starts[1].node, 2u);
+  EXPECT_EQ(ends[1].at, starts[1].at + air);
+  // Journal order is time order: the near radio's whole reception
+  // precedes the far radio's.
+  std::vector<std::uint32_t> order;
+  for (const Callback& c : tb.journal) {
+    if (c.kind != 'C' && c.node != 0) order.push_back(c.node);
+  }
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 1, 2, 2}));
+  EXPECT_EQ(tb.channel.deliveries_in_flight(), 0u);
+}
+
+class EqualDelay : public ::testing::TestWithParam<bool> {};
+
+TEST_P(EqualDelay, ReceiversTieInAttachOrder) {
+  // Four receivers exactly 100 m from the sender: identical delays, so
+  // (time, seq) order falls back to the seqs reserved in candidate
+  // (attach) order — not x order, y order or anything else.
+  TestBed tb({{0, 0}, {0, 100}, {100, 0}, {-100, 0}, {0, -100}});
+  if (GetParam()) tb.channel.enable_spatial_index(400.0, 400.0);
+  tb.sim.schedule(sim::Time::zero(), [&] { tb.phys[0]->send(tb.packet(64)); });
+  tb.sim.run();
+  const std::vector<Callback> starts = tb.journal_of('S');
+  const std::vector<Callback> ends = tb.journal_of('E');
+  ASSERT_EQ(starts.size(), 4u);
+  ASSERT_EQ(ends.size(), 4u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(starts[i].node, i + 1);
+    EXPECT_EQ(ends[i].node, i + 1);
+    EXPECT_EQ(starts[i].at, starts[0].at);
+    EXPECT_EQ(ends[i].at, ends[0].at);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FullScanAndIndexed, EqualDelay, ::testing::Bool());
+
+TEST(ArrivalStream, ReceiverCrashedBeforeArrivalIsAFaultDrop) {
+  // Node 1 is up when the frame is sent, so the channel queues its
+  // copy; it crashes 100 ns later, before the copy (333 ns) begins.
+  TestBed tb({{0, 0}, {100, 0}, {150, 0}});
+  SwitchableOverlay overlay;
+  tb.channel.set_fault_overlay(&overlay);
+  tb.sim.schedule(sim::Time::zero(), [&] { tb.phys[0]->send(tb.packet(64)); });
+  tb.sim.schedule(sim::Time::nanos(100), [&] { overlay.down = 1; });
+  tb.sim.run();
+  EXPECT_EQ(tb.channel.counters().copies_delivered, 2u);
+  EXPECT_EQ(tb.channel.counters().copies_dropped_fault, 1u);
+  EXPECT_EQ(tb.listeners[1]->rx_starts, 0);
+  EXPECT_TRUE(tb.listeners[1]->cca_changes.empty());
+  EXPECT_EQ(tb.listeners[2]->received.size(), 1u);
+  // send, crash, finish_tx, two begins and one end: the dropped copy
+  // still counts its begin but has no end.
+  EXPECT_EQ(tb.sim.events_executed(), 6u);
+  EXPECT_EQ(tb.channel.deliveries_in_flight(), 0u);
+}
+
+TEST(ArrivalStream, DownRadioDropsTheCopyWithoutAnEnd) {
+  TestBed tb({{0, 0}, {100, 0}});
+  tb.phys[1]->set_up(false);
+  tb.sim.schedule(sim::Time::zero(), [&] { tb.phys[0]->send(tb.packet(64)); });
+  tb.sim.run();
+  EXPECT_EQ(tb.phys[1]->counters().rx_dropped_down, 1u);
+  EXPECT_EQ(tb.listeners[1]->rx_starts, 0);
+  EXPECT_EQ(tb.channel.counters().copies_delivered, 1u);
+  // send, the copy's begin, finish_tx — and no end item.
+  EXPECT_EQ(tb.sim.events_executed(), 3u);
+  EXPECT_EQ(tb.sim.events_pending(), 0u);
+}
+
+TEST(ArrivalStream, EndSeqIsReservedBeforeTheCcaCallback) {
+  // The receiver's MAC reacts to CCA busy by scheduling an event at
+  // exactly the frame's end. begin_arrival reserves the end's seq
+  // before it reports CCA, so at that shared instant the end runs
+  // first, as a scheduled end event did.
+  struct Mac final : PhyListener {
+    Mac(sim::Simulator& s, sim::Time frame) : sim(s), air(frame) {}
+    void on_rx_start() override { log.push_back('S'); }
+    void on_rx_end(std::optional<net::Packet>, double) override { log.push_back('E'); }
+    void on_tx_end() override {}
+    void on_cca_change(bool busy) override {
+      log.push_back(busy ? 'B' : 'I');
+      if (busy) sim.schedule(air, [this] { log.push_back('M'); });
+    }
+    sim::Simulator& sim;
+    sim::Time air;
+    std::string log;
+  };
+  TestBed tb({{0, 0}, {100, 0}});
+  Mac mac(tb.sim, tb.phys[0]->tx_duration(64));
+  tb.phys[1]->set_listener(&mac);
+  tb.sim.schedule(sim::Time::zero(), [&] { tb.phys[0]->send(tb.packet(64)); });
+  tb.sim.run();
+  EXPECT_EQ(mac.log, "SBEIM");
+}
+
+TEST(ArrivalStream, InFlightCountsCopiesNotYetBegun) {
+  // Receivers at 30 m (100 ns) and 600 m (2 us); the frame lasts
+  // 0.5 ms. Slice the run around the two begins.
+  TestBed tb({{0, 0}, {30, 0}, {600, 0}});
+  tb.sim.schedule(sim::Time::zero(), [&] { tb.phys[0]->send(tb.packet(64)); });
+  tb.sim.run_until(sim::Time::nanos(50));
+  EXPECT_EQ(tb.channel.deliveries_in_flight(), 2u);
+  // Two begins and finish_tx, though the stream holds one calendar entry.
+  EXPECT_EQ(tb.sim.events_pending(), 3u);
+  tb.sim.run_until(sim::Time::micros(1.0));
+  EXPECT_EQ(tb.sim.now(), sim::Time::micros(1.0));
+  EXPECT_EQ(tb.channel.deliveries_in_flight(), 1u);
+  EXPECT_EQ(tb.listeners[1]->rx_starts, 1);
+  EXPECT_EQ(tb.sim.events_pending(), 3u);  // near end, far begin, finish_tx
+  tb.sim.run_until(sim::Time::micros(3.0));
+  EXPECT_EQ(tb.channel.deliveries_in_flight(), 0u);
+  EXPECT_EQ(tb.sim.events_pending(), 3u);  // two ends, finish_tx
+  tb.sim.run();
+  EXPECT_EQ(tb.sim.events_pending(), 0u);
+  EXPECT_EQ(tb.sim.events_executed(), 6u);
+  EXPECT_EQ(tb.listeners[1]->received.size(), 1u);
 }
 
 }  // namespace

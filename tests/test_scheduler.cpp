@@ -164,6 +164,50 @@ TEST(Scheduler, CancelDestroysCallableEagerly) {
   s.clear();
 }
 
+TEST(Scheduler, ReservedSeqKeepsItsPlaceInTheOrder) {
+  // A seq reserved before two ordinary schedules at the same instant
+  // pops first, even though its event is inserted last.
+  Scheduler s;
+  std::vector<int> order;
+  const std::uint64_t seq = s.reserve_seq();
+  s.schedule(Time::seconds(1.0), [&] { order.push_back(2); });
+  s.schedule(Time::seconds(1.0), [&] { order.push_back(3); });
+  s.schedule_keyed(Time::seconds(1.0), seq, [&] { order.push_back(1); });
+  while (!s.empty()) s.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Scheduler, ReserveSeqHandsOutConsecutiveBlocks) {
+  Scheduler s;
+  EXPECT_EQ(s.reserve_seq(), 1u);
+  EXPECT_EQ(s.reserve_seq(5), 2u);
+  EXPECT_EQ(s.reserve_seq(), 7u);
+  EXPECT_EQ(s.total_scheduled(), 7u);
+  EXPECT_TRUE(s.empty());  // reserving inserts nothing
+}
+
+TEST(Scheduler, PrecedesTopComparesTimeThenSeq) {
+  Scheduler s;
+  EXPECT_TRUE(s.precedes_top(Time::max(), 1));  // empty calendar
+  const std::uint64_t early = s.reserve_seq();
+  s.schedule(Time::seconds(2.0), [] {});  // seq 2 on top
+  const std::uint64_t late = s.reserve_seq();
+  EXPECT_TRUE(s.precedes_top(Time::seconds(1.0), late));
+  EXPECT_TRUE(s.precedes_top(Time::seconds(2.0), early));
+  EXPECT_FALSE(s.precedes_top(Time::seconds(2.0), late));
+  EXPECT_FALSE(s.precedes_top(Time::seconds(3.0), early));
+}
+
+TEST(Scheduler, PrecedesTopSkipsCancelledTop) {
+  Scheduler s;
+  const std::uint64_t seq = s.reserve_seq();
+  const EventId top = s.schedule(Time::seconds(1.0), [] {});
+  s.schedule(Time::seconds(5.0), [] {});
+  EXPECT_FALSE(s.precedes_top(Time::seconds(2.0), seq));
+  s.cancel(top);
+  EXPECT_TRUE(s.precedes_top(Time::seconds(2.0), seq));
+}
+
 // Property: random inserts with random cancellations still pop sorted.
 class SchedulerStress : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 namespace wmn::exp {
 namespace {
@@ -79,6 +80,16 @@ TEST(TimeseriesProbe, CsvExportRoundTrips) {
   EXPECT_EQ(lines, probe.samples().size());
   f.close();
   std::remove(path.c_str());
+}
+
+TEST(TimeseriesProbe, RefusesAShardedScenario) {
+  // A sharded run never advances Scenario::simulator(), so a probe on
+  // it would silently export a header-only series.
+  ScenarioConfig cfg = probe_config();
+  cfg.intra_run_shards = 2;
+  Scenario s(cfg);
+  ASSERT_TRUE(s.sharded());
+  EXPECT_THROW(TimeseriesProbe(s, sim::Time::seconds(1.0)), std::invalid_argument);
 }
 
 }  // namespace
