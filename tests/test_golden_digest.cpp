@@ -1,4 +1,4 @@
-// Golden digests: exact fingerprints of four pinned configurations.
+// Golden digests: exact fingerprints of nine pinned configurations.
 //
 // test_determinism proves a run repeats itself; it cannot notice a
 // change that moves every run the same way. These digests were
@@ -9,7 +9,10 @@
 //
 // The configurations are the simulator benchmark's four workloads
 // (simbench/simbench.cpp) at seed 1000, cut to 2 s of warm-up, 3 s of
-// traffic and 1 s of drain.
+// traffic and 1 s of drain, plus five variants that take the channel
+// paths those four never reach: the full scan (spatial index off), the
+// fault scan (churn and an outage), RTS/CTS, the sharded engine and
+// log-normal shadowing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -74,7 +77,9 @@ struct Golden {
 void expect_golden(const exp::ScenarioConfig& cfg, Golden want) {
   exp::Scenario s(cfg);
   s.run();
-  const Golden got{s.simulator().events_executed(), exp::fingerprint(s.metrics())};
+  const std::uint64_t events = s.sharded() ? s.sharded_engine()->events_executed()
+                                           : s.simulator().events_executed();
+  const Golden got{events, exp::fingerprint(s.metrics())};
   EXPECT_EQ(got.events, want.events);
   EXPECT_EQ(got.digest, want.digest)
       << "fingerprint drifted: got 0x" << std::hex << got.digest;
@@ -94,6 +99,41 @@ TEST(GoldenDigest, GatewaySessions) {
 
 TEST(GoldenDigest, Mobile100) {
   expect_golden(mobile100(), {878380, 0xc652723dc98e3b00});
+}
+
+TEST(GoldenDigest, Mesh100FullScan) {
+  exp::ScenarioConfig cfg = mesh100();
+  cfg.spatial_index = false;
+  expect_golden(cfg, {949616, 0x4c07c3c259083572});
+}
+
+TEST(GoldenDigest, Mobile100ChurnAndOutage) {
+  exp::ScenarioConfig cfg = mobile100();
+  cfg.fault.churn.rate_per_s = 1.0;
+  cfg.fault.churn.mean_downtime = sim::Time::seconds(1.0);
+  cfg.fault.churn.start = cfg.warmup;
+  cfg.fault.churn.stop = cfg.warmup + cfg.traffic_time;
+  cfg.fault.outages.push_back(
+      fault::NodeOutage{7, sim::Time::seconds(2.5), sim::Time::seconds(4.0)});
+  expect_golden(cfg, {749141, 0x37913889601f8e3c});
+}
+
+TEST(GoldenDigest, Mesh100RtsCts) {
+  exp::ScenarioConfig cfg = mesh100();
+  cfg.mac.rts_threshold_bytes = 256;
+  expect_golden(cfg, {1171272, 0xe80b212480cef4cf});
+}
+
+TEST(GoldenDigest, Mesh400TwoShards) {
+  exp::ScenarioConfig cfg = mesh400();
+  cfg.intra_run_shards = 2;
+  expect_golden(cfg, {9785092, 0xa6eb831c8a4eadc0});
+}
+
+TEST(GoldenDigest, Mobile100Shadowing) {
+  exp::ScenarioConfig cfg = mobile100();
+  cfg.shadowing_sigma_db = 6.0;
+  expect_golden(cfg, {546489, 0x9a2c32d17bfacbfb});
 }
 
 }  // namespace
