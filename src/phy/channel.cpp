@@ -51,7 +51,7 @@ void WirelessChannel::accept_cross(WifiPhy* rx, net::Packet packet, double p_dbm
   const std::uint32_t id = open_stream(std::move(packet), duration);
   streams_[id].copies.push_back(
       Copy{release_at, sim_.reserve_seq(), p_dbm, p_mw, 0, rx});
-  launch_stream(id, /*sorted=*/true);
+  launch_stream(id);
 }
 
 void WirelessChannel::enable_spatial_index(double area_width_m,
@@ -98,24 +98,42 @@ void WirelessChannel::release_stream(std::uint32_t id) {
   free_head_ = id;
 }
 
-void WirelessChannel::add_copy(std::uint32_t id, WifiPhy* rx, double p_dbm,
-                               double p_mw, sim::Time at) {
-  ++counters_.copies_delivered;
-  Stream& s = streams_[id];
-  // Sharded runs route receivers homed in another region through the
-  // barrier-merged inboxes; the copy is accounted here, where the
-  // physics decided it.
-  if (router_ != nullptr) {
-    const std::uint32_t dst = router_->region_of(rx->node_id());
-    if (dst != region_id_) {
-      router_->post(region_id_, dst, rx, *s.packet, p_dbm, p_mw, at, s.duration);
-      return;
-    }
-  }
-  s.copies.push_back(Copy{at, sim_.reserve_seq(), p_dbm, p_mw, 0, rx});
+namespace {
+
+// A begin key packs (propagation delay, index) into one integer that
+// orders like the pair, so sorts compare plain words. The index is a
+// rank or a candidate position; either way seqs grow with it.
+constexpr unsigned kIndexBits = 24;
+constexpr std::uint64_t kIndexMask = (std::uint64_t{1} << kIndexBits) - 1;
+
+std::uint64_t pack_begin_key(sim::Time delay, std::size_t index) {
+  const std::int64_t d = delay.ns();
+  WMN_CHECK(d >= 0 && d < (std::int64_t{1} << (64 - kIndexBits)),
+            "propagation delay out of packed-key range");
+  WMN_CHECK_LE(index, kIndexMask, "too many receivers for a packed begin key");
+  return (static_cast<std::uint64_t>(d) << kIndexBits) | index;
 }
 
-namespace {
+// Sort keys that are close to sorted already. Insertion sort costs
+// O(n + shifts); once the shifts pass a budget linear in n, std::sort
+// finishes the job, so a scrambled input still costs O(n log n).
+void sort_nearly_sorted(std::vector<std::uint64_t>& keys) {
+  std::size_t budget = 4 * keys.size();
+  for (std::size_t k = 1; k < keys.size(); ++k) {
+    const std::uint64_t key = keys[k];
+    std::size_t j = k;
+    while (j > 0 && keys[j - 1] > key) {
+      keys[j] = keys[j - 1];
+      --j;
+    }
+    keys[j] = key;
+    if (k - j >= budget) {
+      std::sort(keys.begin(), keys.end());
+      return;
+    }
+    budget -= k - j;
+  }
+}
 
 template <typename Item>
 bool key_before(const Item& a, const Item& b) {
@@ -124,14 +142,73 @@ bool key_before(const Item& a, const Item& b) {
 
 }  // namespace
 
-void WirelessChannel::launch_stream(std::uint32_t id, bool sorted) {
+bool WirelessChannel::add_copy(std::uint32_t id, WifiPhy* rx, double p_dbm,
+                               double p_mw, sim::Time now, sim::Time delay) {
+  ++counters_.copies_delivered;
+  // Sharded runs route receivers homed in another region through the
+  // barrier-merged inboxes; the copy is accounted here, where the
+  // physics decided it.
+  if (router_ != nullptr) {
+    const std::uint32_t dst = router_->region_of(rx->node_id());
+    if (dst != region_id_) {
+      const Stream& s = streams_[id];
+      router_->post(region_id_, dst, rx, *s.packet, p_dbm, p_mw, now + delay,
+                    s.duration);
+      return false;
+    }
+  }
+  pending_.push_back(Pending{rx, p_dbm, p_mw, delay});
+  return true;
+}
+
+void WirelessChannel::push_copy(std::uint32_t id, sim::Time now,
+                                std::uint64_t first_seq, std::uint32_t rank) {
+  const Pending& p = pending_[rank];
+  streams_[id].copies.push_back(
+      Copy{now + p.delay, first_seq + rank, p.power_dbm, p.power_mw, 0, p.rx});
+}
+
+void WirelessChannel::launch_pending(std::uint32_t id, sim::Time now) {
+  const std::size_t m = pending_.size();
+  begin_keys_.resize(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    begin_keys_[k] = pack_begin_key(pending_[k].delay, k);
+  }
+  std::sort(begin_keys_.begin(), begin_keys_.end());
+  const std::uint64_t first_seq = sim_.reserve_seq(m);
+  for (const std::uint64_t key : begin_keys_) {
+    push_copy(id, now, first_seq, static_cast<std::uint32_t>(key & kIndexMask));
+  }
+  pending_.clear();
+  launch_stream(id);
+}
+
+void WirelessChannel::launch_reordered(std::uint32_t id, sim::Time now,
+                                       NeighborCache& nc) {
+  // Keys in the previous transmission's order: (delay, position), and
+  // positions grow with rank, so sorting them gives the begin order.
+  const std::size_t n = nc.order.size();
+  begin_keys_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint32_t i = nc.order[k];
+    begin_keys_[k] = pack_begin_key(slots_[i].delay, i);
+  }
+  sort_nearly_sorted(begin_keys_);
+  const std::uint64_t first_seq = sim_.reserve_seq(pending_.size());
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto i = static_cast<std::uint32_t>(begin_keys_[k] & kIndexMask);
+    nc.order[k] = i;
+    if (slots_[i].rank != kNoRank) push_copy(id, now, first_seq, slots_[i].rank);
+  }
+  pending_.clear();
+  launch_stream(id);
+}
+
+void WirelessChannel::launch_stream(std::uint32_t id) {
   Stream& s = streams_[id];
   if (s.copies.empty()) {
     release_stream(id);
     return;
-  }
-  if (!sorted) {
-    std::sort(s.copies.begin(), s.copies.end(), key_before<Copy>);
   }
   in_flight_ += s.copies.size();
   key_stream(id, s.copies.front());
@@ -284,18 +361,24 @@ void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
     } else {
       nc.rx_index.push_back(i);
       nc.is_cached.push_back(0);
-      nc.power_dbm.push_back(0.0);
-      nc.power_mw.push_back(0.0);
-      nc.delay.push_back(sim::Time{});
       ++nc.n_live;
     }
   }
+  // The budget arrays hold memoised entries only. Once a source starts
+  // moving, few of its links stay memoised: give back the capacity the
+  // all-pinned start-up left behind rather than keep it for the run.
+  if (nc.power_dbm.capacity() > 2 * nc.power_dbm.size() + 16) {
+    nc.power_dbm.shrink_to_fit();
+    nc.power_mw.shrink_to_fit();
+    nc.delay.shrink_to_fit();
+  }
+  // Copies begin in (delay, candidate position) order; a static list
+  // sorts once here, not per transmission. A live list starts from
+  // attach order and is re-sorted per transmission.
+  const std::size_t n = nc.rx_index.size();
+  nc.order.resize(n);
+  for (std::size_t k = 0; k < n; ++k) nc.order[k] = static_cast<std::uint32_t>(k);
   if (nc.n_live == 0) {
-    // Copies begin in (delay, candidate position) order; a static list
-    // sorts once here, not per transmission.
-    const std::size_t n = nc.rx_index.size();
-    nc.order.resize(n);
-    for (std::size_t k = 0; k < n; ++k) nc.order[k] = static_cast<std::uint32_t>(k);
     std::sort(nc.order.begin(), nc.order.end(),
               [&nc](std::uint32_t a, std::uint32_t b) {
                 return nc.delay[a] < nc.delay[b] ||
@@ -332,14 +415,14 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
       copies.push_back(Copy{now + nc.delay[i], first_seq + i, nc.power_dbm[i],
                             nc.power_mw[i], 0, radios_[nc.rx_index[i]]});
     }
-    launch_stream(id, /*sorted=*/true);
+    launch_stream(id);
     return;
   }
 
   // Mixed cache (or a sharded run, whose remote copies go to the
   // router): batch the mobile candidates through the kernel, then merge
   // with the memoised ones in ascending attach order (the order the
-  // full scan visits, so every copy takes the same seq).
+  // full scan visits, so every copy takes the same rank and seq).
   batch_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (nc.is_cached[i] == 0) {
@@ -349,25 +432,34 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
   }
   LinkBudgetKernel::evaluate(*propagation_, src.config().tx_power_dbm, tx_pos,
                              src.node_id(), batch_, eval_mode_);
+  slots_.resize(n);
+  std::size_t cached = 0;
   std::size_t cursor = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (nc.is_cached[i] != 0) {
-      add_copy(id, radios_[nc.rx_index[i]], nc.power_dbm[i], nc.power_mw[i],
-               now + nc.delay[i]);
-      continue;
-    }
-    const double p_dbm = batch_.power_dbm[cursor];
-    const double dist = batch_.distance_m[cursor];
-    ++cursor;
     WifiPhy* rx = radios_[nc.rx_index[i]];
-    if (p_dbm < rx->config().detection_floor_dbm) {
-      ++counters_.copies_dropped_floor;
-      continue;
+    Slot& slot = slots_[i];
+    slot.rank = kNoRank;
+    double p_dbm = 0.0;
+    double p_mw = 0.0;
+    if (nc.is_cached[i] != 0) {
+      p_dbm = nc.power_dbm[cached];
+      p_mw = nc.power_mw[cached];
+      slot.delay = nc.delay[cached];
+      ++cached;
+    } else {
+      p_dbm = batch_.power_dbm[cursor];
+      slot.delay = sim::Time::seconds(batch_.distance_m[cursor] / kSpeedOfLight);
+      ++cursor;
+      if (p_dbm < rx->config().detection_floor_dbm) {
+        ++counters_.copies_dropped_floor;
+        continue;
+      }
+      p_mw = dbm_to_mw(p_dbm);
     }
-    add_copy(id, rx, p_dbm, dbm_to_mw(p_dbm),
-             now + sim::Time::seconds(dist / kSpeedOfLight));
+    const auto rank = static_cast<std::uint32_t>(pending_.size());
+    if (add_copy(id, rx, p_dbm, p_mw, now, slot.delay)) slot.rank = rank;
   }
-  launch_stream(id, /*sorted=*/false);
+  launch_reordered(id, now, nc);
 }
 
 void WirelessChannel::transmit_full_scan(const WifiPhy& src,
@@ -415,10 +507,10 @@ void WirelessChannel::transmit_full_scan(const WifiPhy& src,
       ++counters_.copies_dropped_floor;
       continue;
     }
-    add_copy(id, rx, p_dbm, dbm_to_mw(p_dbm),
-             now + sim::Time::seconds(batch_.distance_m[i] / kSpeedOfLight));
+    add_copy(id, rx, p_dbm, dbm_to_mw(p_dbm), now,
+             sim::Time::seconds(batch_.distance_m[i] / kSpeedOfLight));
   }
-  launch_stream(id, /*sorted=*/false);
+  launch_pending(id, now);
 }
 
 void WirelessChannel::transmit_fault_scan(const WifiPhy& src,
@@ -443,11 +535,10 @@ void WirelessChannel::transmit_fault_scan(const WifiPhy& src,
       ++counters_.copies_dropped_floor;
       continue;
     }
-    add_copy(id, rx, p_dbm, dbm_to_mw(p_dbm),
-             now + sim::Time::seconds(link_distance_m(tx_pos, rx_pos) /
-                                      kSpeedOfLight));
+    add_copy(id, rx, p_dbm, dbm_to_mw(p_dbm), now,
+             sim::Time::seconds(link_distance_m(tx_pos, rx_pos) / kSpeedOfLight));
   }
-  launch_stream(id, /*sorted=*/false);
+  launch_pending(id, now);
 }
 
 void WirelessChannel::transmit(const WifiPhy& src, const net::Packet& packet,
@@ -481,6 +572,9 @@ void WirelessChannel::transmit(const WifiPhy& src, const net::Packet& packet,
 std::size_t WirelessChannel::memory_bytes() const {
   std::size_t bytes = sizeof(*this) + streams_.capacity() * sizeof(Stream) +
                       radios_.capacity() * sizeof(WifiPhy*) +
+                      pending_.capacity() * sizeof(Pending) +
+                      slots_.capacity() * sizeof(Slot) +
+                      begin_keys_.capacity() * sizeof(std::uint64_t) +
                       radio_range_m_.capacity() * sizeof(double) +
                       gather_scratch_.capacity() * sizeof(std::uint32_t) +
                       batch_.memory_bytes() + rebuild_batch_.memory_bytes() +

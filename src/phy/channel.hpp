@@ -11,9 +11,10 @@
 // calendar events of their own. Each transmission opens one stream
 // holding the frame's single packet copy and one entry per local
 // receiver above the floor. An entry is first the copy's begin (keyed
-// by its arrival time and the calendar seq reserved for it, in
-// candidate order, exactly where a per-copy delivery event would have
-// been scheduled); once begun it becomes the copy's end, keyed by
+// by its arrival time and a calendar seq from one block reserved per
+// transmission: a copy's seq is its rank among the local copies in
+// candidate order, exactly the seq a per-copy delivery event would
+// have taken); once begun it becomes the copy's end, keyed by
 // begin + air time and the seq WifiPhy::begin_arrival reserved. Begins
 // run in (time, seq) order and ends follow in the same order, so the
 // stream merges its begin and end cursors by key. Only the earliest
@@ -22,10 +23,19 @@
 // calendar's next pop anyway and, if so, runs it inline. Every item
 // still runs at its own (time, seq) position and counts as one event,
 // so event order, event counts and every fingerprint are exactly those
-// of per-copy events. Streams live in a free-listed pool; the calendar
-// event captures only (this, stream index), and nothing holds a
-// reference into the pool across a PHY/MAC callback, which may
-// transmit and grow it.
+// of per-copy events.
+//
+// Begin order is (propagation delay, rank): the arrival time is now +
+// delay and seqs grow with rank. Sorts compare packed 64-bit
+// (delay_ns << 24 | index) keys, so they compare plain integers. A
+// static neighbour list stores its order once per cache rebuild. An
+// indexed list with live links (or a sharded source) re-sorts the
+// order its previous transmission left, which is nearly sorted
+// already. The full and fault scans sort from scratch.
+//
+// Streams live in a free-listed pool; the calendar event captures only
+// (this, stream index), and nothing holds a reference into the pool
+// across a PHY/MAC callback, which may transmit and grow it.
 //
 // Broadcast fan-out cost: all candidate-link math runs through the
 // phy::LinkBudgetKernel over reusable SoA buffers (one batched
@@ -182,13 +192,32 @@ class WirelessChannel {
   };
   static constexpr std::uint32_t kNilStream = 0xFFFFFFFFu;
 
+  // A local copy above the floor, queued in candidate order while one
+  // transmission is evaluated. Its index in pending_ is its rank: the
+  // offset of its seq in the block the launch reserves.
+  struct Pending {
+    WifiPhy* rx;
+    double power_dbm;
+    double power_mw;
+    sim::Time delay;
+  };
+  // One candidate position of an indexed transmission: its propagation
+  // delay (kept for every candidate, queued or not, so the reused order
+  // stays near-sorted) and its rank in pending_, or kNoRank.
+  struct Slot {
+    sim::Time delay;
+    std::uint32_t rank;
+  };
+  static constexpr std::uint32_t kNoRank = 0xFFFFFFFFu;
+
   // Per-source candidate list in SoA form, valid for one SpatialIndex
   // version, elements in ascending attach order. Memoised (pinned-
   // pair) entries carry the exact budget: power in dBm and mW plus the
   // propagation delay, all computed once at rebuild through the same
-  // kernel the live path uses. Live entries (a mobile endpoint) are
-  // re-evaluated per transmission; n_live == 0 (the static-mesh common
-  // case) enables the branch-free fast loop.
+  // kernel the live path uses. The budget arrays hold memoised entries
+  // only, in candidate order; live entries (a mobile endpoint) are
+  // re-evaluated per transmission and store nothing there. n_live == 0
+  // (the static-mesh common case) enables the branch-free fast loop.
   //
   // `culled` counts receivers provably below the detection floor for
   // this version (out of range, or a pinned pair whose exact cached
@@ -196,9 +225,13 @@ class WirelessChannel {
   // copies_dropped_floor per transmission so the counter matches the
   // full scan exactly.
   //
-  // A fully memoised list (n_live == 0) also stores `order`: candidate
-  // positions sorted by (delay, position), the order its copies begin
-  // in, so a static mesh never sorts a stream.
+  // `order` holds the candidate positions sorted by (delay, position),
+  // the order the copies begin in. A fully memoised list (n_live == 0)
+  // sorts it once at rebuild, so a static mesh never sorts a stream. A
+  // list with live entries starts from attach order and re-sorts it at
+  // each transmission, starting from the previous transmission's order:
+  // nodes move little between two transmissions of one source, so few
+  // entries move (8% per transmission on the 10 m/s benchmark mesh).
   struct NeighborCache {
     std::uint64_t built_version = ~std::uint64_t{0};
     std::uint64_t culled = 0;
@@ -222,13 +255,21 @@ class WirelessChannel {
 
   std::uint32_t open_stream(net::Packet packet, sim::Time duration);
   // Account one copy above the floor, in candidate order: post it to
-  // the router if its receiver is homed elsewhere, else queue it in the
-  // stream with a freshly reserved seq.
-  void add_copy(std::uint32_t id, WifiPhy* rx, double p_dbm, double p_mw,
-                sim::Time at);
-  // Order the queued copies by begin key (unless already sorted) and
-  // key the stream into the calendar; an empty stream is released.
-  void launch_stream(std::uint32_t id, bool sorted);
+  // the router if its receiver is homed elsewhere (returns false), else
+  // queue it in pending_ (returns true).
+  bool add_copy(std::uint32_t id, WifiPhy* rx, double p_dbm, double p_mw,
+                sim::Time now, sim::Time delay);
+  // Scans: sort pending_ by packed (delay, rank) keys, reserve one seq
+  // block, move the copies into the stream in begin order and launch.
+  void launch_pending(std::uint32_t id, sim::Time now);
+  // Indexed transmissions: re-sort nc.order by the delays in slots_,
+  // then launch pending_ in that order, as launch_pending() does.
+  void launch_reordered(std::uint32_t id, sim::Time now, NeighborCache& nc);
+  void push_copy(std::uint32_t id, sim::Time now, std::uint64_t first_seq,
+                 std::uint32_t rank);
+  // Key a stream whose copies are in begin order into the calendar; an
+  // empty stream is released.
+  void launch_stream(std::uint32_t id);
   // Calendar entry point: run the stream's next item, then keep going
   // inline while Simulator::advance_inline allows it.
   void run_stream(std::uint32_t id);
@@ -253,6 +294,10 @@ class WirelessChannel {
   ShardRouter* router_ = nullptr;
   std::uint32_t region_id_ = 0;
   std::vector<WifiPhy*> radios_;
+  // Per-transmission scratch for the begin order.
+  std::vector<Pending> pending_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint64_t> begin_keys_;
   std::vector<Stream> streams_;
   std::uint32_t free_head_ = kNilStream;
   std::size_t in_flight_ = 0;

@@ -28,7 +28,7 @@ sim::Time WifiPhy::tx_duration(std::uint32_t bytes) const {
 bool WifiPhy::cca_busy() const {
   if (!up_) return false;  // a dead radio senses nothing
   if (state_ != State::kIdle) return true;
-  return interference_mw(~0ULL) >= cca_threshold_mw_;
+  return energy_mw_ >= cca_threshold_mw_;
 }
 
 void WifiPhy::set_up(bool up) {
@@ -103,7 +103,12 @@ WifiPhy::ArrivalEnd WifiPhy::begin_arrival(const net::Packet& packet,
     return {};
   }
   const std::uint64_t key = ++next_arrival_key_;
+  // The energy before this arrival is the sum over every other one:
+  // exactly interference_mw(key), with the same additions in the same
+  // order.
+  const double others_mw = energy_mw_;
   arrivals_.push_back(Arrival{key, rx_power_mw});
+  energy_mw_ += rx_power_mw;
 
   const bool decodable = rx_power_dbm >= cfg_.rx_sensitivity_dbm;
   if (state_ == State::kIdle && !locked_ && decodable) {
@@ -114,7 +119,7 @@ WifiPhy::ArrivalEnd WifiPhy::begin_arrival(const net::Packet& packet,
     locked_since_ = sim_.now();
     locked_power_mw_ = rx_power_mw;
     locked_power_dbm_ = rx_power_dbm;
-    locked_max_interference_mw_ = interference_mw(key);
+    locked_max_interference_mw_ = others_mw;
     state_ = State::kRx;
     if (listener_ != nullptr) listener_->on_rx_start();
   } else {
@@ -144,6 +149,9 @@ void WifiPhy::end_arrival(std::uint64_t key) {
                                [key](const Arrival& a) { return a.key == key; });
   WMN_CHECK(it != arrivals_.end(), "end_arrival for an unknown arrival key");
   arrivals_.erase(it);
+  // Re-sum rather than subtract: the running sum stays bit-equal to a
+  // fresh sum over the arrivals still on the air.
+  energy_mw_ = interference_mw(~0ULL);
 
   if (locked_ && key == locked_key_) {
     locked_ = false;

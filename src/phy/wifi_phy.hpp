@@ -5,7 +5,10 @@
 // or RX are interference. CCA reports busy whenever the radio is not
 // IDLE or the summed arrival energy exceeds the CCA threshold, which is
 // how carrier sensing extends beyond decode range (the hidden/exposed
-// terminal geometry the MAC must live with).
+// terminal geometry the MAC must live with). The summed energy is kept
+// as a running sum: each begin adds its power, each end re-sums the
+// remaining arrivals in arrival order, so CCA is O(1) per begin and
+// the sum is bit-equal to summing the arrival list afresh.
 //
 // Reception outcome: a locked frame is decoded successfully iff the
 // SINR — locked power over (noise floor + the *maximum* concurrent
@@ -168,6 +171,10 @@ class WifiPhy {
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
+  // Summed power of the arrivals on the air (linear mW): what CCA
+  // compares with its threshold.
+  [[nodiscard]] double arrival_energy_mw() const { return energy_mw_; }
+
   // Dynamic footprint of this radio's state (arrival list) — feeds the
   // bytes_per_node bench counter.
   [[nodiscard]] std::size_t memory_bytes() const {
@@ -216,11 +223,16 @@ class WifiPhy {
   PhyListener* listener_ = nullptr;
 
   State state_ = State::kIdle;
+  // The flags share state_'s word instead of padding a word each.
+  bool locked_ = false;         // reception lock held (fields below)
+  bool last_cca_busy_ = false;  // CCA verdict since busy_since_
+  bool up_ = true;              // fault-injection power state
   std::vector<Arrival> arrivals_;
+  // Sum of arrivals_' power, added in list order (linear mW).
+  double energy_mw_ = 0.0;
   std::uint64_t next_arrival_key_ = 0;
 
   // Reception lock.
-  bool locked_ = false;
   std::uint64_t locked_key_ = 0;
   std::optional<net::Packet> locked_packet_;
   sim::Time locked_since_{};
@@ -228,11 +240,9 @@ class WifiPhy {
   double locked_power_dbm_ = 0.0;  // as delivered; avoids log10 at decode
   double locked_max_interference_mw_ = 0.0;
 
-  bool last_cca_busy_ = false;
   sim::Time busy_since_{};
 
   // Fault-injection power state.
-  bool up_ = true;
   sim::Time down_since_{};
   sim::Time down_time_{};  // closed down intervals only
 

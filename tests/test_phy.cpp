@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -372,6 +373,173 @@ TEST(ArrivalStream, EndSeqIsReservedBeforeTheCcaCallback) {
   tb.sim.schedule(sim::Time::zero(), [&] { tb.phys[0]->send(tb.packet(64)); });
   tb.sim.run();
   EXPECT_EQ(mac.log, "SBEIM");
+}
+
+// --- begin order under mobility -----------------------------------------
+// Random-waypoint radios in a 150 m square, so every radio decodes every
+// other and each copy's begin shows up as one on_rx_start. One radio
+// transmits per millisecond, so streams never overlap. Pauses pin some
+// radios (memoised links next to live ones), and a radio attached
+// halfway through invalidates every neighbour cache.
+std::vector<Callback> moving_mesh_journal(bool indexed) {
+  constexpr std::uint32_t kRadios = 24;
+  sim::Simulator sim(7);
+  mobility::RandomWaypointConfig rwp;
+  rwp.area_width_m = 150.0;
+  rwp.area_height_m = 150.0;
+  rwp.min_speed_mps = 5.0;
+  rwp.max_speed_mps = 40.0;
+  rwp.pause = sim::Time::millis(50.0);
+  std::vector<std::unique_ptr<mobility::RandomWaypointModel>> models;
+  for (std::uint32_t i = 0; i <= kRadios; ++i) {
+    const Vec2 start{static_cast<double>((i * 37) % 150),
+                     static_cast<double>((i * 53) % 150)};
+    models.push_back(
+        std::make_unique<mobility::RandomWaypointModel>(sim, rwp, start, i));
+  }
+  WirelessChannel channel(sim, std::make_unique<LogDistanceModel>());
+  if (indexed) channel.enable_spatial_index(150.0, 150.0);
+  net::PacketFactory factory;
+  std::vector<std::unique_ptr<WifiPhy>> phys;
+  std::vector<std::unique_ptr<RecordingListener>> listeners;
+  std::vector<Callback> journal;
+  const auto add_radio = [&](std::uint32_t i) {
+    phys.push_back(std::make_unique<WifiPhy>(sim, PhyConfig{}, i, models[i].get()));
+    listeners.push_back(std::make_unique<RecordingListener>());
+    listeners.back()->node = i;
+    listeners.back()->sim = &sim;
+    listeners.back()->journal = &journal;
+    phys.back()->set_listener(listeners.back().get());
+    channel.attach(phys.back().get());
+  };
+  for (std::uint32_t i = 0; i < kRadios; ++i) add_radio(i);
+  for (std::uint32_t k = 0; k < 2000; ++k) {
+    sim.schedule_at(sim::Time::millis(k), [&, k] {
+      phys[(k * 7) % phys.size()]->send(factory.make(64, sim.now()));
+    });
+  }
+  sim.schedule_at(sim::Time::micros(1000500.0), [&] { add_radio(kRadios); });
+  sim.run_until(sim::Time::seconds(2.1));
+  std::vector<Callback> starts;
+  for (const Callback& c : journal) {
+    if (c.kind == 'S') starts.push_back(c);
+  }
+  return starts;
+}
+
+TEST(ArrivalStream, MovingSourcesBeginInTimeThenAttachOrder) {
+  const std::vector<Callback> indexed = moving_mesh_journal(true);
+  // Group the begins by transmission (one per millisecond). Within one,
+  // a from-scratch sort orders them by (arrival time, attach index):
+  // the seq of equal-time copies follows candidate (attach) order.
+  std::size_t ties = 0;
+  std::size_t transmissions = 0;
+  for (std::size_t a = 0; a < indexed.size();) {
+    const std::int64_t ms = indexed[a].at.ns() / 1'000'000;
+    std::size_t b = a;
+    while (b < indexed.size() && indexed[b].at.ns() / 1'000'000 == ms) ++b;
+    const std::uint32_t source = static_cast<std::uint32_t>(ms * 7) %
+                                 (ms > 1000 ? 25u : 24u);
+    std::vector<Callback> sorted(indexed.begin() + static_cast<std::ptrdiff_t>(a),
+                                 indexed.begin() + static_cast<std::ptrdiff_t>(b));
+    std::sort(sorted.begin(), sorted.end(), [](const Callback& x, const Callback& y) {
+      return x.at < y.at || (x.at == y.at && x.node < y.node);
+    });
+    EXPECT_EQ(b - a, ms > 1000 ? 24u : 23u) << "transmission at " << ms << " ms";
+    for (std::size_t k = a; k < b; ++k) {
+      EXPECT_EQ(indexed[k].node, sorted[k - a].node) << "transmission at " << ms << " ms";
+      EXPECT_EQ(indexed[k].at, sorted[k - a].at);
+      EXPECT_NE(indexed[k].node, source);
+      if (k > a && indexed[k].at == indexed[k - 1].at) ++ties;
+    }
+    ++transmissions;
+    a = b;
+  }
+  EXPECT_EQ(transmissions, 2000u);
+  EXPECT_GT(ties, 0u);  // equal-delay ties do occur and are covered
+  // The full scan sorts each stream from scratch: same begins, same order.
+  const std::vector<Callback> full = moving_mesh_journal(false);
+  ASSERT_EQ(full.size(), indexed.size());
+  for (std::size_t k = 0; k < full.size(); ++k) {
+    EXPECT_EQ(full[k].node, indexed[k].node);
+    EXPECT_EQ(full[k].at, indexed[k].at);
+  }
+}
+
+// --- CCA energy -----------------------------------------------------------
+// The radio keeps its summed arrival energy as a running sum. Drive it
+// with random overlapping arrivals (up to 12 at once) and compare, after
+// every step and with ==, against a sum recomputed over the arrivals on
+// the air in arrival order; the lock's interference and the decode
+// outcomes follow the same recomputation.
+TEST(CcaEnergy, RunningSumIsBitEqualToARecomputation) {
+  TestBed tb({{0, 0}});
+  WifiPhy& phy = *tb.phys[0];
+  const PhyConfig cfg;
+  sim::RngStream rng = tb.sim.make_stream(99);
+  struct Live {
+    std::uint64_t key;
+    double mw;
+  };
+  std::vector<Live> live;
+  bool locked = false;
+  std::uint64_t locked_key = 0;
+  double locked_mw = 0.0;
+  double locked_max = 0.0;
+  std::uint64_t ok = 0;
+  std::uint64_t failed = 0;
+  const auto sum_except = [&](std::uint64_t except) {
+    double sum = 0.0;
+    for (const Live& a : live) {
+      if (a.key != except) sum += a.mw;
+    }
+    return sum;
+  };
+  std::size_t max_concurrent = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const bool begin = live.empty() || (live.size() < 12 && rng.uniform01() < 0.55);
+    if (begin) {
+      const double dbm = rng.uniform(-98.0, -58.0);
+      const double mw = dbm_to_mw(dbm);
+      const WifiPhy::ArrivalEnd end = phy.begin_arrival(tb.packet(64), dbm, mw);
+      ASSERT_NE(end.key, 0u);
+      live.push_back(Live{end.key, mw});
+      if (!locked && dbm >= cfg.rx_sensitivity_dbm) {
+        locked = true;
+        locked_key = end.key;
+        locked_mw = mw;
+        locked_max = sum_except(end.key);
+      } else if (locked) {
+        locked_max = std::max(locked_max, sum_except(locked_key));
+      }
+    } else {
+      const std::size_t pick =
+          static_cast<std::size_t>(rng.uniform_u64(0, live.size() - 1));
+      const std::uint64_t key = live[pick].key;
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      phy.end_arrival(key);
+      if (locked && key == locked_key) {
+        locked = false;
+        const double sinr =
+            locked_mw / (dbm_to_mw(cfg.noise_floor_dbm) + locked_max);
+        if (sinr >= db_to_linear(cfg.sinr_threshold_db)) {
+          ++ok;
+        } else {
+          ++failed;
+        }
+      }
+    }
+    max_concurrent = std::max(max_concurrent, live.size());
+    const double energy = sum_except(~0ULL);
+    ASSERT_EQ(phy.arrival_energy_mw(), energy) << "step " << step;
+    ASSERT_EQ(phy.cca_busy(), locked || energy >= dbm_to_mw(cfg.cca_threshold_dbm))
+        << "step " << step;
+    ASSERT_EQ(phy.counters().rx_ok, ok) << "step " << step;
+    ASSERT_EQ(phy.counters().rx_failed_sinr, failed) << "step " << step;
+  }
+  EXPECT_EQ(max_concurrent, 12u);
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(failed, 0u);
 }
 
 TEST(ArrivalStream, InFlightCountsCopiesNotYetBegun) {
