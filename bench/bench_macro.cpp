@@ -113,7 +113,7 @@ void BM_Scale400Nodes6ppsSharded(benchmark::State& state) {
     cfg.intra_run_shards = shards;
     exp::Scenario s(cfg);
     s.run();
-    events += s.sharded_engine()->events_executed();
+    events += s.engine().events_executed();
   }
   state.SetLabel("shards=" + std::to_string(shards));
   state.counters["events/s"] = benchmark::Counter(

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "exp/scenario.hpp"
-#include "fault/injector.hpp"
+#include "fault/fault_timeline.hpp"
 #include "mac/mac_header.hpp"
 #include "mobility/mobility_model.hpp"
 #include "perf_json.hpp"
@@ -151,27 +151,27 @@ void BM_PropagationShadowing(benchmark::State& state) {
 }
 BENCHMARK(BM_PropagationShadowing);
 
-// Fault-overlay link-state lookup: the injector-side work Channel adds
-// per (transmission, receiver) pair when a FaultPlan is active. A
-// blackout-only plan needs no node hooks, so the hook vector can stay
-// null. Not part of the CI-pinned baseline subset — the gate protects
-// the faults-off hot path, which skips this code entirely.
+// Fault-overlay link-state lookup: the work Channel adds per
+// (transmission, receiver) pair when a FaultPlan is active. Not part of
+// the CI-pinned baseline subset — the gate protects the faults-off hot
+// path, which skips this code entirely.
 void BM_FaultOverlayLookup(benchmark::State& state) {
   const auto blackouts = static_cast<std::uint32_t>(state.range(0));
-  sim::Simulator sim(1);
   fault::FaultPlan plan;
   for (std::uint32_t i = 0; i < blackouts; ++i) {
     plan.blackouts.push_back({i, i + 1, sim::Time::seconds(1.0),
                               sim::Time::seconds(100.0)});
   }
-  fault::Injector inj(sim, std::move(plan),
-                      std::vector<fault::NodeHooks>(blackouts + 1));
+  const fault::FaultTimeline timeline(1, plan, blackouts + 1,
+                                      sim::Time::seconds(100.0));
+  sim::Simulator sim(1);
   sim.run_until(sim::Time::seconds(2.0));  // all blackouts active
+  const fault::TimelineOverlay overlay(timeline, sim);
   std::uint32_t tx = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(inj.node_up(tx));
+    benchmark::DoNotOptimize(overlay.node_up(tx));
     benchmark::DoNotOptimize(
-        inj.link_loss_db(tx, tx + 1, sim::Time::seconds(2.0)));
+        overlay.link_loss_db(tx, tx + 1, sim::Time::seconds(2.0)));
     tx = tx < blackouts ? tx + 1 : 0;
   }
 }

@@ -37,11 +37,12 @@
 //   --no-spatial-index run the channel's full O(N^2) broadcast scan
 //                      (results are bit-identical; diagnostic only)
 //   --shards N         conservative-PDES intra-run sharding on N worker
-//                      threads (0 = classic serial engine). Fingerprints
-//                      are bit-identical for every N >= 1; see
-//                      DESIGN.md §3e for the determinism contract
-//   --timeseries FILE  write 1 Hz network time series CSV (serial engine
-//                      only: rejected with --shards, exit code 1)
+//                      threads (0 = one region, the default).
+//                      Fingerprints are bit-identical for every N >= 1;
+//                      see DESIGN.md §3e for the determinism contract
+//   --timeseries FILE  write 1 Hz network time series CSV (one-region
+//                      runs only: a --shards run that splits into
+//                      several regions exits with code 1)
 //   --flows-csv FILE   write per-flow results CSV
 #include <cstdlib>
 #include <cstring>

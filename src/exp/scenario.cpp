@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <set>
 #include <string>
 
 #include "core/check.hpp"
 #include "exp/failure.hpp"
-#include <set>
-
 #include "mobility/placement.hpp"
 #include "phy/units.hpp"
 #include "sim/logging.hpp"
@@ -23,41 +22,13 @@ constexpr std::uint64_t kMobilitySalt = 0x0B11'0000'0000'0000ULL;
 constexpr std::uint64_t kArrivalSalt = 0xA881'7A10'0000'0000ULL;
 }  // namespace
 
-Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg), sim_(cfg.seed) {
+Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
   WMN_CHECK_GE(cfg_.n_nodes, std::size_t{2}, "a mesh needs at least two nodes");
-  if (cfg_.intra_run_shards > 0) build_sharded();
-  if (cfg_.event_budget != 0) {
-    if (sharded_) {
-      sharded_->set_event_budget(cfg_.event_budget);
-    } else {
-      sim_.set_event_budget(cfg_.event_budget);
-    }
-  }
-  if (!sharded_) {
-    channel_ = std::make_unique<phy::WirelessChannel>(sim_, make_propagation());
-    if (cfg_.spatial_index) {
-      channel_->enable_spatial_index(cfg_.area_width_m, cfg_.area_height_m);
-    }
-  }
+  build_engine();
+  if (cfg_.event_budget != 0) engine_->set_event_budget(cfg_.event_budget);
   build_nodes();
   build_traffic();
-
-  if (!cfg_.fault.empty()) {
-    if (sharded_) {
-      build_fault_timeline();
-    } else {
-      std::vector<fault::NodeHooks> hooks;
-      hooks.reserve(nodes_.size());
-      for (NodeStack& n : nodes_) {
-        hooks.push_back({n.phy.get(), n.mac.get(), n.agent.get()});
-      }
-      injector_ = std::make_unique<fault::Injector>(sim_, cfg_.fault,
-                                                    std::move(hooks));
-      channel_->set_fault_overlay(injector_.get());
-      registry_.set_outage_query(
-          [this](sim::Time t) { return injector_->in_fault_window(t); });
-    }
-  }
+  if (!cfg_.fault.empty()) build_fault_timeline();
 }
 
 Scenario::~Scenario() = default;
@@ -74,49 +45,40 @@ std::unique_ptr<phy::PropagationModel> Scenario::make_propagation() const {
   return prop;
 }
 
-sim::Simulator& Scenario::node_sim(std::size_t i) {
-  return sharded_ ? sharded_->region(home_region_[i]) : sim_;
-}
-
-net::PacketFactory& Scenario::node_factory(std::size_t i) {
-  return sharded_ ? *region_factories_[home_region_[i]] : factory_;
-}
-
-traffic::FlowRegistry& Scenario::node_registry(std::size_t i) {
-  return sharded_ ? *region_registries_[home_region_[i]] : registry_;
-}
-
 // Select the region decomposition, the epoch (conservative lookahead),
-// and the per-region engine state. Region count and epoch are pure
-// functions of the scenario config — NEVER of intra_run_shards, which
-// only caps the worker-thread count — so every shard count executes
-// the identical event schedule (DESIGN.md §3e).
-void Scenario::build_sharded() {
-  const sim::Logger log("shard");
+// and the per-region engine state. intra_run_shards == 0 is one region.
+// Otherwise region count and epoch are pure functions of the scenario
+// config — NEVER of intra_run_shards, which only caps the worker-thread
+// count — so every shard count executes the identical event schedule
+// (DESIGN.md §3e).
+void Scenario::build_engine() {
   const double range = make_propagation()->max_range_m(
       cfg_.phy.tx_power_dbm, cfg_.phy.detection_floor_dbm);
   sim::Time epoch = sim::ShardMap::lookahead(range, phy::kSpeedOfLight,
                                              cfg_.mac.sifs + cfg_.mac.slot);
   const sim::Time horizon = cfg_.warmup + cfg_.traffic_time + cfg_.drain;
 
-  bool downgrade = false;
-  if (cfg_.mobility.mobile()) {
-    log.warn(sim::Time::zero(),
-             "mobile nodes have no stable home region; sharding downgraded "
-             "to one region");
-    downgrade = true;
-  }
-  if (!cfg_.spatial_index) {
-    log.warn(sim::Time::zero(),
-             "sharding shares the spatial index's grid geometry; "
-             "spatial_index=false downgrades to one region");
-    downgrade = true;
-  }
-  if (epoch == sim::Time::max()) {
-    log.warn(sim::Time::zero(),
-             "propagation model has no finite detection range, so no finite "
-             "lookahead exists; sharding downgraded to one region");
-    downgrade = true;
+  bool single = cfg_.intra_run_shards == 0;
+  if (!single) {
+    const sim::Logger log("shard");
+    if (cfg_.mobility.mobile()) {
+      log.warn(sim::Time::zero(),
+               "mobile nodes have no stable home region; sharding downgraded "
+               "to one region");
+      single = true;
+    }
+    if (!cfg_.spatial_index) {
+      log.warn(sim::Time::zero(),
+               "sharding shares the spatial index's grid geometry; "
+               "spatial_index=false downgrades to one region");
+      single = true;
+    }
+    if (epoch == sim::Time::max()) {
+      log.warn(sim::Time::zero(),
+               "propagation model has no finite detection range, so no finite "
+               "lookahead exists; sharding downgraded to one region");
+      single = true;
+    }
   }
 
   const double cell = phy::SpatialIndex::cell_size_for(
@@ -124,19 +86,16 @@ void Scenario::build_sharded() {
   const phy::SpatialIndex::Grid g =
       phy::SpatialIndex::grid_for(cfg_.area_width_m, cfg_.area_height_m, cell);
   const sim::ShardGrid grid{g.nx, g.ny, g.cell_m};
-  if (downgrade) {
-    shard_map_ = std::make_unique<sim::ShardMap>(sim::ShardMap::single(grid));
-  } else {
-    shard_map_ = std::make_unique<sim::ShardMap>(
-        sim::ShardMap::build(grid, sim::ShardMap::kRegionTarget));
-  }
+  shard_map_ = std::make_unique<sim::ShardMap>(
+      single ? sim::ShardMap::single(grid)
+             : sim::ShardMap::build(grid, sim::ShardMap::kRegionTarget));
   const std::uint32_t regions = shard_map_->region_count();
   // One region has no cross-region edges: a single whole-horizon epoch
-  // is the exact serial event semantics, minus ~500k no-op barriers.
+  // is the event semantics of a single Simulator, with no barriers.
   if (regions == 1) epoch = horizon;
 
-  sharded_ = std::make_unique<sim::ShardedSimulator>(cfg_.seed, regions, epoch,
-                                                     cfg_.intra_run_shards);
+  engine_ = std::make_unique<sim::ShardedSimulator>(cfg_.seed, regions, epoch,
+                                                    cfg_.intra_run_shards);
   if (regions > 1) {
     // A cross-region ACK/CTS can be released up to one epoch after its
     // physical arrival (the barrier clamp); widen the MAC timeout
@@ -147,60 +106,51 @@ void Scenario::build_sharded() {
     cfg_.mac.cts_timeout_slack += epoch + epoch;
   }
 
-  region_factories_.reserve(regions);
-  region_registries_.reserve(regions);
-  region_channels_.reserve(regions);
+  factories_.reserve(regions);
+  registries_.reserve(regions);
+  channels_.reserve(regions);
   for (std::uint32_t r = 0; r < regions; ++r) {
-    region_factories_.push_back(std::make_unique<net::PacketFactory>());
-    region_registries_.push_back(std::make_unique<traffic::FlowRegistry>());
-    auto ch = std::make_unique<phy::WirelessChannel>(sharded_->region(r),
+    factories_.push_back(std::make_unique<net::PacketFactory>());
+    registries_.push_back(std::make_unique<traffic::FlowRegistry>());
+    auto ch = std::make_unique<phy::WirelessChannel>(engine_->region(r),
                                                      make_propagation());
-    ch->enable_spatial_index(cfg_.area_width_m, cfg_.area_height_m);
-    region_channels_.push_back(std::move(ch));
+    if (cfg_.spatial_index) {
+      ch->enable_spatial_index(cfg_.area_width_m, cfg_.area_height_m);
+    }
+    channels_.push_back(std::move(ch));
   }
 }
 
-// Precompute the fault history (fault::FaultTimeline replays the
-// injector's state machine off-line) and wire it into every region:
-// overlay queries answer from the frozen windows, and the crash/rejoin
-// choreography is scheduled onto each victim's home-region calendar.
+// Compute the fault history once (fault::FaultTimeline) and wire it
+// into every region: overlay queries answer from the frozen windows,
+// and the crash/rejoin choreography is scheduled onto each victim's
+// home-region calendar.
 void Scenario::build_fault_timeline() {
   const sim::Time horizon = cfg_.warmup + cfg_.traffic_time + cfg_.drain;
   timeline_ = std::make_unique<fault::FaultTimeline>(cfg_.seed, cfg_.fault,
                                                      nodes_.size(), horizon);
-  overlays_.reserve(region_channels_.size());
-  for (std::uint32_t r = 0; r < region_channels_.size(); ++r) {
+  overlays_.reserve(channels_.size());
+  for (std::uint32_t r = 0; r < channels_.size(); ++r) {
     overlays_.push_back(std::make_unique<fault::TimelineOverlay>(
-        *timeline_, sharded_->region(r)));
-    region_channels_[r]->set_fault_overlay(overlays_.back().get());
+        *timeline_, engine_->region(r)));
+    channels_[r]->set_fault_overlay(overlays_.back().get());
   }
-  for (const auto& rr : region_registries_) {
+  for (const auto& rr : registries_) {
     rr->set_outage_query(
         [this](sim::Time t) { return timeline_->in_fault_window(t); });
   }
-  for (const fault::FaultTimeline::NodeWindow& w : timeline_->node_windows()) {
-    sim::Simulator& s = node_sim(w.node);
-    phy::WifiPhy* phy = nodes_[w.node].phy.get();
-    mac::DcfMac* mac = nodes_[w.node].mac.get();
-    routing::AodvAgent* agent = nodes_[w.node].agent.get();
-    // Same choreography (and layer order) as fault::Injector.
-    s.schedule_at(w.down_at, [phy, mac, agent] {
-      agent->pause();
-      mac->power_down();
-      phy->set_up(false);
-    });
-    if (!w.open) {
-      s.schedule_at(w.up_at, [phy, mac, agent] {
-        phy->set_up(true);
-        mac->power_up();
-        agent->resume();
-      });
-    }
+  std::vector<fault::NodeHooks> hooks;
+  hooks.reserve(nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    NodeStack& n = nodes_[i];
+    hooks.push_back({&engine_->region(home_region_[i]), n.phy.get(),
+                     n.mac.get(), n.agent.get()});
   }
+  fault::schedule_crashes(*timeline_, hooks);
 }
 
 void Scenario::build_nodes() {
-  sim::RngStream placement_rng = sim_.make_stream(kPlacementSalt);
+  sim::RngStream placement_rng(cfg_.seed, kPlacementSalt);
   std::vector<mobility::Vec2> positions;
   switch (cfg_.placement) {
     case Placement::kGrid:
@@ -219,7 +169,7 @@ void Scenario::build_nodes() {
   }
 
   nodes_.resize(cfg_.n_nodes);
-  if (sharded_) home_region_.resize(cfg_.n_nodes);
+  home_region_.resize(cfg_.n_nodes);
   for (std::size_t i = 0; i < cfg_.n_nodes; ++i) {
     NodeStack& n = nodes_[i];
     const auto id = static_cast<std::uint32_t>(i);
@@ -232,64 +182,59 @@ void Scenario::build_nodes() {
       rwp.min_speed_mps = cfg_.mobility.min_speed_mps;
       rwp.max_speed_mps = cfg_.mobility.max_speed_mps;
       rwp.pause = cfg_.mobility.pause;
-      // Mobility forces the single-region downgrade, so region 0 ==
-      // "the" simulator in sharded mode.
-      sim::Simulator& msim = sharded_ ? sharded_->region(0) : sim_;
+      // Mobility forces one region.
       n.mobility = std::make_unique<mobility::RandomWaypointModel>(
-          msim, rwp, positions[i], kMobilitySalt ^ id);
+          engine_->region(0), rwp, positions[i], kMobilitySalt ^ id);
     } else {
       n.mobility = std::make_unique<mobility::ConstantPositionModel>(positions[i]);
     }
-    if (sharded_) {
-      // Home region: lowest grid cell the trajectory bounds overlap —
-      // the cell of the bounding box's low corner (DESIGN.md §3e).
-      const mobility::TrajectoryBounds b = n.mobility->trajectory_bounds();
-      home_region_[i] = shard_map_->home_region(b.lo.x, b.lo.y);
-    }
+    // Home region: lowest grid cell the trajectory bounds overlap — the
+    // cell of the bounding box's low corner (DESIGN.md §3e).
+    const mobility::TrajectoryBounds b = n.mobility->trajectory_bounds();
+    const std::uint32_t home = shard_map_->home_region(b.lo.x, b.lo.y);
+    home_region_[i] = home;
 
-    sim::Simulator& s = node_sim(i);
-    net::PacketFactory& f = node_factory(i);
+    sim::Simulator& s = engine_->region(home);
+    net::PacketFactory& f = *factories_[home];
     n.phy = std::make_unique<phy::WifiPhy>(s, cfg_.phy, id, n.mobility.get());
-    if (!sharded_) channel_->attach(n.phy.get());
     n.mac = std::make_unique<mac::DcfMac>(s, cfg_.mac, addr, *n.phy, f);
     n.agent = core::make_agent(cfg_.protocol, cfg_.options, s, addr, *n.mac, f,
                                n.mobility.get());
-    n.sink = std::make_unique<traffic::PacketSink>(s, *n.agent, node_registry(i));
+    n.sink = std::make_unique<traffic::PacketSink>(s, *n.agent, *registries_[home]);
   }
 
-  if (sharded_) {
-    // Every region channel registers every radio — home radios via
-    // attach (which binds the phy to that channel), the rest via
-    // attach_remote — in the same global node order, so attach indices
-    // agree across regions and delivery iteration order is a pure
-    // function of geometry.
-    const std::uint32_t regions = shard_map_->region_count();
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      for (std::uint32_t r = 0; r < regions; ++r) {
-        if (r == home_region_[i]) {
-          region_channels_[r]->attach(nodes_[i].phy.get());
-        } else {
-          region_channels_[r]->attach_remote(nodes_[i].phy.get());
-        }
+  // Every region channel registers every radio — home radios via
+  // attach (which binds the phy to that channel), the rest via
+  // attach_remote — in the same global node order, so attach indices
+  // agree across regions and delivery iteration order is a pure
+  // function of geometry.
+  const std::uint32_t regions = engine_->region_count();
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    for (std::uint32_t r = 0; r < regions; ++r) {
+      if (r == home_region_[i]) {
+        channels_[r]->attach(nodes_[i].phy.get());
+      } else {
+        channels_[r]->attach_remote(nodes_[i].phy.get());
       }
     }
-    std::vector<phy::WirelessChannel*> channels;
-    std::vector<net::PacketFactory*> factories;
-    for (std::uint32_t r = 0; r < regions; ++r) {
-      channels.push_back(region_channels_[r].get());
-      factories.push_back(region_factories_[r].get());
-    }
-    router_ = std::make_unique<phy::ShardRouter>(home_region_, std::move(channels),
-                                                 std::move(factories));
-    for (std::uint32_t r = 0; r < regions; ++r) {
-      region_channels_[r]->set_shard_router(router_.get(), r);
-    }
-    sharded_->set_barrier_hook(router_.get());
   }
+  if (regions == 1) return;  // no cross-region traffic, no router
+  std::vector<phy::WirelessChannel*> channels;
+  std::vector<net::PacketFactory*> factories;
+  for (std::uint32_t r = 0; r < regions; ++r) {
+    channels.push_back(channels_[r].get());
+    factories.push_back(factories_[r].get());
+  }
+  router_ = std::make_unique<phy::ShardRouter>(home_region_, std::move(channels),
+                                               std::move(factories));
+  for (std::uint32_t r = 0; r < regions; ++r) {
+    channels_[r]->set_shard_router(router_.get(), r);
+  }
+  engine_->set_barrier_hook(router_.get());
 }
 
 void Scenario::build_traffic() {
-  sim::RngStream flow_rng = sim_.make_stream(kFlowSalt);
+  sim::RngStream flow_rng(cfg_.seed, kFlowSalt);
   const auto n_nodes = static_cast<std::uint32_t>(cfg_.n_nodes);
 
   switch (cfg_.traffic.pattern) {
@@ -301,7 +246,7 @@ void Scenario::build_traffic() {
       // Gateways: the nodes nearest to anchor points spread along the
       // area diagonal — route diversity exists, as in deployed meshes.
       const std::size_t k = std::max<std::size_t>(cfg_.traffic.n_gateways, 1);
-      const sim::Time t0 = sim_.now();
+      const sim::Time t0 = sim::Time::zero();
       for (std::size_t g = 0; g < k; ++g) {
         const double f = (static_cast<double>(g) + 1.0) /
                          (static_cast<double>(k) + 1.0);
@@ -356,7 +301,7 @@ void Scenario::build_traffic() {
   // the pair draws above (state-independent draw sequences).
   std::vector<sim::Time> starts(flow_pairs_.size(), cfg_.warmup);
   if (cfg_.traffic.mean_arrival_gap_s > 0.0) {
-    sim::RngStream arrival_rng = sim_.make_stream(kArrivalSalt);
+    sim::RngStream arrival_rng(cfg_.seed, kArrivalSalt);
     // Offsets count from the traffic-window start, so the envelope's
     // clock starts at 0 here (vs. `warmup` for the session sources
     // below, which see absolute simulation time).
@@ -373,6 +318,10 @@ void Scenario::build_traffic() {
     const auto [src, dst] = flow_pairs_[i];
     const sim::Time start = starts[i];
     const std::uint32_t fid = flow_id++;
+    const std::uint32_t home = home_region_[src];
+    sim::Simulator& s = engine_->region(home);
+    net::PacketFactory& f = *factories_[home];
+    traffic::FlowRegistry& reg = *registries_[home];
     switch (cfg_.traffic.model) {
       case TrafficSpec::Model::kPoissonOnOff: {
         traffic::PoissonOnOffConfig fc;
@@ -385,8 +334,7 @@ void Scenario::build_traffic() {
         fc.start = start;
         fc.stop = stop;
         onoff_sources_.push_back(std::make_unique<traffic::PoissonOnOffSource>(
-            node_sim(src), fc, *nodes_[src].agent, node_factory(src),
-            node_registry(src)));
+            s, fc, *nodes_[src].agent, f, reg));
         break;
       }
       case TrafficSpec::Model::kHeavyTailOnOff: {
@@ -401,8 +349,7 @@ void Scenario::build_traffic() {
         fc.start = start;
         fc.stop = stop;
         heavy_sources_.push_back(std::make_unique<traffic::HeavyTailOnOffSource>(
-            node_sim(src), fc, *nodes_[src].agent, node_factory(src),
-            node_registry(src)));
+            s, fc, *nodes_[src].agent, f, reg));
         break;
       }
       case TrafficSpec::Model::kSessions: {
@@ -424,8 +371,7 @@ void Scenario::build_traffic() {
         fc.envelope = traffic::RateEnvelope(cfg_.traffic.rate_envelope,
                                             cfg_.warmup.to_seconds());
         session_sources_.push_back(std::make_unique<traffic::SessionSource>(
-            node_sim(src), fc, *nodes_[src].agent, node_factory(src),
-            node_registry(src)));
+            s, fc, *nodes_[src].agent, f, reg));
         break;
       }
       case TrafficSpec::Model::kCbr: {
@@ -437,8 +383,7 @@ void Scenario::build_traffic() {
         fc.start = start;
         fc.stop = stop;
         cbr_sources_.push_back(std::make_unique<traffic::CbrSource>(
-            node_sim(src), fc, *nodes_[src].agent, node_factory(src),
-            node_registry(src)));
+            s, fc, *nodes_[src].agent, f, reg));
         break;
       }
     }
@@ -446,9 +391,9 @@ void Scenario::build_traffic() {
     // deliveries are recorded by the sink in DST's home region, whose
     // registry must know the flow too (record_delivery drops unknown
     // flow ids as stray). The two records merge after the run.
-    if (sharded_ && home_region_[dst] != home_region_[src]) {
-      node_registry(dst).register_flow(fid, net::Address(src),
-                                       net::Address(dst));
+    if (home_region_[dst] != home) {
+      registries_[home_region_[dst]]->register_flow(fid, net::Address(src),
+                                                    net::Address(dst));
     }
   }
 }
@@ -460,57 +405,52 @@ void Scenario::run() {
   // how long the run took on the host, is reported as wall_seconds, and
   // never feeds an event time, a seed, or a routing decision.
   const auto t0 = std::chrono::steady_clock::now();  // NOLINT(wmn-nondeterminism)
-  if (sharded_) {
-    sharded_->run_until(horizon);
-  } else {
-    sim_.run_until(horizon);
-  }
+  engine_->run_until(horizon);
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(wmn-nondeterminism)
   wall_seconds_ = std::chrono::duration<double>(t1 - t0).count();
   // A run cut short by supervision produced a truncated trace, not a
   // measurement: surface the structured reason, never partial metrics.
-  const sim::Simulator::AbortReason reason =
-      sharded_ ? sharded_->abort_reason() : sim_.abort_reason();
-  const std::uint64_t budget =
-      sharded_ ? sharded_->event_budget() : sim_.event_budget();
-  switch (reason) {
-    case sim::Simulator::AbortReason::kNone:
-      break;
-    case sim::Simulator::AbortReason::kEventBudget:
+  const sim::Simulator::AbortReason reason = engine_->abort_reason();
+  if (reason != sim::Simulator::AbortReason::kNone) {
+    // Where the run stopped: the latest region clock.
+    sim::Time stopped_at = sim::Time::zero();
+    for (std::uint32_t r = 0; r < engine_->region_count(); ++r) {
+      stopped_at = std::max(stopped_at, engine_->region(r).now());
+    }
+    const std::string at = std::to_string(stopped_at.to_seconds()) + "s";
+    if (reason == sim::Simulator::AbortReason::kEventBudget) {
       throw RunAborted(FailureKind::kEventBudgetExhausted,
-                       "event budget (" + std::to_string(budget) +
-                           " events) exhausted at t=" +
-                           std::to_string(engine_now().to_seconds()) + "s");
-    case sim::Simulator::AbortReason::kCancelled:
-      throw RunAborted(FailureKind::kDeadlineExceeded,
-                       "cancelled by the run supervisor at t=" +
-                           std::to_string(engine_now().to_seconds()) + "s");
+                       "event budget (" + std::to_string(engine_->event_budget()) +
+                           " events) exhausted at t=" + at);
+    }
+    throw RunAborted(FailureKind::kDeadlineExceeded,
+                     "cancelled by the run supervisor at t=" + at);
   }
-  if (sharded_) {
-    // Fold the per-region registries into the classic one so metrics()
-    // and flows() read the same structure either way.
-    for (const auto& rr : region_registries_) registry_.merge_from(*rr);
+  // Fold the other regions' registries into region 0's, so metrics()
+  // and flows() read one structure.
+  for (std::size_t r = 1; r < registries_.size(); ++r) {
+    registries_.front()->merge_from(*registries_[r]);
   }
   ran_ = true;
 }
 
 RunMetrics Scenario::metrics() const {
   WMN_CHECK(ran_, "metrics() before run()");
+  const traffic::FlowRegistry& registry = *registries_.front();
   RunMetrics m;
   m.seed = cfg_.seed;
   m.wall_seconds = wall_seconds_;
-  m.sim_event_count = static_cast<double>(
-      sharded_ ? sharded_->events_executed() : sim_.events_executed());
+  m.sim_event_count = static_cast<double>(engine_->events_executed());
   m.check_violations = core::check_violations() - check_violations_before_;
 
-  m.data_sent = registry_.total_sent();
-  m.data_delivered = registry_.total_delivered();
-  m.pdr = registry_.aggregate_pdr();
-  m.mean_delay_ms = registry_.mean_delay_s() * 1e3;
-  m.mean_jitter_ms = registry_.mean_jitter_s() * 1e3;
+  m.data_sent = registry.total_sent();
+  m.data_delivered = registry.total_delivered();
+  m.pdr = registry.aggregate_pdr();
+  m.mean_delay_ms = registry.mean_delay_s() * 1e3;
+  m.mean_jitter_ms = registry.mean_jitter_s() * 1e3;
   const double traffic_s = cfg_.traffic_time.to_seconds();
   m.throughput_kbps =
-      static_cast<double>(registry_.total_delivered_bytes()) * 8.0 / traffic_s /
+      static_cast<double>(registry.total_delivered_bytes()) * 8.0 / traffic_s /
       1e3;
 
   double busy_sum = 0.0;
@@ -553,7 +493,7 @@ RunMetrics Scenario::metrics() const {
   }
   m.mean_node_energy_j = m.total_energy_j / static_cast<double>(nodes_.size());
   const double delivered_kbit =
-      static_cast<double>(registry_.total_delivered_bytes()) * 8.0 / 1e3;
+      static_cast<double>(registry.total_delivered_bytes()) * 8.0 / 1e3;
   if (delivered_kbit > 0.0) {
     m.energy_mj_per_kbit = m.total_energy_j * 1e3 / delivered_kbit;
   }
@@ -572,7 +512,7 @@ RunMetrics Scenario::metrics() const {
   if (!gateways_.empty()) {
     m.gateway_count = gateways_.size();
     m.per_gateway_delivered.assign(gateways_.size(), 0.0);
-    const auto flow_snapshot = registry_.snapshot();
+    const auto flow_snapshot = registry.snapshot();
     for (std::size_t g = 0; g < gateways_.size(); ++g) {
       const net::Address addr(gateways_[g]);
       for (const auto& f : flow_snapshot) {
@@ -591,26 +531,17 @@ RunMetrics Scenario::metrics() const {
     m.sessions_rejected += s->sessions_rejected();
   }
 
-  if (injector_ != nullptr || timeline_ != nullptr) {
+  if (timeline_ != nullptr) {
     m.fault_enabled = true;
-    if (injector_) {
-      const auto& fc = injector_->counters();
-      m.fault_crashes = fc.crashes;
-      m.fault_rejoins = fc.rejoins;
-      m.fault_blackouts = fc.blackouts;
-      m.fault_downtime_s =
-          injector_->total_node_downtime(sim_.now()).to_seconds();
-    } else {
-      const auto& fc = timeline_->counters();
-      m.fault_crashes = fc.crashes;
-      m.fault_rejoins = fc.rejoins;
-      m.fault_blackouts = fc.blackouts;
-      m.fault_downtime_s =
-          timeline_->total_node_downtime(engine_now()).to_seconds();
-    }
+    const auto& fc = timeline_->counters();
+    m.fault_crashes = fc.crashes;
+    m.fault_rejoins = fc.rejoins;
+    m.fault_blackouts = fc.blackouts;
+    m.fault_downtime_s =
+        timeline_->total_node_downtime(engine_->now()).to_seconds();
 
-    m.sent_during_outage = registry_.sent_during_outage();
-    m.delivered_during_outage = registry_.delivered_during_outage();
+    m.sent_during_outage = registry.sent_during_outage();
+    m.delivered_during_outage = registry.delivered_during_outage();
     if (m.sent_during_outage > 0) {
       m.pdr_during_outage = static_cast<double>(m.delivered_during_outage) /
                             static_cast<double>(m.sent_during_outage);
@@ -641,7 +572,7 @@ RunMetrics Scenario::metrics() const {
     const sim::Time traffic_end = cfg_.warmup + cfg_.traffic_time;
     const sim::Time slack =
         std::min(cfg_.traffic_time.scaled(0.25), sim::Time::seconds(10.0));
-    for (const auto& f : registry_.snapshot()) {
+    for (const auto& f : registry.snapshot()) {
       if (f.sent == 0) continue;
       if (!f.any_delivered || f.last_delivery < traffic_end - slack) {
         ++m.flows_stranded;

@@ -1,7 +1,8 @@
 // Scenario: the top-level facade assembling a complete mesh simulation.
 //
 // One Scenario = one network (placement + radios + MACs + routing
-// agents + traffic) inside one Simulator instance. Construction wires
+// agents + traffic) inside one sim::ShardedSimulator — by default a
+// single region, i.e. one calendar run inline. Construction wires
 // everything; run() executes; metrics() aggregates the paper's
 // quantities. Scenarios are self-contained and share nothing, so the
 // sweep layer runs them concurrently on a thread pool.
@@ -14,7 +15,6 @@
 #include "core/protocols.hpp"
 #include "exp/metrics.hpp"
 #include "fault/fault_timeline.hpp"
-#include "fault/injector.hpp"
 #include "mobility/mobility_model.hpp"
 #include "phy/channel.hpp"
 #include "phy/shard_router.hpp"
@@ -127,16 +127,16 @@ struct ScenarioConfig {
   bool spatial_index = true;
 
   // Intra-run sharding (conservative PDES; DESIGN.md §3e). 0 (the
-  // default) runs the classic serial engine — untouched code path,
-  // untouched fingerprints. N >= 1 partitions the area into a FIXED
-  // set of contiguous grid-cell regions (a pure function of geometry,
+  // default) runs one region: one whole-horizon epoch, run inline on
+  // the caller's thread. N >= 1 partitions the area into a FIXED set
+  // of contiguous grid-cell regions (a pure function of geometry,
   // never of N) and advances them in parallel epochs on min(N,
   // regions) worker threads; cross-region deliveries merge at epoch
   // barriers in a fixed total order, so the fingerprint is
-  // bit-identical for every shard count, including 1. Configurations
-  // the engine cannot shard safely (mobile nodes, unbounded detection
-  // range, spatial_index off) log a warning and degrade to one region
-  // — still deterministic, never a wrong answer.
+  // bit-identical for every N >= 1. Configurations the engine cannot
+  // shard safely (mobile nodes, unbounded detection range,
+  // spatial_index off) log a warning and degrade to one region —
+  // still deterministic, never a wrong answer.
   std::uint32_t intra_run_shards = 0;
 };
 
@@ -154,32 +154,27 @@ class Scenario {
   // measurement, so no metrics survive an abort.
   void run();
 
-  // Cooperative cancellation: the simulator polls `token` every
-  // `poll_every` events (see sim::Simulator::set_cancel_token; in a
-  // sharded run every region polls it). The token must outlive run();
-  // pass nullptr to detach.
+  // Cooperative cancellation: every region polls `token` every
+  // `poll_every` events (see sim::Simulator::set_cancel_token). The
+  // token must outlive run(); pass nullptr to detach.
   void set_cancel_token(const sim::CancelToken* token,
                         std::uint64_t poll_every = 1024) {
-    if (sharded_) {
-      sharded_->set_cancel_token(token, poll_every);
-    } else {
-      sim_.set_cancel_token(token, poll_every);
-    }
+    engine_->set_cancel_token(token, poll_every);
   }
 
   // Aggregate metrics; valid after run().
   [[nodiscard]] RunMetrics metrics() const;
 
   // --- component access (tests, examples, custom experiments) ---------
-  // The classic serial simulator. In a sharded run this engine is idle
-  // (components live on the region simulators); use sharded_engine().
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  // True when intra_run_shards > 0 selected the sharded engine.
-  [[nodiscard]] bool sharded() const { return sharded_ != nullptr; }
-  // Null in classic mode.
-  [[nodiscard]] sim::ShardedSimulator* sharded_engine() { return sharded_.get(); }
-  [[nodiscard]] const sim::ShardMap* shard_map() const { return shard_map_.get(); }
-  // Node i's home region (sharded mode; empty otherwise).
+  [[nodiscard]] sim::ShardedSimulator& engine() { return *engine_; }
+  // Region 0's simulator, channel and packet factory. With one region
+  // (every scenario that does not shard) they are the whole engine.
+  [[nodiscard]] sim::Simulator& simulator() { return engine_->region(0); }
+  [[nodiscard]] phy::WirelessChannel& channel() { return *channels_.front(); }
+  [[nodiscard]] net::PacketFactory& packet_factory() {
+    return *factories_.front();
+  }
+  // Node i's home region.
   [[nodiscard]] const std::vector<std::uint32_t>& home_regions() const {
     return home_region_;
   }
@@ -187,7 +182,10 @@ class Scenario {
   [[nodiscard]] routing::AodvAgent& agent(std::size_t i) { return *nodes_[i].agent; }
   [[nodiscard]] mac::DcfMac& node_mac(std::size_t i) { return *nodes_[i].mac; }
   [[nodiscard]] phy::WifiPhy& node_phy(std::size_t i) { return *nodes_[i].phy; }
-  [[nodiscard]] const traffic::FlowRegistry& flows() const { return registry_; }
+  // Before run() ends, region 0's flows only; run() merges the rest.
+  [[nodiscard]] const traffic::FlowRegistry& flows() const {
+    return *registries_.front();
+  }
   [[nodiscard]] const std::vector<traffic::NodePair>& flow_pairs() const {
     return flow_pairs_;
   }
@@ -201,21 +199,10 @@ class Scenario {
     return session_sources_;
   }
   [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
-  // Classic mode: the one channel. Sharded mode: region 0's channel.
-  [[nodiscard]] phy::WirelessChannel& channel() {
-    return sharded_ ? *region_channels_.front() : *channel_;
-  }
-  // Null when the config's FaultPlan is empty (and in sharded runs,
-  // which precompute the history into a fault::FaultTimeline instead).
-  [[nodiscard]] const fault::Injector* injector() const {
-    return injector_.get();
-  }
-  // Null except in sharded runs with a non-empty FaultPlan.
+  // Null when the config's FaultPlan is empty.
   [[nodiscard]] const fault::FaultTimeline* fault_timeline() const {
     return timeline_.get();
   }
-  // Factory for injecting extra (unmeasured) traffic into the mesh.
-  [[nodiscard]] net::PacketFactory& packet_factory() { return factory_; }
 
   // Mean per-node dynamic footprint: each node's phy/mac/agent state
   // plus an equal share of the channel (caches, index, pending slots).
@@ -228,13 +215,9 @@ class Scenario {
       bytes += sizeof(NodeStack) + n.phy->memory_bytes() +
                n.mac->memory_bytes() + n.agent->memory_bytes();
     }
-    if (sharded_) {
-      // Every region channel sees every radio, so the per-region
-      // tables genuinely replicate — the rollup charges all of them.
-      for (const auto& ch : region_channels_) bytes += ch->memory_bytes();
-    } else {
-      bytes += channel_->memory_bytes();
-    }
+    // Every region channel sees every radio, so the per-region tables
+    // genuinely replicate — the rollup charges all of them.
+    for (const auto& ch : channels_) bytes += ch->memory_bytes();
     return bytes / nodes_.size();
   }
 
@@ -247,45 +230,30 @@ class Scenario {
     std::unique_ptr<traffic::PacketSink> sink;
   };
 
-  void build_sharded();
+  void build_engine();
   void build_nodes();
   void build_traffic();
   void build_fault_timeline();
   [[nodiscard]] std::unique_ptr<phy::PropagationModel> make_propagation() const;
-  // The engine a node's components are scheduled on / allocate from /
-  // report to: its home region's in sharded mode, the classic
-  // simulator/factory/registry otherwise.
-  [[nodiscard]] sim::Simulator& node_sim(std::size_t i);
-  [[nodiscard]] net::PacketFactory& node_factory(std::size_t i);
-  [[nodiscard]] traffic::FlowRegistry& node_registry(std::size_t i);
-  [[nodiscard]] sim::Time engine_now() const {
-    return sharded_ ? sharded_->now() : sim_.now();
-  }
 
   ScenarioConfig cfg_;
-  sim::Simulator sim_;
-  // Sharded engine (intra_run_shards > 0): the region simulators own
-  // the calendars every component schedules on, so they sit right
-  // after sim_ — destroyed after the node stacks, like sim_ itself.
+  // The region simulators own the calendars every component schedules
+  // on, so they are declared first — destroyed after everything else.
   std::unique_ptr<sim::ShardMap> shard_map_;
-  std::unique_ptr<sim::ShardedSimulator> sharded_;
-  net::PacketFactory factory_;
+  std::unique_ptr<sim::ShardedSimulator> engine_;
   // Per-region arenas/registries outlive the node stacks and channels
   // below (parked packets release arena references at channel
   // teardown).
-  std::vector<std::unique_ptr<net::PacketFactory>> region_factories_;
-  std::vector<std::unique_ptr<traffic::FlowRegistry>> region_registries_;
-  std::vector<std::uint32_t> home_region_;  // per node (sharded mode)
-  // nodes_ before channel_: the channel's spatial index detaches from
+  std::vector<std::unique_ptr<net::PacketFactory>> factories_;
+  std::vector<std::unique_ptr<traffic::FlowRegistry>> registries_;
+  std::vector<std::uint32_t> home_region_;  // per node
+  // nodes_ before channels_: a channel's spatial index detaches from
   // the mobility models in its destructor, so it must die first.
   std::vector<NodeStack> nodes_;
-  std::unique_ptr<phy::WirelessChannel> channel_;
-  std::vector<std::unique_ptr<phy::WirelessChannel>> region_channels_;
-  std::unique_ptr<phy::ShardRouter> router_;
+  std::vector<std::unique_ptr<phy::WirelessChannel>> channels_;
+  std::unique_ptr<phy::ShardRouter> router_;  // null with one region
   std::unique_ptr<fault::FaultTimeline> timeline_;
   std::vector<std::unique_ptr<fault::TimelineOverlay>> overlays_;
-  std::unique_ptr<fault::Injector> injector_;
-  traffic::FlowRegistry registry_;
   std::vector<traffic::NodePair> flow_pairs_;
   std::vector<std::uint32_t> gateways_;
   std::vector<std::unique_ptr<traffic::CbrSource>> cbr_sources_;

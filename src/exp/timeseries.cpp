@@ -9,12 +9,12 @@ namespace wmn::exp {
 TimeseriesProbe::TimeseriesProbe(Scenario& scenario, sim::Time interval,
                                  sim::Time start)
     : scenario_(scenario), interval_(interval) {
-  // The probe samples from Scenario::simulator(), which a sharded run
-  // leaves idle: it would record nothing and export an empty series.
-  if (scenario_.sharded()) {
+  // The probe samples on region 0's calendar. With several regions it
+  // would read the other regions' nodes mid-epoch, from another thread.
+  if (scenario_.engine().region_count() > 1) {
     throw std::invalid_argument(
-        "time-series probe needs the serial engine: it cannot sample a "
-        "sharded scenario (intra_run_shards > 0)");
+        "time-series probe needs a one-region engine: it cannot sample a "
+        "scenario sharded into several regions");
   }
   scenario_.simulator().schedule_at(start, [this] { sample(); });
 }

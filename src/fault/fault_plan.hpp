@@ -11,7 +11,7 @@
 //   * ChurnSpec     — a Poisson process of crash -> down -> rejoin
 //                     cycles over random victims, drawn from a
 //                     dedicated RNG stream derived from the scenario
-//                     master seed (see fault::Injector).
+//                     master seed (see fault::FaultTimeline).
 //
 // An empty plan is the default everywhere and must be indistinguishable
 // from not having a fault layer at all: no RNG draws, no events, no

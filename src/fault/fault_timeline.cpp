@@ -3,18 +3,19 @@
 #include <algorithm>
 
 #include "core/check.hpp"
-#include "fault/injector.hpp"
+#include "mac/dcf_mac.hpp"
+#include "phy/wifi_phy.hpp"
+#include "routing/aodv.hpp"
 #include "sim/rng.hpp"
 
 namespace wmn::fault {
 
 namespace {
 
-// A faithful copy of the Injector's crash/churn state machine, minus
-// the layer choreography and the blackout active-list (both derivable
-// from the plan alone). Draw-for-draw lockstep with injector.cpp is
-// the invariant: every edit there needs a mirror here, and the
-// equivalence test pins it.
+// The crash/churn state machine, run on a private calendar. Outages and
+// churn crash a node only if it is up (whoever crashed it first owns
+// it until its rejoin); a rejoin from an earlier crash of a node that
+// has since been re-crashed is stale and ignored.
 class Replayer {
  public:
   Replayer(std::uint64_t master_seed, const FaultPlan& plan, std::size_t n_nodes,
@@ -44,8 +45,6 @@ class Replayer {
       WMN_CHECK(b.from < b.to, "blackout window must have positive length");
       WMN_CHECK_GE(b.attenuation_db, 0.0, "blackout attenuation must be >= 0");
       ++counters_.blackouts;
-      // The injector's toggle events only maintain its live active
-      // list; the frozen timeline evaluates blackouts from the plan.
     }
     if (plan_.churn.enabled()) {
       WMN_CHECK_GT(plan_.churn.mean_downtime.ns(), std::int64_t{0},
@@ -92,10 +91,15 @@ class Replayer {
     const auto victim = static_cast<std::uint32_t>(
         churn_rng_.uniform_u64(0, down_.size() - 1));
     if (down_[victim] == 0) {
+      // Clamp tiny downtime draws: a sub-100ms reboot is not a fault
+      // worth modelling and would just thrash the timers.
       const double down_s = std::max(
           0.1, churn_rng_.exponential(plan_.churn.mean_downtime.to_seconds()));
       crash(victim, sim_.now() + sim::Time::seconds(down_s));
     }
+    // A victim that was already down still consumed this event slot;
+    // the process rate is over attempts, which keeps the draw sequence
+    // independent of network state.
     schedule_next_churn();
   }
 
@@ -132,10 +136,6 @@ bool FaultTimeline::node_up(std::uint32_t node, sim::Time now) const {
   return true;
 }
 
-// Pure-time evaluation matches the injector's event-driven active
-// list: the toggle events are scheduled at construction, so at t ==
-// from (resp. to) they run before any same-time transmission — i.e.
-// the blackout is in force exactly on [from, to).
 double FaultTimeline::link_loss_db(std::uint32_t tx, std::uint32_t rx,
                                    sim::Time now) const {
   double loss = 0.0;
@@ -165,6 +165,29 @@ sim::Time FaultTimeline::total_node_downtime(sim::Time now) const {
     total += (w.open ? now : w.up_at) - w.down_at;
   }
   return total;
+}
+
+void schedule_crashes(const FaultTimeline& timeline,
+                      const std::vector<NodeHooks>& hooks) {
+  for (const FaultTimeline::NodeWindow& w : timeline.node_windows()) {
+    const NodeHooks& h = hooks[w.node];
+    WMN_CHECK_NOTNULL(h.sim, "crash injection needs the node's simulator");
+    WMN_CHECK_NOTNULL(h.agent, "crash injection needs an agent hook");
+    WMN_CHECK_NOTNULL(h.mac, "crash injection needs a MAC hook");
+    WMN_CHECK_NOTNULL(h.phy, "crash injection needs a phy hook");
+    h.sim->schedule_at(w.down_at, [h] {
+      h.agent->pause();
+      h.mac->power_down();
+      h.phy->set_up(false);
+    });
+    if (!w.open) {
+      h.sim->schedule_at(w.up_at, [h] {
+        h.phy->set_up(true);
+        h.mac->power_up();
+        h.agent->resume();
+      });
+    }
+  }
 }
 
 }  // namespace wmn::fault

@@ -1,27 +1,21 @@
-// FaultTimeline: the fault::Injector's realized history, precomputed
-// for the sharded engine.
+// FaultTimeline: the fault model. A FaultPlan's realized history,
+// computed once before the run.
 //
-// The Injector mutates per-node state from scheduled events on the one
-// simulation calendar — which a sharded run does not have: a region
-// thread consulting a shared injector mid-epoch would race another
-// region's crash event. But the injector's entire behaviour is a pure
-// function of (plan, master seed, node count): churn draws come from
-// one RNG stream consumed in event order *regardless of network state*
-// (a victim that is already down still consumes its draw — see
-// injector.cpp), and static outages/blackouts come verbatim from the
-// plan. So the whole fault history can be replayed up front — the
-// timeline runs a faithful copy of the injector state machine on a
-// throwaway calendar to the scenario horizon — and frozen into
-// immutable windows that every region thread reads without
-// synchronisation. tests/test_shard_map.cpp pins replay-vs-injector
-// equivalence.
+// The whole fault history is a pure function of (plan, master seed,
+// node count): static outages and blackouts come verbatim from the
+// plan, and churn draws its gaps, victims and downtimes from one RNG
+// stream (kFaultStreamSalt) consumed in event order regardless of
+// network state — a churn draw whose victim is already down still
+// consumes its slot. So the timeline replays the crash/churn state
+// machine up front, on a private calendar, to the scenario horizon and
+// freezes the result into immutable windows. Queries take the time as
+// an argument and touch no mutable state, so every region thread of a
+// multi-region run reads them without synchronisation.
 //
-// The crash/rejoin choreography (pause/power_down/set_up...) is NOT
-// performed here: the scenario schedules it from node_windows() onto
-// each victim's home-region calendar at construction time, which also
-// gives those events the earliest insertion sequence at their
-// timestamp — the same ordering the injector's ctor-scheduled events
-// have in a serial run.
+// The layer choreography is separate: schedule_crashes() puts every
+// realized crash and rejoin onto the victim's own simulator at
+// construction time, before the run starts, so those events take the
+// earliest insertion sequence at their timestamp.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +26,19 @@
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
+namespace wmn::phy {
+class WifiPhy;
+}
+namespace wmn::mac {
+class DcfMac;
+}
+namespace wmn::routing {
+class AodvAgent;
+}
+
 namespace wmn::fault {
+
+inline constexpr std::uint64_t kFaultStreamSalt = 0xFA17'0000'0000'0000ULL;
 
 class FaultTimeline {
  public:
@@ -52,7 +58,7 @@ class FaultTimeline {
   };
 
   // Replays `plan` for `n_nodes` nodes to `horizon` (the scenario end,
-  // inclusive — matching the serial run_until the injector lives in).
+  // inclusive, like Simulator::run_until).
   FaultTimeline(std::uint64_t master_seed, const FaultPlan& plan,
                 std::size_t n_nodes, sim::Time horizon);
 
@@ -61,9 +67,13 @@ class FaultTimeline {
 
   // --- queries (thread-safe: all state is frozen after construction) --
   [[nodiscard]] bool node_up(std::uint32_t node, sim::Time now) const;
+  // Blackouts are in force on [from, to).
   [[nodiscard]] double link_loss_db(std::uint32_t tx, std::uint32_t rx,
                                     sim::Time now) const;
+  // True when `t` falls inside any node outage or link blackout. Used
+  // to split PDR into during/outside-outage.
   [[nodiscard]] bool in_fault_window(sim::Time t) const;
+  // Total node downtime up to `now` (open outages included).
   [[nodiscard]] sim::Time total_node_downtime(sim::Time now) const;
 
   [[nodiscard]] const Counters& counters() const { return counters_; }
@@ -78,14 +88,12 @@ class FaultTimeline {
   Counters counters_;
 };
 
-// Adapter installed on one region's channel: a phy::FaultOverlay whose
-// "now" is that region's clock. The overlay interface has no time
-// parameter (the serial injector tracks state in real event time), so
-// each region gets its own adapter bound to its own simulator.
+// Adapter installed on one channel: a phy::FaultOverlay whose "now" is
+// that channel's simulator clock (node_up takes no time argument).
 class TimelineOverlay final : public phy::FaultOverlay {
  public:
-  TimelineOverlay(const FaultTimeline& timeline, const sim::Simulator& region_sim)
-      : timeline_(timeline), sim_(region_sim) {}
+  TimelineOverlay(const FaultTimeline& timeline, const sim::Simulator& sim)
+      : timeline_(timeline), sim_(sim) {}
 
   [[nodiscard]] bool node_up(std::uint32_t node) const override {
     return timeline_.node_up(node, sim_.now());
@@ -99,5 +107,25 @@ class TimelineOverlay final : public phy::FaultOverlay {
   const FaultTimeline& timeline_;
   const sim::Simulator& sim_;
 };
+
+// One node's layers and the simulator they are scheduled on.
+struct NodeHooks {
+  sim::Simulator* sim = nullptr;
+  phy::WifiPhy* phy = nullptr;
+  mac::DcfMac* mac = nullptr;
+  routing::AodvAgent* agent = nullptr;
+};
+
+// Schedules every realized crash and rejoin of `timeline` onto the
+// victim's simulator, hooks[node]:
+//
+//   crash:  agent.pause() -> mac.power_down() -> phy.set_up(false)
+//   rejoin: phy.set_up(true) -> mac.power_up() -> agent.resume()
+//
+// Routing goes first on the way down so no layer below can call back
+// into a half-dead agent; the order reverses on the way up so every
+// layer an upper one relies on is already alive.
+void schedule_crashes(const FaultTimeline& timeline,
+                      const std::vector<NodeHooks>& hooks);
 
 }  // namespace wmn::fault

@@ -77,7 +77,7 @@ class DcfMac final : public phy::PhyListener {
   [[nodiscard]] net::Address address() const { return self_; }
 
   // --- fault-injection API ---------------------------------------------
-  // Crash/recover this station (fault::Injector). power_down() cancels
+  // Crash/recover this station (fault::schedule_crashes). power_down() cancels
   // every MAC timer, discards the interface queue and the in-service
   // frame *without* invoking the tx-failed callback (a crashed router
   // must not trigger its own link-break handling), and gates enqueue()

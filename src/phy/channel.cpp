@@ -48,6 +48,7 @@ void WirelessChannel::set_shard_router(ShardRouter* router, std::uint32_t region
 void WirelessChannel::accept_cross(WifiPhy* rx, net::Packet packet, double p_dbm,
                                    double p_mw, sim::Time release_at,
                                    sim::Time duration) {
+  ++counters_.copies_delivered;
   const std::uint32_t id = open_stream(std::move(packet), duration);
   streams_[id].copies.push_back(
       Copy{release_at, sim_.reserve_seq(), p_dbm, p_mw, 0, rx});
@@ -144,10 +145,9 @@ bool key_before(const Item& a, const Item& b) {
 
 bool WirelessChannel::add_copy(std::uint32_t id, WifiPhy* rx, double p_dbm,
                                double p_mw, sim::Time now, sim::Time delay) {
-  ++counters_.copies_delivered;
   // Sharded runs route receivers homed in another region through the
-  // barrier-merged inboxes; the copy is accounted here, where the
-  // physics decided it.
+  // barrier-merged inboxes; the channel that runs a copy's stream
+  // counts it (accept_cross on the receiver's side).
   if (router_ != nullptr) {
     const std::uint32_t dst = router_->region_of(rx->node_id());
     if (dst != region_id_) {
@@ -157,6 +157,7 @@ bool WirelessChannel::add_copy(std::uint32_t id, WifiPhy* rx, double p_dbm,
       return false;
     }
   }
+  ++counters_.copies_delivered;
   pending_.push_back(Pending{rx, p_dbm, p_mw, delay});
   return true;
 }
@@ -258,8 +259,10 @@ void WirelessChannel::run_stream(std::uint32_t id) {
     }
     ++s.next_begin;
     --in_flight_;
-    // The receiver may have crashed during the propagation delay.
+    // The receiver may have crashed during the propagation delay: the
+    // copy never lands, so it moves from delivered to fault-dropped.
     if (fault_ != nullptr && !fault_->node_up(c.rx->node_id())) {
+      --counters_.copies_delivered;
       ++counters_.copies_dropped_fault;
       continue;
     }
@@ -339,8 +342,7 @@ void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
       }
     }
     LinkBudgetKernel::evaluate(*propagation_, src.config().tx_power_dbm,
-                               src_pos, src.node_id(), rebuild_batch_,
-                               eval_mode_);
+                               src_pos, src.node_id(), rebuild_batch_);
   }
 
   std::size_t cursor = 0;
@@ -431,7 +433,7 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
     }
   }
   LinkBudgetKernel::evaluate(*propagation_, src.config().tx_power_dbm, tx_pos,
-                             src.node_id(), batch_, eval_mode_);
+                             src.node_id(), batch_);
   slots_.resize(n);
   std::size_t cached = 0;
   std::size_t cursor = 0;
@@ -472,7 +474,7 @@ void WirelessChannel::transmit_full_scan(const WifiPhy& src,
     batch_.push(rx->position(now), rx->node_id(),
                 rx->channel_index());
   }
-  LinkBudgetKernel::compute_distances(batch_, tx_pos, eval_mode_);
+  LinkBudgetKernel::compute_distances(batch_, tx_pos);
 
   // Distance prefilter: the source's conservative max_range_m
   // inversion at the minimum attached floor — the same proof the

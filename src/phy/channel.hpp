@@ -139,14 +139,9 @@ class WirelessChannel {
   // overlay must outlive its installation. See phy/fault_overlay.hpp.
   void set_fault_overlay(const FaultOverlay* overlay) { fault_ = overlay; }
 
-  // Test hook: force the kernel's scalar path (kAuto uses the explicit
-  // SIMD lanes when available). Outputs are bit-identical either way —
-  // the batch-vs-scalar equivalence tests pin exactly that.
-  void set_link_eval_mode(LinkBudgetKernel::Mode mode) { eval_mode_ = mode; }
-
   struct Counters {
     std::uint64_t transmissions = 0;
-    std::uint64_t copies_delivered = 0;  // arrivals above detection floor
+    std::uint64_t copies_delivered = 0;  // above the floor, not fault-dropped
     std::uint64_t copies_dropped_floor = 0;
     std::uint64_t copies_dropped_fault = 0;  // receiver crashed mid-window
   };
@@ -302,7 +297,6 @@ class WirelessChannel {
   std::uint32_t free_head_ = kNilStream;
   std::size_t in_flight_ = 0;
   Counters counters_;
-  LinkBudgetKernel::Mode eval_mode_ = LinkBudgetKernel::Mode::kAuto;
   // Reusable kernel buffers (hoisted out of any per-node state): one
   // for per-transmission evaluation, one for cache rebuilds.
   LinkBudgetKernel::Batch batch_;

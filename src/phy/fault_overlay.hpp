@@ -1,15 +1,16 @@
 // Fault view of the medium, as the channel sees it.
 //
-// The fault injector (src/fault) lives *above* the phy layer — it also
-// drives MACs and routing agents — so the channel cannot depend on it.
-// Instead the channel holds an optional, non-owning pointer to this
-// tiny interface and consults it per transmission:
+// The fault model (fault::FaultTimeline) lives *above* the phy layer —
+// its crash choreography also drives MACs and routing agents — so the
+// channel cannot depend on it. Instead the channel holds an optional,
+// non-owning pointer to this tiny interface (fault::TimelineOverlay)
+// and consults it per transmission:
 //
 //   * node_up(id)       — crashed radios neither source nor receive
-//                         copies (the injector also gates WifiPhy/Mac
-//                         directly; the channel check just avoids
-//                         scheduling deliveries that would be dropped
-//                         on arrival anyway);
+//                         copies (the crash choreography also gates
+//                         WifiPhy/Mac directly; the channel check just
+//                         avoids scheduling deliveries that would be
+//                         dropped on arrival anyway);
 //   * link_loss_db(...) — extra attenuation for a directed pair right
 //                         now (blackout windows), added on top of the
 //                         propagation model before the detection-floor

@@ -4,53 +4,19 @@
 
 namespace wmn::phy {
 
-namespace detail {
-
-// Scalar reference distance pass. The loop body is exactly
-// link_distance_m(); kept branch-free so GCC's -O2 vectoriser can
-// turn it into sqrtpd/maxpd without changing the IEEE semantics
-// (no -ffast-math anywhere in this tree).
-void compute_distances_scalar(const double* rx_x, const double* rx_y,
-                              double* out, std::size_t n,
-                              mobility::Vec2 tx_pos) {
+// The distance pass. The loop body is exactly link_distance_m(); kept
+// branch-free so GCC's -O2 vectoriser can turn it into sqrtpd/maxpd
+// without changing the IEEE semantics (no -ffast-math anywhere in this
+// tree).
+void LinkBudgetKernel::compute_distances(Batch& batch, mobility::Vec2 tx_pos) {
+  const std::size_t n = batch.size();
+  batch.distance_m.resize(n);
+  const double* rx_x = batch.rx_x.data();
+  const double* rx_y = batch.rx_y.data();
+  double* out = batch.distance_m.data();
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = link_distance_m(tx_pos, mobility::Vec2{rx_x[i], rx_y[i]});
   }
-}
-
-#if defined(WMN_SIMD_AVX2)
-// Defined in link_budget_kernel_avx2.cpp (compiled with -mavx2).
-void compute_distances_avx2(const double* rx_x, const double* rx_y,
-                            double* out, std::size_t n, mobility::Vec2 tx_pos);
-#endif
-
-}  // namespace detail
-
-bool LinkBudgetKernel::simd_available() {
-#if defined(WMN_SIMD_AVX2)
-  static const bool ok = __builtin_cpu_supports("avx2");
-  return ok;
-#else
-  return false;
-#endif
-}
-
-void LinkBudgetKernel::compute_distances(Batch& batch, mobility::Vec2 tx_pos,
-                                         Mode mode) {
-  const std::size_t n = batch.size();
-  batch.distance_m.resize(n);
-  if (n == 0) return;
-#if defined(WMN_SIMD_AVX2)
-  if (mode == Mode::kAuto && simd_available()) {
-    detail::compute_distances_avx2(batch.rx_x.data(), batch.rx_y.data(),
-                                   batch.distance_m.data(), n, tx_pos);
-    return;
-  }
-#else
-  (void)mode;
-#endif
-  detail::compute_distances_scalar(batch.rx_x.data(), batch.rx_y.data(),
-                                   batch.distance_m.data(), n, tx_pos);
 }
 
 void LinkBudgetKernel::evaluate_with_distances(const PropagationModel& model,
@@ -78,8 +44,8 @@ void LinkBudgetKernel::evaluate_with_distances(const PropagationModel& model,
 
 void LinkBudgetKernel::evaluate(const PropagationModel& model,
                                 double tx_power_dbm, mobility::Vec2 tx_pos,
-                                std::uint32_t tx_id, Batch& batch, Mode mode) {
-  compute_distances(batch, tx_pos, mode);
+                                std::uint32_t tx_id, Batch& batch) {
+  compute_distances(batch, tx_pos);
   evaluate_with_distances(model, tx_power_dbm, tx_pos, tx_id, batch);
 }
 

@@ -7,21 +7,13 @@
 // evaluates the whole batch in two straight-line passes:
 //
 //   pass 1  distances   d[i] = link_distance_m(tx, rx[i])
-//           (auto-vectorisable; optional explicit AVX2 path)
+//           (a branch-free loop the compiler auto-vectorises)
 //   pass 2  powers      model.rx_power_dbm_batch(view)
 //           (one virtual call per batch, model-specific tight loop)
 //
 // Determinism: every pass performs the same IEEE-754 operations as the
-// scalar path, in the same per-element order. The AVX2 pass uses
-// separate mul/add (never FMA contraction) and the correctly-rounded
-// _mm256_sqrt_pd/_mm256_max_pd, so its lanes are bit-identical to the
-// scalar loop; which path ran can never show in a fingerprint. Mode
-// exists so tests can force the scalar path and compare.
-//
-// The explicit SIMD path is a build-time feature probe (CMake option
-// WMN_SIMD, default ON, compiled only when the compiler accepts
-// -mavx2) plus a runtime CPU check — binaries stay portable, and the
-// scalar path is always compiled and always the fallback.
+// scalar path, in the same per-element order, so batched and per-pair
+// evaluation agree bit for bit (tests/test_link_budget_kernel.cpp).
 #pragma once
 
 #include <cstddef>
@@ -35,11 +27,6 @@ namespace wmn::phy {
 
 class LinkBudgetKernel {
  public:
-  enum class Mode : std::uint8_t {
-    kAuto,    // explicit SIMD when compiled in and the CPU has it
-    kScalar,  // force the scalar/auto-vectorised loops (tests, gating)
-  };
-
   // Reusable SoA buffers describing one transmitter's candidates.
   // Callers push (position, node id, payload index) tuples, then run
   // evaluate(); distance_m/power_dbm come back aligned element-wise.
@@ -97,13 +84,12 @@ class LinkBudgetKernel {
   };
 
   // Pass 1 only: fill batch.distance_m for every element.
-  static void compute_distances(Batch& batch, mobility::Vec2 tx_pos,
-                                Mode mode = Mode::kAuto);
+  static void compute_distances(Batch& batch, mobility::Vec2 tx_pos);
 
   // Pass 1 + pass 2: distances, then model powers into batch.power_dbm.
   static void evaluate(const PropagationModel& model, double tx_power_dbm,
                        mobility::Vec2 tx_pos, std::uint32_t tx_id,
-                       Batch& batch, Mode mode = Mode::kAuto);
+                       Batch& batch);
 
   // Pass 2 only, for batches whose distances are already valid (the
   // channel's full-scan path computes distances, culls, then evaluates
@@ -112,10 +98,6 @@ class LinkBudgetKernel {
                                       double tx_power_dbm,
                                       mobility::Vec2 tx_pos,
                                       std::uint32_t tx_id, Batch& batch);
-
-  // True when the explicit SIMD path is compiled in AND this CPU
-  // supports it. kAuto degrades to scalar when false.
-  [[nodiscard]] static bool simd_available();
 };
 
 }  // namespace wmn::phy

@@ -48,9 +48,8 @@ struct LinkBatchView {
 // Euclidean distance floored to a few centimetres so co-located nodes
 // cannot produce infinite receive power. sqrt(dx^2 + dy^2) rather than
 // std::hypot: sqrt is a correctly-rounded single instruction, so the
-// scalar loop, the auto-vectorised loop, and the explicit SIMD path
-// all produce the same bits (hypot is only near-correctly rounded and
-// is not vectorisable). Mesh coordinates are O(km), far from the
+// scalar loop and the auto-vectorised loop produce the same bits
+// (hypot is only near-correctly rounded and is not vectorisable). Mesh coordinates are O(km), far from the
 // overflow regime hypot exists to handle.
 [[nodiscard]] inline double link_distance_m(mobility::Vec2 a,
                                             mobility::Vec2 b) {

@@ -97,7 +97,7 @@ class WifiPhy {
   [[nodiscard]] State state() const { return state_; }
 
   // --- fault-injection API ---------------------------------------------
-  // Power the radio down/up (fault::Injector). A down radio drops every
+  // Power the radio down/up (fault::schedule_crashes). A down radio drops every
   // arrival, reports CCA idle, and must not be asked to send(). Going
   // down releases a reception lock silently (no on_rx_end); an in-flight
   // own transmission still runs to its scheduled end — the MAC is

@@ -115,7 +115,7 @@ class AodvAgent {
   void send(net::Packet packet, net::Address dest);
 
   // --- fault-injection API ---------------------------------------------
-  // Crash/recover this router (fault::Injector). pause() cancels every
+  // Crash/recover this router (fault::schedule_crashes). pause() cancels every
   // outstanding agent event (HELLO, housekeeping, RREQ-cache timers,
   // discovery timeouts), drops buffered packets, and forgets all
   // routing state — a crashed router keeps nothing. resume() is a cold

@@ -112,9 +112,12 @@ ShardedSimulator::ShardedSimulator(std::uint64_t master_seed, std::uint32_t regi
   if (workers_ > region_count) workers_ = region_count;
   // More spin-barrier workers than hardware threads is strictly worse
   // than fewer (they evict each other mid-epoch); clamping is safe
-  // because worker count is unobservable in event order.
-  const std::uint32_t hw = std::thread::hardware_concurrency();
-  if (hw > 0 && workers_ > hw) workers_ = hw;
+  // because worker count is unobservable in event order. The query
+  // reads sysfs, so a one-worker engine skips it.
+  if (workers_ > 1) {
+    const std::uint32_t hw = std::thread::hardware_concurrency();
+    if (hw > 0 && workers_ > hw) workers_ = hw;
+  }
 }
 
 ShardedSimulator::~ShardedSimulator() = default;
@@ -204,7 +207,7 @@ void ShardedSimulator::run_until(Time deadline) {
     // next epoch (run_until deadlines are inclusive). A merge at the
     // final boundary can release deliveries at exactly the deadline —
     // re-run the deadline until the merge goes quiet, matching the
-    // serial engine's inclusive semantics.
+    // inclusive semantics of Simulator::run_until.
     bool merged = false;
     if (hook_ != nullptr) merged = hook_->merge_epoch(boundary);
     drain_deadline = merged && now_ == deadline;

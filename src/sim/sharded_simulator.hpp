@@ -25,7 +25,8 @@
 // With one region the same machinery runs fully inline, so shard-count
 // invariance degenerates to "the code runs once" — which is exactly
 // why downgrades (mobility, infinite range) are safe: one region is
-// the exact serial event semantics.
+// the exact event semantics of a single Simulator. It is also the
+// default engine of every exp::Scenario (intra_run_shards == 0).
 #pragma once
 
 #include <cstdint>
@@ -42,8 +43,8 @@ namespace wmn::sim {
 // `boundary` and before any region advances past it; no worker is
 // executing, so the hook may freely touch every region's calendar.
 // Returns true if it scheduled anything — the driver uses this to
-// drain releases landing exactly on the final deadline (which the
-// serial engine's inclusive run_until would execute).
+// drain releases landing exactly on the final deadline (which a
+// single Simulator's inclusive run_until would execute).
 class ShardBarrierHook {
  public:
   ShardBarrierHook() = default;
@@ -56,11 +57,10 @@ class ShardBarrierHook {
 
 class ShardedSimulator {
  public:
-  // All regions derive their streams from `master_seed` exactly like a
-  // serial Simulator would, so a component keeps its RNG draws when it
-  // moves between the serial and sharded drivers. `worker_threads` is
-  // clamped to [1, region_count]; 1 runs everything inline on the
-  // caller's thread (no threads are created).
+  // All regions derive their streams from `master_seed`, so a
+  // component draws the same numbers whichever region it lives in.
+  // `worker_threads` is clamped to [1, region_count]; 0 or 1 runs
+  // everything inline on the caller's thread (no threads are created).
   ShardedSimulator(std::uint64_t master_seed, std::uint32_t region_count, Time epoch,
                    std::uint32_t worker_threads);
   ~ShardedSimulator();

@@ -224,11 +224,10 @@ TEST(Determinism, ShardCountInvarianceMacro) {
     cfg.seed = 1000;
     cfg.intra_run_shards = shards;
     exp::Scenario s(cfg);
-    ASSERT_TRUE(s.sharded());
-    ASSERT_GT(s.shard_map()->region_count(), 1u) << "geometry must shard";
+    ASSERT_GT(s.engine().region_count(), 1u) << "geometry must shard";
     s.run();
     const std::uint64_t run_fp = exp::fingerprint(s.metrics());
-    const std::uint64_t run_events = s.sharded_engine()->events_executed();
+    const std::uint64_t run_events = s.engine().events_executed();
     if (first) {
       fp = run_fp;
       events = run_events;
@@ -243,8 +242,8 @@ TEST(Determinism, ShardCountInvarianceMacro) {
 
 // Same contract over the F11 production workload: gateway pattern,
 // per-user session aggregation, a flash-crowd rate envelope, and
-// seeded churn (which the sharded engine precomputes into a
-// fault::FaultTimeline) all running at once.
+// seeded churn (a fault::FaultTimeline read by every region) all
+// running at once.
 TEST(Determinism, ShardCountInvarianceProductionWorkload) {
   std::uint64_t fp = 0;
   bool first = true;
@@ -270,7 +269,6 @@ TEST(Determinism, ShardCountInvarianceProductionWorkload) {
     cfg.fault.churn.stop = cfg.warmup + cfg.traffic_time;
     cfg.intra_run_shards = shards;
     exp::Scenario s(cfg);
-    ASSERT_TRUE(s.sharded());
     s.run();
     const exp::RunMetrics m = s.metrics();
     EXPECT_TRUE(m.fault_enabled);

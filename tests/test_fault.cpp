@@ -1,7 +1,7 @@
-// Fault-injection subsystem: crash choreography, link blackouts,
-// seeded churn, and the graceful-degradation routing extensions
-// (local repair, RREP blacklist, RERR-to-precursors) built on top.
-#include "fault/injector.hpp"
+// Fault model: crash choreography, link blackouts, seeded churn, and
+// the graceful-degradation routing extensions (local repair, RREP
+// blacklist, RERR-to-precursors) built on top.
+#include "fault/fault_timeline.hpp"
 
 #include <gtest/gtest.h>
 
@@ -30,7 +30,8 @@ struct Delivery {
 };
 
 // Full stacks (phy+mac+aodv) at fixed positions, plus an optional
-// fault::Injector wired as the channel's fault overlay.
+// fault::FaultTimeline wired in the way exp::Scenario wires it: as the
+// channel's fault overlay, with its crashes scheduled on the stacks.
 struct FaultBed {
   explicit FaultBed(std::vector<Vec2> positions,
                     routing::AodvConfig cfg = {}, std::uint64_t seed = 1,
@@ -57,14 +58,18 @@ struct FaultBed {
     }
   }
 
-  void arm(FaultPlan plan) {
+  // Realizes `plan` up to `horizon`, the end of the test's run.
+  void arm(const FaultPlan& plan, double horizon) {
+    timeline = std::make_unique<FaultTimeline>(
+        sim.master_seed(), plan, agents.size(), sim::Time::seconds(horizon));
+    overlay = std::make_unique<TimelineOverlay>(*timeline, sim);
+    channel.set_fault_overlay(overlay.get());
     std::vector<NodeHooks> hooks;
     hooks.reserve(agents.size());
     for (std::size_t i = 0; i < agents.size(); ++i) {
-      hooks.push_back({phys[i].get(), macs[i].get(), agents[i].get()});
+      hooks.push_back({&sim, phys[i].get(), macs[i].get(), agents[i].get()});
     }
-    injector = std::make_unique<Injector>(sim, std::move(plan), std::move(hooks));
-    channel.set_fault_overlay(injector.get());
+    schedule_crashes(*timeline, hooks);
   }
 
   void send(std::size_t from, std::size_t to, std::uint32_t bytes = 256) {
@@ -99,7 +104,8 @@ struct FaultBed {
   std::vector<std::unique_ptr<phy::WifiPhy>> phys;
   std::vector<std::unique_ptr<mac::DcfMac>> macs;
   std::vector<std::unique_ptr<routing::AodvAgent>> agents;
-  std::unique_ptr<Injector> injector;
+  std::unique_ptr<FaultTimeline> timeline;
+  std::unique_ptr<TimelineOverlay> overlay;
   std::vector<Delivery> deliveries;
 };
 
@@ -111,16 +117,16 @@ std::vector<Vec2> line5() { return mobility::line_placement(5, 200.0); }
 // Node outages
 // ---------------------------------------------------------------------
 
-TEST(FaultInjector, StaticOutageCrashesAndRejoins) {
+TEST(FaultModel, StaticOutageCrashesAndRejoins) {
   FaultBed tb(line5());
   FaultPlan plan;
   plan.outages.push_back({2, sim::Time::seconds(3.0), sim::Time::seconds(6.0)});
-  tb.arm(std::move(plan));
+  tb.arm(plan, 12.0);
   tb.traffic(0, 4, 1.0, 11.0, 0.5);
   tb.sim.run_until(sim::Time::seconds(12.0));
 
-  EXPECT_EQ(tb.injector->counters().crashes, 1u);
-  EXPECT_EQ(tb.injector->counters().rejoins, 1u);
+  EXPECT_EQ(tb.timeline->counters().crashes, 1u);
+  EXPECT_EQ(tb.timeline->counters().rejoins, 1u);
   EXPECT_FALSE(tb.agents[2]->paused());
   EXPECT_TRUE(tb.phys[2]->is_up());
   EXPECT_FALSE(tb.macs[2]->is_down());
@@ -133,16 +139,17 @@ TEST(FaultInjector, StaticOutageCrashesAndRejoins) {
 
   // The downtime window was realized and is queryable.
   EXPECT_DOUBLE_EQ(
-      tb.injector->total_node_downtime(tb.sim.now()).to_seconds(), 3.0);
-  EXPECT_TRUE(tb.injector->in_fault_window(sim::Time::seconds(4.5)));
-  EXPECT_FALSE(tb.injector->in_fault_window(sim::Time::seconds(1.0)));
+      tb.timeline->total_node_downtime(tb.sim.now()).to_seconds(), 3.0);
+  EXPECT_TRUE(tb.timeline->in_fault_window(sim::Time::seconds(4.5)));
+  EXPECT_FALSE(tb.timeline->in_fault_window(sim::Time::seconds(1.0)));
+  EXPECT_FALSE(tb.timeline->in_fault_window(sim::Time::seconds(6.0)));
 }
 
-TEST(FaultInjector, CrashedNodeDropsOfferedTraffic) {
+TEST(FaultModel, CrashedNodeDropsOfferedTraffic) {
   FaultBed tb(line5());
   FaultPlan plan;
   plan.outages.push_back({0, sim::Time::seconds(2.0), sim::Time::seconds(8.0)});
-  tb.arm(std::move(plan));
+  tb.arm(plan, 6.0);
   tb.traffic(0, 4, 3.0, 5.0, 0.5);  // offered while 0 is down
   tb.sim.run_until(sim::Time::seconds(6.0));
   EXPECT_EQ(tb.delivered_at_between(4, 0.0, 6.0), 0u);
@@ -153,11 +160,11 @@ TEST(FaultInjector, CrashedNodeDropsOfferedTraffic) {
 // *before* any counting — the transmissions counter used to increment
 // ahead of the fault guard, so a downed source's send inflated it even
 // though no energy ever reached the air.
-TEST(FaultInjector, DownedSourceTransmitCountsNothing) {
+TEST(FaultModel, DownedSourceTransmitCountsNothing) {
   FaultBed tb(line5());
   FaultPlan plan;
   plan.outages.push_back({0, sim::Time::seconds(1.0), sim::Time::seconds(9.0)});
-  tb.arm(std::move(plan));
+  tb.arm(plan, 3.0);
   // Other nodes' hello broadcasts keep the counters moving on their
   // own; the assertion is on the *delta* across the injected transmit
   // (transmit() is synchronous, so before/after brackets exactly it).
@@ -178,7 +185,7 @@ TEST(FaultInjector, DownedSourceTransmitCountsNothing) {
 // RREQ rebroadcast jitter timers, reply timers, and retry timers are
 // all pending — must cancel every per-agent event. Under ASan a stale
 // timer firing into a paused/cleared agent shows up immediately.
-TEST(FaultInjector, CrashDuringActiveDiscoveryIsClean) {
+TEST(FaultModel, CrashDuringActiveDiscoveryIsClean) {
   FaultBed tb(line5());
   FaultPlan plan;
   // Source and a mid-line forwarder die 5 ms after the RREQ leaves,
@@ -187,12 +194,12 @@ TEST(FaultInjector, CrashDuringActiveDiscoveryIsClean) {
       {0, sim::Time::seconds(1.005), sim::Time::seconds(4.0)});
   plan.outages.push_back(
       {2, sim::Time::seconds(1.005), sim::Time::seconds(4.0)});
-  tb.arm(std::move(plan));
+  tb.arm(plan, 10.0);
   tb.sim.schedule_at(sim::Time::seconds(1.0), [&] { tb.send(0, 4); });
   tb.sim.run_until(sim::Time::seconds(10.0));
 
-  EXPECT_EQ(tb.injector->counters().crashes, 2u);
-  EXPECT_EQ(tb.injector->counters().rejoins, 2u);
+  EXPECT_EQ(tb.timeline->counters().crashes, 2u);
+  EXPECT_EQ(tb.timeline->counters().rejoins, 2u);
   EXPECT_FALSE(tb.agents[0]->paused());
   // The crashed source lost its buffered packet and discovery state.
   EXPECT_EQ(tb.delivered_at_between(4, 0.0, 10.0), 0u);
@@ -201,7 +208,7 @@ TEST(FaultInjector, CrashDuringActiveDiscoveryIsClean) {
 // Satellite 1, destruction flavour: destroying an agent with a pending
 // RREQ-forward timer must cancel it; otherwise the event later fires
 // into freed memory (caught by ASan in CI).
-TEST(FaultInjector, AgentDestructionCancelsPendingForwardTimers) {
+TEST(FaultModel, AgentDestructionCancelsPendingForwardTimers) {
   FaultBed tb(line5());
   tb.sim.schedule_at(sim::Time::seconds(1.0), [&] { tb.send(0, 4); });
   // Stop inside the rebroadcast jitter window: forwarders hold timers.
@@ -220,18 +227,18 @@ TEST(FaultInjector, AgentDestructionCancelsPendingForwardTimers) {
 // Link blackouts and RERR propagation (satellite 3)
 // ---------------------------------------------------------------------
 
-TEST(FaultInjector, BlackoutSeversLinkAndRerrReachesSource) {
+TEST(FaultModel, BlackoutSeversLinkAndRerrReachesSource) {
   FaultBed tb(line5());
   FaultPlan plan;
   // Short enough that the source's retry schedule (1 s, then 2 s, then
   // 4 s of binary backoff) still has an attempt left once it lifts.
   plan.blackouts.push_back(
       {2, 3, sim::Time::seconds(3.0), sim::Time::seconds(6.0)});
-  tb.arm(std::move(plan));
+  tb.arm(plan, 13.0);
   tb.traffic(0, 4, 1.0, 12.0, 0.25);
   tb.sim.run_until(sim::Time::seconds(13.0));
 
-  EXPECT_EQ(tb.injector->counters().blackouts, 1u);
+  EXPECT_EQ(tb.timeline->counters().blackouts, 1u);
   // Route up before the blackout...
   EXPECT_GE(tb.delivered_at_between(4, 0.0, 3.0), 1u);
   // ...the break at node 2 produced a RERR that propagated hop by hop
@@ -244,7 +251,13 @@ TEST(FaultInjector, BlackoutSeversLinkAndRerrReachesSource) {
   EXPECT_EQ(tb.delivered_at_between(4, 3.5, 6.0), 0u);
   EXPECT_GE(tb.delivered_at_between(4, 8.5, 13.0), 1u);
   // Blackouts count as fault windows for traffic classification.
-  EXPECT_TRUE(tb.injector->in_fault_window(sim::Time::seconds(5.0)));
+  EXPECT_TRUE(tb.timeline->in_fault_window(sim::Time::seconds(5.0)));
+  // The severed link carries the plan's attenuation in both directions
+  // on [from, to) and none outside it.
+  EXPECT_EQ(tb.timeline->link_loss_db(2, 3, sim::Time::seconds(3.0)), 200.0);
+  EXPECT_EQ(tb.timeline->link_loss_db(3, 2, sim::Time::seconds(4.0)), 200.0);
+  EXPECT_EQ(tb.timeline->link_loss_db(2, 3, sim::Time::seconds(6.0)), 0.0);
+  EXPECT_EQ(tb.timeline->link_loss_db(1, 2, sim::Time::seconds(4.0)), 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -263,7 +276,7 @@ TEST(GracefulDegradation, LocalRepairBridgesBrokenLink) {
   FaultPlan plan;
   plan.blackouts.push_back(
       {2, 4, sim::Time::seconds(3.0), sim::Time::seconds(12.0)});
-  tb.arm(std::move(plan));
+  tb.arm(plan, 12.0);
   tb.traffic(0, 4, 1.0, 10.0, 0.25);
   tb.sim.run_until(sim::Time::seconds(12.0));
 
@@ -340,9 +353,9 @@ exp::ScenarioConfig small_config(std::uint64_t seed) {
   return cfg;
 }
 
-TEST(FaultScenario, EmptyPlanBuildsNoInjector) {
+TEST(FaultScenario, EmptyPlanBuildsNoTimeline) {
   exp::Scenario s(small_config(5));
-  EXPECT_EQ(s.injector(), nullptr);
+  EXPECT_EQ(s.fault_timeline(), nullptr);
   s.run();
   const exp::RunMetrics m = s.metrics();
   EXPECT_FALSE(m.fault_enabled);
@@ -356,7 +369,7 @@ TEST(FaultScenario, OutagesPopulateResilienceMetrics) {
         {n, sim::Time::seconds(6.0), sim::Time::seconds(10.0)});
   }
   exp::Scenario s(cfg);
-  ASSERT_NE(s.injector(), nullptr);
+  ASSERT_NE(s.fault_timeline(), nullptr);
   s.run();
   const exp::RunMetrics m = s.metrics();
   EXPECT_TRUE(m.fault_enabled);

@@ -325,7 +325,9 @@ TEST(ArrivalStream, ReceiverCrashedBeforeArrivalIsAFaultDrop) {
   tb.sim.schedule(sim::Time::zero(), [&] { tb.phys[0]->send(tb.packet(64)); });
   tb.sim.schedule(sim::Time::nanos(100), [&] { overlay.down = 1; });
   tb.sim.run();
-  EXPECT_EQ(tb.channel.counters().copies_delivered, 2u);
+  // The crashed copy counts once, as a fault drop: 1 + 0 + 1 == N - 1.
+  EXPECT_EQ(tb.channel.counters().copies_delivered, 1u);
+  EXPECT_EQ(tb.channel.counters().copies_dropped_floor, 0u);
   EXPECT_EQ(tb.channel.counters().copies_dropped_fault, 1u);
   EXPECT_EQ(tb.listeners[1]->rx_starts, 0);
   EXPECT_TRUE(tb.listeners[1]->cca_changes.empty());

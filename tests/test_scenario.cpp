@@ -158,6 +158,36 @@ TEST(Scenario, ComponentAccessorsExposeStacks) {
   EXPECT_EQ(s.channel().radio_count(), 25u);
 }
 
+// Under churn, every copy a transmission makes is counted exactly once
+// (delivered, floor-dropped or fault-dropped), and every delivered copy
+// has either settled at its receiver's PHY or is still in flight. The
+// rare copy whose receiver crashes while it propagates is pinned on its
+// own by ArrivalStream.ReceiverCrashedBeforeArrivalIsAFaultDrop.
+TEST(Scenario, ChurnKeepsTheChannelCopyIdentities) {
+  ScenarioConfig cfg = small_config(7);
+  cfg.fault.churn.rate_per_s = 2.0;
+  cfg.fault.churn.mean_downtime = sim::Time::seconds(0.5);
+  cfg.fault.churn.start = cfg.warmup;
+  cfg.fault.churn.stop = cfg.warmup + cfg.traffic_time;
+  Scenario s(cfg);
+  s.run();
+  ASSERT_GT(s.metrics().fault_crashes, 0u);
+  const phy::WirelessChannel& ch = s.channel();
+  const auto& cc = ch.counters();
+  EXPECT_GT(cc.copies_dropped_fault, 0u);
+  EXPECT_EQ(cc.copies_delivered + cc.copies_dropped_floor + cc.copies_dropped_fault,
+            (s.node_count() - 1) * cc.transmissions);
+  std::uint64_t settled = 0;
+  for (std::size_t i = 0; i < s.node_count(); ++i) {
+    const phy::WifiPhy& p = s.node_phy(i);
+    const auto& pc = p.counters();
+    settled += pc.rx_ok + pc.rx_failed_sinr + pc.rx_missed_busy +
+               pc.rx_below_sensitivity + pc.rx_dropped_down;
+    if (p.state() == phy::WifiPhy::State::kRx) ++settled;
+  }
+  EXPECT_EQ(cc.copies_delivered - ch.deliveries_in_flight(), settled);
+}
+
 // Every protocol must run end-to-end on the same scenario.
 class ScenarioPerProtocol : public ::testing::TestWithParam<core::Protocol> {};
 

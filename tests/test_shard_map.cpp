@@ -2,8 +2,7 @@
 // (DESIGN.md §3e): the geometry -> region map, the conservative
 // lookahead formula (and its infinite-range downgrade), the fixed
 // cross-region merge order, the lowest-cell-id home-region rule for
-// trajectories that span regions, and the FaultTimeline's
-// replay-vs-injector equivalence. tests/test_determinism.cpp checks
+// trajectories that span regions. tests/test_determinism.cpp checks
 // the end-to-end consequence (bit-identical fingerprints across shard
 // counts); this file checks each ingredient, so a contract break
 // points at the guilty layer instead of just flipping a fingerprint.
@@ -16,8 +15,6 @@
 #include "core/protocols.hpp"
 #include "exp/metrics.hpp"
 #include "exp/scenario.hpp"
-#include "fault/fault_timeline.hpp"
-#include "fault/injector.hpp"
 #include "mobility/mobility_model.hpp"
 #include "net/packet.hpp"
 #include "phy/channel.hpp"
@@ -218,11 +215,9 @@ TEST(ShardedScenario, NoSpatialIndexDowngradesToOneRegion) {
   auto cfg = small_sharded_config(4);
   cfg.spatial_index = false;
   exp::Scenario s(cfg);
-  ASSERT_TRUE(s.sharded());
-  ASSERT_NE(s.shard_map(), nullptr);
-  EXPECT_EQ(s.shard_map()->region_count(), 1u);
+  EXPECT_EQ(s.engine().region_count(), 1u);
   // One region means one epoch spanning the whole horizon: the run
-  // must still complete with the serial engine's semantics.
+  // must still complete with a single Simulator's semantics.
   s.run();
   EXPECT_GT(s.metrics().data_delivered, 0u);
 }
@@ -231,8 +226,7 @@ TEST(ShardedScenario, MobilityDowngradesToOneRegion) {
   auto cfg = small_sharded_config(4);
   cfg.mobility.max_speed_mps = 2.0;
   exp::Scenario s(cfg);
-  ASSERT_TRUE(s.sharded());
-  EXPECT_EQ(s.shard_map()->region_count(), 1u);
+  EXPECT_EQ(s.engine().region_count(), 1u);
   s.run();
   EXPECT_GT(s.metrics().data_delivered, 0u);
 }
@@ -240,8 +234,7 @@ TEST(ShardedScenario, MobilityDowngradesToOneRegion) {
 TEST(ShardedScenario, StaticNodesGetGeometricHomeRegions) {
   auto cfg = small_sharded_config(2);
   exp::Scenario s(cfg);
-  ASSERT_TRUE(s.sharded());
-  ASSERT_GT(s.shard_map()->region_count(), 1u);
+  ASSERT_GT(s.engine().region_count(), 1u);
   const auto& homes = s.home_regions();
   ASSERT_EQ(homes.size(), static_cast<std::size_t>(cfg.n_nodes));
   bool multiple = false;
@@ -258,56 +251,6 @@ TEST(ShardedScenario, SameSeedSameFingerprintAfterDowngrade) {
   a.run();
   b.run();
   EXPECT_EQ(exp::fingerprint(a.metrics()), exp::fingerprint(b.metrics()));
-}
-
-// --- FaultTimeline replay equivalence ---------------------------------
-
-// The timeline claims to be the injector's realized history, frozen.
-// Run a classic (serial) scenario with churn + static outages + a
-// blackout, then replay the same plan with a FaultTimeline and compare
-// counters, downtime, and window membership instant by instant.
-TEST(FaultTimeline, ReplayMatchesInjector) {
-  exp::ScenarioConfig cfg;
-  cfg.n_nodes = 36;
-  cfg.area_width_m = 600.0;
-  cfg.area_height_m = 600.0;
-  cfg.placement = exp::Placement::kPerturbedGrid;
-  cfg.traffic.n_flows = 6;
-  cfg.traffic.rate_pps = 2.0;
-  cfg.warmup = sim::Time::seconds(2.0);
-  cfg.traffic_time = sim::Time::seconds(8.0);
-  cfg.drain = sim::Time::seconds(1.0);
-  cfg.seed = 99;
-  cfg.protocol = core::Protocol::kClnlr;
-  cfg.fault.churn.rate_per_s = 0.5;
-  cfg.fault.churn.mean_downtime = sim::Time::seconds(2.0);
-  cfg.fault.churn.start = cfg.warmup;
-  cfg.fault.churn.stop = cfg.warmup + cfg.traffic_time;
-  cfg.fault.outages.push_back({3, sim::Time::seconds(4.0), sim::Time::seconds(6.0)});
-  cfg.fault.blackouts.push_back(
-      {1, 2, sim::Time::seconds(3.0), sim::Time::seconds(5.0), 200.0, true});
-
-  const sim::Time horizon = cfg.warmup + cfg.traffic_time + cfg.drain;
-  exp::Scenario s(cfg);
-  s.run();
-  ASSERT_NE(s.injector(), nullptr);
-  const auto& live = *s.injector();
-
-  fault::FaultTimeline replay(cfg.seed, cfg.fault, cfg.n_nodes, horizon);
-  EXPECT_EQ(replay.counters().crashes, live.counters().crashes);
-  EXPECT_EQ(replay.counters().rejoins, live.counters().rejoins);
-  EXPECT_EQ(replay.counters().blackouts, live.counters().blackouts);
-  EXPECT_GT(replay.counters().crashes, 0u) << "plan realized no churn; test is vacuous";
-  EXPECT_EQ(replay.total_node_downtime(horizon), live.total_node_downtime(horizon));
-  for (double t = 0.0; t <= 11.0; t += 0.05) {
-    const sim::Time at = sim::Time::seconds(t);
-    EXPECT_EQ(replay.in_fault_window(at), live.in_fault_window(at)) << "t=" << t;
-  }
-  // The static blackout is in the frozen windows too: the severed link
-  // carries the plan's attenuation mid-window and none outside it.
-  EXPECT_EQ(replay.link_loss_db(1, 2, sim::Time::seconds(4.0)), 200.0);
-  EXPECT_EQ(replay.link_loss_db(2, 1, sim::Time::seconds(4.0)), 200.0);
-  EXPECT_EQ(replay.link_loss_db(1, 2, sim::Time::seconds(6.0)), 0.0);
 }
 
 }  // namespace

@@ -83,13 +83,27 @@ TEST(TimeseriesProbe, CsvExportRoundTrips) {
 }
 
 TEST(TimeseriesProbe, RefusesAShardedScenario) {
-  // A sharded run never advances Scenario::simulator(), so a probe on
-  // it would silently export a header-only series.
+  // The probe samples every node from region 0's calendar; with several
+  // regions it would read other regions' nodes mid-epoch.
   ScenarioConfig cfg = probe_config();
   cfg.intra_run_shards = 2;
   Scenario s(cfg);
-  ASSERT_TRUE(s.sharded());
+  ASSERT_GT(s.engine().region_count(), 1u);
   EXPECT_THROW(TimeseriesProbe(s, sim::Time::seconds(1.0)), std::invalid_argument);
+}
+
+TEST(TimeseriesProbe, SamplesAShardedRunThatDowngradesToOneRegion) {
+  // Mobility keeps a sharded config at one region, whose calendar is
+  // the one the run advances: the probe records the whole run.
+  ScenarioConfig cfg = probe_config();
+  cfg.mobility.max_speed_mps = 5.0;
+  cfg.intra_run_shards = 2;
+  Scenario s(cfg);
+  ASSERT_EQ(s.engine().region_count(), 1u);
+  TimeseriesProbe probe(s, sim::Time::seconds(1.0));
+  s.run();
+  EXPECT_GE(probe.samples().size(), 12u);
+  EXPECT_GT(probe.samples().back().sent_cum, 0u);
 }
 
 }  // namespace
