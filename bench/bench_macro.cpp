@@ -91,44 +91,6 @@ void BM_Scale400Nodes6pps(benchmark::State& state) {
 }
 BENCHMARK(BM_Scale400Nodes6pps)->Iterations(1)->Unit(benchmark::kMillisecond);
 
-// The 400-node scale point on the sharded engine (DESIGN.md §3e) at
-// 1/2/4/8 worker threads. All four arguments execute the identical
-// event schedule (that is the determinism contract, pinned in
-// tests/test_determinism.cpp); only the wall clock may differ. CI
-// gates shards=8 against shards=1 with perf_gate.py --min-speedup.
-// Note the 1-shard point is the parallel engine on one thread — the
-// honest baseline for a speedup claim, since it pays the same epoch
-// and merge overhead. The worker count is clamped to the host's
-// hardware concurrency, so the speedup saturates on small runners.
-void BM_Scale400Nodes6ppsSharded(benchmark::State& state) {
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    exp::ScenarioConfig cfg = reference_config(core::Protocol::kClnlr);
-    cfg.n_nodes = 400;
-    cfg.area_width_m = 2000.0;
-    cfg.area_height_m = 2000.0;
-    cfg.traffic.n_flows = 40;
-    cfg.traffic_time = sim::Time::seconds(8.0);
-    cfg.intra_run_shards = shards;
-    exp::Scenario s(cfg);
-    s.run();
-    events += s.engine().events_executed();
-  }
-  state.SetLabel("shards=" + std::to_string(shards));
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.counters["sim_events"] = benchmark::Counter(
-      static_cast<double>(events) / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_Scale400Nodes6ppsSharded)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 // F11 smoke point: the gateway-aggregation session workload at the
 // reference scale — tracks the cost of the session/heavy-tail source
 // machinery (per-arrival scheduling, per-session pacing timers) on top

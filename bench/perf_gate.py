@@ -21,19 +21,6 @@ two quantities are gated:
     one side is skipped, so adding a counter to a benchmark does not
     break the gate until it is rebaselined in.
 
-A third gate compares two entries of the *current* run against each
-other instead of against the baseline:
-
-    --min-speedup SLOW FAST RATIO       (repeatable)
-
-fails unless real_time(SLOW) / real_time(FAST) >= RATIO. This is how
-CI gates the sharded engine: the 1-shard and 8-shard points of
-BM_Scale400Nodes6ppsSharded run in the same process on the same
-machine, so their ratio is far less noisy than any absolute time —
-and a parallel speedup has no meaningful committed baseline. A spec
-whose entries are missing from the current files is skipped (the
-sharded bench only runs on multi-core runners), not failed.
-
 Baseline entries that none of the current files ran are reported and
 skipped (CI runs a pinned subset of bench_micro).
 
@@ -157,30 +144,6 @@ def gate(args: argparse.Namespace) -> int:
             judge(f"{name} [{cname}]", base_c, cur_c, fmt_counter(base_c),
                   fmt_counter(cur_c), args.counter_tolerance)
 
-    for slow_name, fast_name, min_ratio_text in args.min_speedup:
-        try:
-            min_ratio = float(min_ratio_text)
-        except ValueError:
-            sys.exit(f"--min-speedup ratio {min_ratio_text!r} is not a number")
-        if min_ratio <= 0:
-            sys.exit(f"--min-speedup ratio must be positive, got {min_ratio_text}")
-        label = f"speedup {slow_name} / {fast_name}"
-        slow, fast = current.get(slow_name), current.get(fast_name)
-        if slow is None or fast is None or fast["real_time_ns"] <= 0:
-            skipped.append(label)
-            continue
-        ratio = slow["real_time_ns"] / fast["real_time_ns"]
-        shown = f"{ratio:.2f}x"
-        required = f">= {min_ratio:g}x"
-        line = f"{label}: {shown} (required {required})"
-        if ratio < min_ratio:
-            regressions.append(line)
-            verdict = "REGRESSION"
-        else:
-            print(f"  ok      {line}")
-            verdict = "ok"
-        md_rows.append((label, required, shown, "-", verdict))
-
     for name in skipped:
         print(f"  skipped {name} (not in the current run)")
     for line in faster:
@@ -239,11 +202,6 @@ def make_parser() -> argparse.ArgumentParser:
                         metavar="NAME",
                         help="gate this counter too (repeatable; "
                              "higher = regression)")
-    parser.add_argument("--min-speedup", action="append", nargs=3, default=[],
-                        metavar=("SLOW", "FAST", "RATIO"),
-                        help="require real_time(SLOW)/real_time(FAST) >= "
-                             "RATIO within the current run (repeatable; "
-                             "skipped if either entry is absent)")
     parser.add_argument("--markdown-out", default=None, metavar="PATH",
                         help="append a markdown delta table to this file "
                              "(CI: $GITHUB_STEP_SUMMARY)")

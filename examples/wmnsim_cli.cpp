@@ -36,13 +36,7 @@
 //   --repair           enable local repair + blacklist + precursor RERR
 //   --no-spatial-index run the channel's full O(N^2) broadcast scan
 //                      (results are bit-identical; diagnostic only)
-//   --shards N         conservative-PDES intra-run sharding on N worker
-//                      threads (0 = one region, the default).
-//                      Fingerprints are bit-identical for every N >= 1;
-//                      see DESIGN.md §3e for the determinism contract
-//   --timeseries FILE  write 1 Hz network time series CSV (one-region
-//                      runs only: a --shards run that splits into
-//                      several regions exits with code 1)
+//   --timeseries FILE  write 1 Hz network time series CSV
 //   --flows-csv FILE   write per-flow results CSV
 #include <cstdlib>
 #include <cstring>
@@ -187,8 +181,6 @@ int main(int argc, char** argv) {
       cfg.options.aodv.rerr_to_precursors = true;
     } else if (a == "--no-spatial-index") {
       cfg.spatial_index = false;
-    } else if (a == "--shards") {
-      cfg.intra_run_shards = static_cast<std::uint32_t>(next(0));
     } else if (a == "--timeseries" && i + 1 < argc) {
       timeseries_path = argv[++i];
     } else if (a == "--flows-csv" && i + 1 < argc) {
@@ -212,13 +204,8 @@ int main(int argc, char** argv) {
   exp::Scenario scenario(cfg);
   std::unique_ptr<exp::TimeseriesProbe> probe;
   if (!timeseries_path.empty()) {
-    try {
-      probe = std::make_unique<exp::TimeseriesProbe>(scenario,
-                                                     sim::Time::seconds(1.0));
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "--timeseries: " << e.what() << "\n";
-      return 1;
-    }
+    probe = std::make_unique<exp::TimeseriesProbe>(scenario,
+                                                   sim::Time::seconds(1.0));
   }
 
   std::cout << "running: " << cfg.n_nodes << " nodes, "

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <set>
 #include <string>
 
 #include "core/check.hpp"
 #include "exp/failure.hpp"
 #include "mobility/placement.hpp"
-#include "phy/units.hpp"
-#include "sim/logging.hpp"
 #include "stats/fairness.hpp"
 
 namespace wmn::exp {
@@ -22,10 +19,13 @@ constexpr std::uint64_t kMobilitySalt = 0x0B11'0000'0000'0000ULL;
 constexpr std::uint64_t kArrivalSalt = 0xA881'7A10'0000'0000ULL;
 }  // namespace
 
-Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
+Scenario::Scenario(const ScenarioConfig& cfg)
+    : cfg_(cfg), sim_(cfg.seed), channel_(sim_, make_propagation()) {
   WMN_CHECK_GE(cfg_.n_nodes, std::size_t{2}, "a mesh needs at least two nodes");
-  build_engine();
-  if (cfg_.event_budget != 0) engine_->set_event_budget(cfg_.event_budget);
+  sim_.set_event_budget(cfg_.event_budget);
+  if (cfg_.spatial_index) {
+    channel_.enable_spatial_index(cfg_.area_width_m, cfg_.area_height_m);
+  }
   build_nodes();
   build_traffic();
   if (!cfg_.fault.empty()) build_fault_timeline();
@@ -37,116 +37,30 @@ std::unique_ptr<phy::PropagationModel> Scenario::make_propagation() const {
   std::unique_ptr<phy::PropagationModel> prop =
       std::make_unique<phy::LogDistanceModel>();
   if (cfg_.shadowing_sigma_db > 0.0) {
-    // Shadowing offsets are a pure hash of (seed, link pair), so every
-    // region channel's chain agrees link-for-link.
+    // Shadowing offsets are a pure hash of (seed, link pair).
     prop = std::make_unique<phy::LogNormalShadowing>(
         std::move(prop), cfg_.shadowing_sigma_db, cfg_.seed);
   }
   return prop;
 }
 
-// Select the region decomposition, the epoch (conservative lookahead),
-// and the per-region engine state. intra_run_shards == 0 is one region.
-// Otherwise region count and epoch are pure functions of the scenario
-// config — NEVER of intra_run_shards, which only caps the worker-thread
-// count — so every shard count executes the identical event schedule
-// (DESIGN.md §3e).
-void Scenario::build_engine() {
-  const double range = make_propagation()->max_range_m(
-      cfg_.phy.tx_power_dbm, cfg_.phy.detection_floor_dbm);
-  sim::Time epoch = sim::ShardMap::lookahead(range, phy::kSpeedOfLight,
-                                             cfg_.mac.sifs + cfg_.mac.slot);
-  const sim::Time horizon = cfg_.warmup + cfg_.traffic_time + cfg_.drain;
-
-  bool single = cfg_.intra_run_shards == 0;
-  if (!single) {
-    const sim::Logger log("shard");
-    if (cfg_.mobility.mobile()) {
-      log.warn(sim::Time::zero(),
-               "mobile nodes have no stable home region; sharding downgraded "
-               "to one region");
-      single = true;
-    }
-    if (!cfg_.spatial_index) {
-      log.warn(sim::Time::zero(),
-               "sharding shares the spatial index's grid geometry; "
-               "spatial_index=false downgrades to one region");
-      single = true;
-    }
-    if (epoch == sim::Time::max()) {
-      log.warn(sim::Time::zero(),
-               "propagation model has no finite detection range, so no finite "
-               "lookahead exists; sharding downgraded to one region");
-      single = true;
-    }
-  }
-
-  const double cell = phy::SpatialIndex::cell_size_for(
-      std::isfinite(range) ? range : 0.0, cfg_.area_width_m, cfg_.area_height_m);
-  const phy::SpatialIndex::Grid g =
-      phy::SpatialIndex::grid_for(cfg_.area_width_m, cfg_.area_height_m, cell);
-  const sim::ShardGrid grid{g.nx, g.ny, g.cell_m};
-  shard_map_ = std::make_unique<sim::ShardMap>(
-      single ? sim::ShardMap::single(grid)
-             : sim::ShardMap::build(grid, sim::ShardMap::kRegionTarget));
-  const std::uint32_t regions = shard_map_->region_count();
-  // One region has no cross-region edges: a single whole-horizon epoch
-  // is the event semantics of a single Simulator, with no barriers.
-  if (regions == 1) epoch = horizon;
-
-  engine_ = std::make_unique<sim::ShardedSimulator>(cfg_.seed, regions, epoch,
-                                                    cfg_.intra_run_shards);
-  if (regions > 1) {
-    // A cross-region ACK/CTS can be released up to one epoch after its
-    // physical arrival (the barrier clamp); widen the MAC timeout
-    // slack by two epochs so the clamp shows up as latency, not as
-    // spurious retries. Epoch is config-pure, so this is identical for
-    // every shard count.
-    cfg_.mac.ack_timeout_slack += epoch + epoch;
-    cfg_.mac.cts_timeout_slack += epoch + epoch;
-  }
-
-  factories_.reserve(regions);
-  registries_.reserve(regions);
-  channels_.reserve(regions);
-  for (std::uint32_t r = 0; r < regions; ++r) {
-    factories_.push_back(std::make_unique<net::PacketFactory>());
-    registries_.push_back(std::make_unique<traffic::FlowRegistry>());
-    auto ch = std::make_unique<phy::WirelessChannel>(engine_->region(r),
-                                                     make_propagation());
-    if (cfg_.spatial_index) {
-      ch->enable_spatial_index(cfg_.area_width_m, cfg_.area_height_m);
-    }
-    channels_.push_back(std::move(ch));
-  }
-}
-
-// Compute the fault history once (fault::FaultTimeline) and wire it
-// into every region: overlay queries answer from the frozen windows,
-// and the crash/rejoin choreography is scheduled onto each victim's
-// home-region calendar.
+// Compute the fault history once (fault::FaultTimeline): overlay
+// queries answer from the frozen windows, and the crash/rejoin
+// choreography is scheduled onto the calendar before the run starts.
 void Scenario::build_fault_timeline() {
   const sim::Time horizon = cfg_.warmup + cfg_.traffic_time + cfg_.drain;
   timeline_ = std::make_unique<fault::FaultTimeline>(cfg_.seed, cfg_.fault,
                                                      nodes_.size(), horizon);
-  overlays_.reserve(channels_.size());
-  for (std::uint32_t r = 0; r < channels_.size(); ++r) {
-    overlays_.push_back(std::make_unique<fault::TimelineOverlay>(
-        *timeline_, engine_->region(r)));
-    channels_[r]->set_fault_overlay(overlays_.back().get());
-  }
-  for (const auto& rr : registries_) {
-    rr->set_outage_query(
-        [this](sim::Time t) { return timeline_->in_fault_window(t); });
-  }
+  overlay_ = std::make_unique<fault::TimelineOverlay>(*timeline_, sim_);
+  channel_.set_fault_overlay(overlay_.get());
+  registry_.set_outage_query(
+      [this](sim::Time t) { return timeline_->in_fault_window(t); });
   std::vector<fault::NodeHooks> hooks;
   hooks.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    NodeStack& n = nodes_[i];
-    hooks.push_back({&engine_->region(home_region_[i]), n.phy.get(),
-                     n.mac.get(), n.agent.get()});
+  for (NodeStack& n : nodes_) {
+    hooks.push_back({n.phy.get(), n.mac.get(), n.agent.get()});
   }
-  fault::schedule_crashes(*timeline_, hooks);
+  fault::schedule_crashes(sim_, *timeline_, hooks);
 }
 
 void Scenario::build_nodes() {
@@ -169,7 +83,6 @@ void Scenario::build_nodes() {
   }
 
   nodes_.resize(cfg_.n_nodes);
-  home_region_.resize(cfg_.n_nodes);
   for (std::size_t i = 0; i < cfg_.n_nodes; ++i) {
     NodeStack& n = nodes_[i];
     const auto id = static_cast<std::uint32_t>(i);
@@ -182,55 +95,20 @@ void Scenario::build_nodes() {
       rwp.min_speed_mps = cfg_.mobility.min_speed_mps;
       rwp.max_speed_mps = cfg_.mobility.max_speed_mps;
       rwp.pause = cfg_.mobility.pause;
-      // Mobility forces one region.
       n.mobility = std::make_unique<mobility::RandomWaypointModel>(
-          engine_->region(0), rwp, positions[i], kMobilitySalt ^ id);
+          sim_, rwp, positions[i], kMobilitySalt ^ id);
     } else {
       n.mobility = std::make_unique<mobility::ConstantPositionModel>(positions[i]);
     }
-    // Home region: lowest grid cell the trajectory bounds overlap — the
-    // cell of the bounding box's low corner (DESIGN.md §3e).
-    const mobility::TrajectoryBounds b = n.mobility->trajectory_bounds();
-    const std::uint32_t home = shard_map_->home_region(b.lo.x, b.lo.y);
-    home_region_[i] = home;
-
-    sim::Simulator& s = engine_->region(home);
-    net::PacketFactory& f = *factories_[home];
-    n.phy = std::make_unique<phy::WifiPhy>(s, cfg_.phy, id, n.mobility.get());
-    n.mac = std::make_unique<mac::DcfMac>(s, cfg_.mac, addr, *n.phy, f);
-    n.agent = core::make_agent(cfg_.protocol, cfg_.options, s, addr, *n.mac, f,
-                               n.mobility.get());
-    n.sink = std::make_unique<traffic::PacketSink>(s, *n.agent, *registries_[home]);
+    n.phy =
+        std::make_unique<phy::WifiPhy>(sim_, cfg_.phy, id, n.mobility.get());
+    n.mac =
+        std::make_unique<mac::DcfMac>(sim_, cfg_.mac, addr, *n.phy, factory_);
+    n.agent = core::make_agent(cfg_.protocol, cfg_.options, sim_, addr, *n.mac,
+                               factory_, n.mobility.get());
+    n.sink = std::make_unique<traffic::PacketSink>(sim_, *n.agent, registry_);
   }
-
-  // Every region channel registers every radio — home radios via
-  // attach (which binds the phy to that channel), the rest via
-  // attach_remote — in the same global node order, so attach indices
-  // agree across regions and delivery iteration order is a pure
-  // function of geometry.
-  const std::uint32_t regions = engine_->region_count();
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    for (std::uint32_t r = 0; r < regions; ++r) {
-      if (r == home_region_[i]) {
-        channels_[r]->attach(nodes_[i].phy.get());
-      } else {
-        channels_[r]->attach_remote(nodes_[i].phy.get());
-      }
-    }
-  }
-  if (regions == 1) return;  // no cross-region traffic, no router
-  std::vector<phy::WirelessChannel*> channels;
-  std::vector<net::PacketFactory*> factories;
-  for (std::uint32_t r = 0; r < regions; ++r) {
-    channels.push_back(channels_[r].get());
-    factories.push_back(factories_[r].get());
-  }
-  router_ = std::make_unique<phy::ShardRouter>(home_region_, std::move(channels),
-                                               std::move(factories));
-  for (std::uint32_t r = 0; r < regions; ++r) {
-    channels_[r]->set_shard_router(router_.get(), r);
-  }
-  engine_->set_barrier_hook(router_.get());
+  for (NodeStack& n : nodes_) channel_.attach(n.phy.get());
 }
 
 void Scenario::build_traffic() {
@@ -318,10 +196,6 @@ void Scenario::build_traffic() {
     const auto [src, dst] = flow_pairs_[i];
     const sim::Time start = starts[i];
     const std::uint32_t fid = flow_id++;
-    const std::uint32_t home = home_region_[src];
-    sim::Simulator& s = engine_->region(home);
-    net::PacketFactory& f = *factories_[home];
-    traffic::FlowRegistry& reg = *registries_[home];
     switch (cfg_.traffic.model) {
       case TrafficSpec::Model::kPoissonOnOff: {
         traffic::PoissonOnOffConfig fc;
@@ -334,7 +208,7 @@ void Scenario::build_traffic() {
         fc.start = start;
         fc.stop = stop;
         onoff_sources_.push_back(std::make_unique<traffic::PoissonOnOffSource>(
-            s, fc, *nodes_[src].agent, f, reg));
+            sim_, fc, *nodes_[src].agent, factory_, registry_));
         break;
       }
       case TrafficSpec::Model::kHeavyTailOnOff: {
@@ -349,7 +223,7 @@ void Scenario::build_traffic() {
         fc.start = start;
         fc.stop = stop;
         heavy_sources_.push_back(std::make_unique<traffic::HeavyTailOnOffSource>(
-            s, fc, *nodes_[src].agent, f, reg));
+            sim_, fc, *nodes_[src].agent, factory_, registry_));
         break;
       }
       case TrafficSpec::Model::kSessions: {
@@ -371,7 +245,7 @@ void Scenario::build_traffic() {
         fc.envelope = traffic::RateEnvelope(cfg_.traffic.rate_envelope,
                                             cfg_.warmup.to_seconds());
         session_sources_.push_back(std::make_unique<traffic::SessionSource>(
-            s, fc, *nodes_[src].agent, f, reg));
+            sim_, fc, *nodes_[src].agent, factory_, registry_));
         break;
       }
       case TrafficSpec::Model::kCbr: {
@@ -383,17 +257,9 @@ void Scenario::build_traffic() {
         fc.start = start;
         fc.stop = stop;
         cbr_sources_.push_back(std::make_unique<traffic::CbrSource>(
-            s, fc, *nodes_[src].agent, f, reg));
+            sim_, fc, *nodes_[src].agent, factory_, registry_));
         break;
       }
-    }
-    // The source registered the flow in src's home-region registry;
-    // deliveries are recorded by the sink in DST's home region, whose
-    // registry must know the flow too (record_delivery drops unknown
-    // flow ids as stray). The two records merge after the run.
-    if (home_region_[dst] != home) {
-      registries_[home_region_[dst]]->register_flow(fid, net::Address(src),
-                                                    net::Address(dst));
     }
   }
 }
@@ -405,42 +271,32 @@ void Scenario::run() {
   // how long the run took on the host, is reported as wall_seconds, and
   // never feeds an event time, a seed, or a routing decision.
   const auto t0 = std::chrono::steady_clock::now();  // NOLINT(wmn-nondeterminism)
-  engine_->run_until(horizon);
+  sim_.run_until(horizon);
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(wmn-nondeterminism)
   wall_seconds_ = std::chrono::duration<double>(t1 - t0).count();
   // A run cut short by supervision produced a truncated trace, not a
   // measurement: surface the structured reason, never partial metrics.
-  const sim::Simulator::AbortReason reason = engine_->abort_reason();
+  const sim::Simulator::AbortReason reason = sim_.abort_reason();
   if (reason != sim::Simulator::AbortReason::kNone) {
-    // Where the run stopped: the latest region clock.
-    sim::Time stopped_at = sim::Time::zero();
-    for (std::uint32_t r = 0; r < engine_->region_count(); ++r) {
-      stopped_at = std::max(stopped_at, engine_->region(r).now());
-    }
-    const std::string at = std::to_string(stopped_at.to_seconds()) + "s";
+    const std::string at = std::to_string(sim_.now().to_seconds()) + "s";
     if (reason == sim::Simulator::AbortReason::kEventBudget) {
       throw RunAborted(FailureKind::kEventBudgetExhausted,
-                       "event budget (" + std::to_string(engine_->event_budget()) +
+                       "event budget (" + std::to_string(sim_.event_budget()) +
                            " events) exhausted at t=" + at);
     }
     throw RunAborted(FailureKind::kDeadlineExceeded,
                      "cancelled by the run supervisor at t=" + at);
-  }
-  // Fold the other regions' registries into region 0's, so metrics()
-  // and flows() read one structure.
-  for (std::size_t r = 1; r < registries_.size(); ++r) {
-    registries_.front()->merge_from(*registries_[r]);
   }
   ran_ = true;
 }
 
 RunMetrics Scenario::metrics() const {
   WMN_CHECK(ran_, "metrics() before run()");
-  const traffic::FlowRegistry& registry = *registries_.front();
+  const traffic::FlowRegistry& registry = registry_;
   RunMetrics m;
   m.seed = cfg_.seed;
   m.wall_seconds = wall_seconds_;
-  m.sim_event_count = static_cast<double>(engine_->events_executed());
+  m.sim_event_count = static_cast<double>(sim_.events_executed());
   m.check_violations = core::check_violations() - check_violations_before_;
 
   m.data_sent = registry.total_sent();
@@ -538,7 +394,7 @@ RunMetrics Scenario::metrics() const {
     m.fault_rejoins = fc.rejoins;
     m.fault_blackouts = fc.blackouts;
     m.fault_downtime_s =
-        timeline_->total_node_downtime(engine_->now()).to_seconds();
+        timeline_->total_node_downtime(sim_.now()).to_seconds();
 
     m.sent_during_outage = registry.sent_during_outage();
     m.delivered_during_outage = registry.delivered_during_outage();

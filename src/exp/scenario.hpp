@@ -1,9 +1,9 @@
 // Scenario: the top-level facade assembling a complete mesh simulation.
 //
 // One Scenario = one network (placement + radios + MACs + routing
-// agents + traffic) inside one sim::ShardedSimulator — by default a
-// single region, i.e. one calendar run inline. Construction wires
-// everything; run() executes; metrics() aggregates the paper's
+// agents + traffic) on one sim::Simulator, one phy::WirelessChannel,
+// one net::PacketFactory and one traffic::FlowRegistry. Construction
+// wires everything; run() executes; metrics() aggregates the paper's
 // quantities. Scenarios are self-contained and share nothing, so the
 // sweep layer runs them concurrently on a thread pool.
 #pragma once
@@ -17,9 +17,7 @@
 #include "fault/fault_timeline.hpp"
 #include "mobility/mobility_model.hpp"
 #include "phy/channel.hpp"
-#include "phy/shard_router.hpp"
-#include "sim/shard_map.hpp"
-#include "sim/sharded_simulator.hpp"
+#include "sim/simulator.hpp"
 #include "traffic/cbr_source.hpp"
 #include "traffic/flow_builder.hpp"
 #include "traffic/heavy_tail_source.hpp"
@@ -125,19 +123,6 @@ struct ScenarioConfig {
   // to benchmark the full O(N^2) scan or to isolate a suspected index
   // bug.
   bool spatial_index = true;
-
-  // Intra-run sharding (conservative PDES; DESIGN.md §3e). 0 (the
-  // default) runs one region: one whole-horizon epoch, run inline on
-  // the caller's thread. N >= 1 partitions the area into a FIXED set
-  // of contiguous grid-cell regions (a pure function of geometry,
-  // never of N) and advances them in parallel epochs on min(N,
-  // regions) worker threads; cross-region deliveries merge at epoch
-  // barriers in a fixed total order, so the fingerprint is
-  // bit-identical for every N >= 1. Configurations the engine cannot
-  // shard safely (mobile nodes, unbounded detection range,
-  // spatial_index off) log a warning and degrade to one region —
-  // still deterministic, never a wrong answer.
-  std::uint32_t intra_run_shards = 0;
 };
 
 class Scenario {
@@ -154,38 +139,26 @@ class Scenario {
   // measurement, so no metrics survive an abort.
   void run();
 
-  // Cooperative cancellation: every region polls `token` every
+  // Cooperative cancellation: the simulator polls `token` every
   // `poll_every` events (see sim::Simulator::set_cancel_token). The
   // token must outlive run(); pass nullptr to detach.
   void set_cancel_token(const sim::CancelToken* token,
                         std::uint64_t poll_every = 1024) {
-    engine_->set_cancel_token(token, poll_every);
+    sim_.set_cancel_token(token, poll_every);
   }
 
   // Aggregate metrics; valid after run().
   [[nodiscard]] RunMetrics metrics() const;
 
   // --- component access (tests, examples, custom experiments) ---------
-  [[nodiscard]] sim::ShardedSimulator& engine() { return *engine_; }
-  // Region 0's simulator, channel and packet factory. With one region
-  // (every scenario that does not shard) they are the whole engine.
-  [[nodiscard]] sim::Simulator& simulator() { return engine_->region(0); }
-  [[nodiscard]] phy::WirelessChannel& channel() { return *channels_.front(); }
-  [[nodiscard]] net::PacketFactory& packet_factory() {
-    return *factories_.front();
-  }
-  // Node i's home region.
-  [[nodiscard]] const std::vector<std::uint32_t>& home_regions() const {
-    return home_region_;
-  }
+  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
+  [[nodiscard]] phy::WirelessChannel& channel() { return channel_; }
+  [[nodiscard]] net::PacketFactory& packet_factory() { return factory_; }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] routing::AodvAgent& agent(std::size_t i) { return *nodes_[i].agent; }
   [[nodiscard]] mac::DcfMac& node_mac(std::size_t i) { return *nodes_[i].mac; }
   [[nodiscard]] phy::WifiPhy& node_phy(std::size_t i) { return *nodes_[i].phy; }
-  // Before run() ends, region 0's flows only; run() merges the rest.
-  [[nodiscard]] const traffic::FlowRegistry& flows() const {
-    return *registries_.front();
-  }
+  [[nodiscard]] const traffic::FlowRegistry& flows() const { return registry_; }
   [[nodiscard]] const std::vector<traffic::NodePair>& flow_pairs() const {
     return flow_pairs_;
   }
@@ -215,9 +188,7 @@ class Scenario {
       bytes += sizeof(NodeStack) + n.phy->memory_bytes() +
                n.mac->memory_bytes() + n.agent->memory_bytes();
     }
-    // Every region channel sees every radio, so the per-region tables
-    // genuinely replicate — the rollup charges all of them.
-    for (const auto& ch : channels_) bytes += ch->memory_bytes();
+    bytes += channel_.memory_bytes();
     return bytes / nodes_.size();
   }
 
@@ -230,30 +201,25 @@ class Scenario {
     std::unique_ptr<traffic::PacketSink> sink;
   };
 
-  void build_engine();
   void build_nodes();
   void build_traffic();
   void build_fault_timeline();
   [[nodiscard]] std::unique_ptr<phy::PropagationModel> make_propagation() const;
 
   ScenarioConfig cfg_;
-  // The region simulators own the calendars every component schedules
-  // on, so they are declared first — destroyed after everything else.
-  std::unique_ptr<sim::ShardMap> shard_map_;
-  std::unique_ptr<sim::ShardedSimulator> engine_;
-  // Per-region arenas/registries outlive the node stacks and channels
-  // below (parked packets release arena references at channel
-  // teardown).
-  std::vector<std::unique_ptr<net::PacketFactory>> factories_;
-  std::vector<std::unique_ptr<traffic::FlowRegistry>> registries_;
-  std::vector<std::uint32_t> home_region_;  // per node
-  // nodes_ before channels_: a channel's spatial index detaches from
+  // The simulator owns the calendar every component schedules on, so
+  // it is declared first — destroyed after everything else.
+  sim::Simulator sim_;
+  // The arena/registry outlive the node stacks and channel below
+  // (parked packets release arena references at channel teardown).
+  net::PacketFactory factory_;
+  traffic::FlowRegistry registry_;
+  // nodes_ before channel_: the channel's spatial index detaches from
   // the mobility models in its destructor, so it must die first.
   std::vector<NodeStack> nodes_;
-  std::vector<std::unique_ptr<phy::WirelessChannel>> channels_;
-  std::unique_ptr<phy::ShardRouter> router_;  // null with one region
+  phy::WirelessChannel channel_;
   std::unique_ptr<fault::FaultTimeline> timeline_;
-  std::vector<std::unique_ptr<fault::TimelineOverlay>> overlays_;
+  std::unique_ptr<fault::TimelineOverlay> overlay_;
   std::vector<traffic::NodePair> flow_pairs_;
   std::vector<std::uint32_t> gateways_;
   std::vector<std::unique_ptr<traffic::CbrSource>> cbr_sources_;

@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
-#include <stdexcept>
 
 namespace wmn::exp {
 
 TimeseriesProbe::TimeseriesProbe(Scenario& scenario, sim::Time interval,
                                  sim::Time start)
     : scenario_(scenario), interval_(interval) {
-  // The probe samples on region 0's calendar. With several regions it
-  // would read the other regions' nodes mid-epoch, from another thread.
-  if (scenario_.engine().region_count() > 1) {
-    throw std::invalid_argument(
-        "time-series probe needs a one-region engine: it cannot sample a "
-        "scenario sharded into several regions");
-  }
   scenario_.simulator().schedule_at(start, [this] { sample(); });
 }
 

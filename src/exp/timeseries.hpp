@@ -27,8 +27,6 @@ struct TimeSample {
 class TimeseriesProbe {
  public:
   // Samples every `interval` from `start` until the simulation ends.
-  // Throws std::invalid_argument for a scenario sharded into more than
-  // one region (intra_run_shards > 0 on a static mesh).
   TimeseriesProbe(Scenario& scenario, sim::Time interval,
                   sim::Time start = sim::Time::zero());
 

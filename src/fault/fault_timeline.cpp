@@ -167,21 +167,20 @@ sim::Time FaultTimeline::total_node_downtime(sim::Time now) const {
   return total;
 }
 
-void schedule_crashes(const FaultTimeline& timeline,
+void schedule_crashes(sim::Simulator& sim, const FaultTimeline& timeline,
                       const std::vector<NodeHooks>& hooks) {
   for (const FaultTimeline::NodeWindow& w : timeline.node_windows()) {
     const NodeHooks& h = hooks[w.node];
-    WMN_CHECK_NOTNULL(h.sim, "crash injection needs the node's simulator");
     WMN_CHECK_NOTNULL(h.agent, "crash injection needs an agent hook");
     WMN_CHECK_NOTNULL(h.mac, "crash injection needs a MAC hook");
     WMN_CHECK_NOTNULL(h.phy, "crash injection needs a phy hook");
-    h.sim->schedule_at(w.down_at, [h] {
+    sim.schedule_at(w.down_at, [h] {
       h.agent->pause();
       h.mac->power_down();
       h.phy->set_up(false);
     });
     if (!w.open) {
-      h.sim->schedule_at(w.up_at, [h] {
+      sim.schedule_at(w.up_at, [h] {
         h.phy->set_up(true);
         h.mac->power_up();
         h.agent->resume();

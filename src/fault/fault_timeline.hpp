@@ -9,13 +9,12 @@
 // consumes its slot. So the timeline replays the crash/churn state
 // machine up front, on a private calendar, to the scenario horizon and
 // freezes the result into immutable windows. Queries take the time as
-// an argument and touch no mutable state, so every region thread of a
-// multi-region run reads them without synchronisation.
+// an argument and touch no mutable state.
 //
 // The layer choreography is separate: schedule_crashes() puts every
-// realized crash and rejoin onto the victim's own simulator at
-// construction time, before the run starts, so those events take the
-// earliest insertion sequence at their timestamp.
+// realized crash and rejoin onto the simulator at construction time,
+// before the run starts, so those events take the earliest insertion
+// sequence at their timestamp.
 #pragma once
 
 #include <cstdint>
@@ -108,16 +107,15 @@ class TimelineOverlay final : public phy::FaultOverlay {
   const sim::Simulator& sim_;
 };
 
-// One node's layers and the simulator they are scheduled on.
+// One node's layers.
 struct NodeHooks {
-  sim::Simulator* sim = nullptr;
   phy::WifiPhy* phy = nullptr;
   mac::DcfMac* mac = nullptr;
   routing::AodvAgent* agent = nullptr;
 };
 
-// Schedules every realized crash and rejoin of `timeline` onto the
-// victim's simulator, hooks[node]:
+// Schedules every realized crash and rejoin of `timeline` onto `sim`,
+// acting on the victim's layers, hooks[node]:
 //
 //   crash:  agent.pause() -> mac.power_down() -> phy.set_up(false)
 //   rejoin: phy.set_up(true) -> mac.power_up() -> agent.resume()
@@ -125,7 +123,7 @@ struct NodeHooks {
 // Routing goes first on the way down so no layer below can call back
 // into a half-dead agent; the order reverses on the way up so every
 // layer an upper one relies on is already alive.
-void schedule_crashes(const FaultTimeline& timeline,
+void schedule_crashes(sim::Simulator& sim, const FaultTimeline& timeline,
                       const std::vector<NodeHooks>& hooks);
 
 }  // namespace wmn::fault

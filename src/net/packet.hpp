@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <typeinfo>
@@ -170,35 +169,7 @@ class Packet {
   void set_flow_info(FlowInfo info) { flow_ = info; }
   [[nodiscard]] const FlowInfo& flow_info() const { return flow_; }
 
-  // Deep copy into `arena` (normally another simulation region's — the
-  // sharded engine re-materialises cross-region deliveries so two
-  // regions never share refcounted nodes; see phy::ShardRouter).
-  // Header payloads are copied bit-for-bit, byte accounting and flow
-  // metadata carry over; the uid comes from the destination factory.
-  [[nodiscard]] Packet clone_into(PacketArena* arena, std::uint64_t new_uid) const {
-    Packet out(arena, new_uid, payload_bytes_, created_);
-    out.header_bytes_ = header_bytes_;
-    out.flow_ = flow_;
-    out.top_ = clone_chain(arena, top_);
-    return out;
-  }
-
  private:
-  // Bottom-up so each fresh node links to an already-cloned tail; the
-  // stack is a handful of headers deep, so recursion is fine.
-  static PacketArena::Node* clone_chain(PacketArena* arena,
-                                        const PacketArena::Node* src) {
-    if (src == nullptr) return nullptr;
-    PacketArena::Node* next = clone_chain(arena, src->next);
-    PacketArena::Node* n = arena->allocate();
-    n->next = next;
-    n->refs = 1;
-    n->wire_size = src->wire_size;
-    n->type = src->type;
-    std::memcpy(n->payload, src->payload, PacketArena::kPayloadCapacity);
-    return n;
-  }
-
   void release() {
     if (top_ != nullptr) {
       arena_->release_chain(top_);
@@ -242,12 +213,6 @@ class PacketFactory {
 
   [[nodiscard]] Packet make(std::uint32_t payload_bytes, sim::Time now) {
     return Packet(arena_, ++next_uid_, payload_bytes, now);
-  }
-
-  // Deep copy of a packet (typically owned by another factory's arena)
-  // into this factory's arena. Counts as a created packet here.
-  [[nodiscard]] Packet clone(const Packet& src) {
-    return src.clone_into(arena_, ++next_uid_);
   }
 
   [[nodiscard]] std::uint64_t packets_created() const { return next_uid_; }

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/check.hpp"
-#include "phy/shard_router.hpp"
 #include "phy/units.hpp"
 
 namespace wmn::phy {
@@ -28,31 +27,6 @@ void WirelessChannel::attach(WifiPhy* phy) {
   // version mismatch invalidate all cached neighbour lists.
   ranges_valid_ = false;
   if (index_ != nullptr) index_->add_node(phy->mobility());
-}
-
-void WirelessChannel::attach_remote(WifiPhy* phy) {
-  WMN_CHECK_NOTNULL(phy, "attach_remote(nullptr)");
-  // No set_channel_index / phy->attach: the home channel owns those.
-  // The table still grows so attach indices stay globally consistent.
-  radios_.push_back(phy);
-  neighbor_caches_.emplace_back();
-  ranges_valid_ = false;
-  if (index_ != nullptr) index_->add_node(phy->mobility());
-}
-
-void WirelessChannel::set_shard_router(ShardRouter* router, std::uint32_t region_id) {
-  router_ = router;
-  region_id_ = region_id;
-}
-
-void WirelessChannel::accept_cross(WifiPhy* rx, net::Packet packet, double p_dbm,
-                                   double p_mw, sim::Time release_at,
-                                   sim::Time duration) {
-  ++counters_.copies_delivered;
-  const std::uint32_t id = open_stream(std::move(packet), duration);
-  streams_[id].copies.push_back(
-      Copy{release_at, sim_.reserve_seq(), p_dbm, p_mw, 0, rx});
-  launch_stream(id);
 }
 
 void WirelessChannel::enable_spatial_index(double area_width_m,
@@ -141,25 +115,23 @@ bool key_before(const Item& a, const Item& b) {
   return a.at < b.at || (a.at == b.at && a.seq < b.seq);
 }
 
+// Spatial index cell size: half the largest finite detection range
+// (<= 0 for "no finite range"), kept between "one cell" and "256 per
+// axis" so neither a huge range nor a huge area degenerates the grid.
+double index_cell_size(double max_finite_range_m, double area_width_m,
+                       double area_height_m) {
+  const double area_max = std::max(area_width_m, area_height_m);
+  double cell = max_finite_range_m > 0.0 ? max_finite_range_m / 2.0 : area_max;
+  cell = std::clamp(cell, area_max / 256.0, area_max);
+  return std::max(cell, 1.0);
+}
+
 }  // namespace
 
-bool WirelessChannel::add_copy(std::uint32_t id, WifiPhy* rx, double p_dbm,
-                               double p_mw, sim::Time now, sim::Time delay) {
-  // Sharded runs route receivers homed in another region through the
-  // barrier-merged inboxes; the channel that runs a copy's stream
-  // counts it (accept_cross on the receiver's side).
-  if (router_ != nullptr) {
-    const std::uint32_t dst = router_->region_of(rx->node_id());
-    if (dst != region_id_) {
-      const Stream& s = streams_[id];
-      router_->post(region_id_, dst, rx, *s.packet, p_dbm, p_mw, now + delay,
-                    s.duration);
-      return false;
-    }
-  }
+void WirelessChannel::add_copy(WifiPhy* rx, double p_dbm, double p_mw,
+                               sim::Time delay) {
   ++counters_.copies_delivered;
   pending_.push_back(Pending{rx, p_dbm, p_mw, delay});
-  return true;
 }
 
 void WirelessChannel::push_copy(std::uint32_t id, sim::Time now,
@@ -306,8 +278,7 @@ void WirelessChannel::build_spatial_index() {
   for (const double r : radio_range_m_) {
     if (std::isfinite(r)) max_range = std::max(max_range, r);
   }
-  const double cell =
-      SpatialIndex::cell_size_for(max_range, area_width_m_, area_height_m_);
+  const double cell = index_cell_size(max_range, area_width_m_, area_height_m_);
   index_ = std::make_unique<SpatialIndex>(area_width_m_, area_height_m_, cell);
   for (const WifiPhy* phy : radios_) index_->add_node(phy->mobility());
 }
@@ -405,11 +376,11 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
   const std::size_t n = nc.rx_index.size();
   const std::uint32_t id = open_stream(packet, duration);
 
-  if (nc.n_live == 0 && router_ == nullptr) {
-    // Static mesh: every budget is memoised and every copy is local, so
-    // the i-th candidate takes the i-th seq of one reserved block and
-    // the cached order is the stream's begin order — no propagation
-    // math, no unit conversions, no sort.
+  if (nc.n_live == 0) {
+    // Static mesh: every budget is memoised, so the i-th candidate
+    // takes the i-th seq of one reserved block and the cached order is
+    // the stream's begin order — no propagation math, no unit
+    // conversions, no sort.
     counters_.copies_delivered += n;
     const std::uint64_t first_seq = sim_.reserve_seq(n);
     std::vector<Copy>& copies = streams_[id].copies;
@@ -421,10 +392,9 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
     return;
   }
 
-  // Mixed cache (or a sharded run, whose remote copies go to the
-  // router): batch the mobile candidates through the kernel, then merge
-  // with the memoised ones in ascending attach order (the order the
-  // full scan visits, so every copy takes the same rank and seq).
+  // Mixed cache: batch the mobile candidates through the kernel, then
+  // merge with the memoised ones in ascending attach order (the order
+  // the full scan visits, so every copy takes the same rank and seq).
   batch_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (nc.is_cached[i] == 0) {
@@ -458,8 +428,8 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
       }
       p_mw = dbm_to_mw(p_dbm);
     }
-    const auto rank = static_cast<std::uint32_t>(pending_.size());
-    if (add_copy(id, rx, p_dbm, p_mw, now, slot.delay)) slot.rank = rank;
+    slot.rank = static_cast<std::uint32_t>(pending_.size());
+    add_copy(rx, p_dbm, p_mw, slot.delay);
   }
   launch_reordered(id, now, nc);
 }
@@ -509,7 +479,7 @@ void WirelessChannel::transmit_full_scan(const WifiPhy& src,
       ++counters_.copies_dropped_floor;
       continue;
     }
-    add_copy(id, rx, p_dbm, dbm_to_mw(p_dbm), now,
+    add_copy(rx, p_dbm, dbm_to_mw(p_dbm),
              sim::Time::seconds(batch_.distance_m[i] / kSpeedOfLight));
   }
   launch_pending(id, now);
@@ -537,7 +507,7 @@ void WirelessChannel::transmit_fault_scan(const WifiPhy& src,
       ++counters_.copies_dropped_floor;
       continue;
     }
-    add_copy(id, rx, p_dbm, dbm_to_mw(p_dbm), now,
+    add_copy(rx, p_dbm, dbm_to_mw(p_dbm),
              sim::Time::seconds(link_distance_m(tx_pos, rx_pos) / kSpeedOfLight));
   }
   launch_pending(id, now);

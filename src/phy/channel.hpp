@@ -9,10 +9,10 @@
 //
 // Arrival streams: a transmission's per-receiver copies do not become
 // calendar events of their own. Each transmission opens one stream
-// holding the frame's single packet copy and one entry per local
-// receiver above the floor. An entry is first the copy's begin (keyed
-// by its arrival time and a calendar seq from one block reserved per
-// transmission: a copy's seq is its rank among the local copies in
+// holding the frame's single packet copy and one entry per receiver
+// above the floor. An entry is first the copy's begin (keyed by its
+// arrival time and a calendar seq from one block reserved per
+// transmission: a copy's seq is its rank among the copies in
 // candidate order, exactly the seq a per-copy delivery event would
 // have taken); once begun it becomes the copy's end, keyed by
 // begin + air time and the seq WifiPhy::begin_arrival reserved. Begins
@@ -29,9 +29,9 @@
 // delay and seqs grow with rank. Sorts compare packed 64-bit
 // (delay_ns << 24 | index) keys, so they compare plain integers. A
 // static neighbour list stores its order once per cache rebuild. An
-// indexed list with live links (or a sharded source) re-sorts the
-// order its previous transmission left, which is nearly sorted
-// already. The full and fault scans sort from scratch.
+// indexed list with live links re-sorts the order its previous
+// transmission left, which is nearly sorted already. The full and
+// fault scans sort from scratch.
 //
 // Streams live in a free-listed pool; the calendar event captures only
 // (this, stream index), and nothing holds a reference into the pool
@@ -79,8 +79,6 @@
 
 namespace wmn::phy {
 
-class ShardRouter;
-
 class WirelessChannel {
  public:
   WirelessChannel(sim::Simulator& simulator,
@@ -91,27 +89,6 @@ class WirelessChannel {
 
   // Register a radio. The radio must outlive the channel's use of it.
   void attach(WifiPhy* phy);
-
-  // --- sharded engine hooks (see phy/shard_router.hpp) ----------------
-  // Register a radio homed in ANOTHER region as a delivery candidate:
-  // grows the radio table, caches, and spatial index, but never takes
-  // ownership — the phy keeps transmitting through its home channel.
-  // Regions must attach/attach_remote in the same global node order so
-  // attach indices agree on every region channel.
-  void attach_remote(WifiPhy* phy);
-
-  // Install the cross-region router and this channel's region id. With
-  // a router installed, every transmission forwards each receiver homed
-  // elsewhere to the router instead of its local arrival stream.
-  void set_shard_router(ShardRouter* router, std::uint32_t region_id);
-
-  // Router re-entry on the destination region: a re-materialised
-  // cross-region copy becomes a one-item arrival stream that begins at
-  // `release_at` (>= the physical arrival; see DESIGN.md §3e). Runs on
-  // the coordinating thread at an epoch barrier, with every worker
-  // parked.
-  void accept_cross(WifiPhy* rx, net::Packet packet, double p_dbm, double p_mw,
-                    sim::Time release_at, sim::Time duration);
 
   // Broadcast `packet` from `src` to every other attached radio.
   // Called by WifiPhy::send(); not part of the public user API.
@@ -187,7 +164,7 @@ class WirelessChannel {
   };
   static constexpr std::uint32_t kNilStream = 0xFFFFFFFFu;
 
-  // A local copy above the floor, queued in candidate order while one
+  // A copy above the floor, queued in candidate order while one
   // transmission is evaluated. Its index in pending_ is its rank: the
   // offset of its seq in the block the launch reserves.
   struct Pending {
@@ -249,11 +226,9 @@ class WirelessChannel {
   };
 
   std::uint32_t open_stream(net::Packet packet, sim::Time duration);
-  // Account one copy above the floor, in candidate order: post it to
-  // the router if its receiver is homed elsewhere (returns false), else
-  // queue it in pending_ (returns true).
-  bool add_copy(std::uint32_t id, WifiPhy* rx, double p_dbm, double p_mw,
-                sim::Time now, sim::Time delay);
+  // Account one copy above the floor and queue it in pending_, in
+  // candidate order.
+  void add_copy(WifiPhy* rx, double p_dbm, double p_mw, sim::Time delay);
   // Scans: sort pending_ by packed (delay, rank) keys, reserve one seq
   // block, move the copies into the stream in begin order and launch.
   void launch_pending(std::uint32_t id, sim::Time now);
@@ -286,8 +261,6 @@ class WirelessChannel {
   sim::Simulator& sim_;
   std::unique_ptr<PropagationModel> propagation_;
   const FaultOverlay* fault_ = nullptr;
-  ShardRouter* router_ = nullptr;
-  std::uint32_t region_id_ = 0;
   std::vector<WifiPhy*> radios_;
   // Per-transmission scratch for the begin order.
   std::vector<Pending> pending_;

@@ -28,35 +28,15 @@ double min_box_distance(const mobility::TrajectoryBounds& a,
 
 }  // namespace
 
-double SpatialIndex::cell_size_for(double max_finite_range_m, double area_width_m,
-                                   double area_height_m) {
-  const double area_max = std::max(area_width_m, area_height_m);
-  double cell = max_finite_range_m > 0.0 ? max_finite_range_m / 2.0 : area_max;
-  // Keep the grid between "one cell" and "256 per axis" so neither a
-  // huge range nor a huge area degenerates it.
-  cell = std::clamp(cell, area_max / 256.0, area_max);
-  return std::max(cell, 1.0);
-}
-
-SpatialIndex::Grid SpatialIndex::grid_for(double area_width_m, double area_height_m,
-                                          double cell_size_m) {
-  Grid g;
-  g.cell_m = cell_size_m;
-  g.nx = static_cast<std::uint32_t>(
-      std::max(1.0, std::ceil(area_width_m / cell_size_m)));
-  g.ny = static_cast<std::uint32_t>(
-      std::max(1.0, std::ceil(area_height_m / cell_size_m)));
-  return g;
-}
-
 SpatialIndex::SpatialIndex(double area_width_m, double area_height_m,
                            double cell_size_m)
     : cell_size_m_(cell_size_m) {
   WMN_CHECK(area_width_m > 0.0 && area_height_m > 0.0 && cell_size_m > 0.0,
             "spatial index needs a positive area and cell size");
-  const Grid g = grid_for(area_width_m, area_height_m, cell_size_m);
-  nx_ = g.nx;
-  ny_ = g.ny;
+  nx_ = static_cast<std::uint32_t>(
+      std::max(1.0, std::ceil(area_width_m / cell_size_m)));
+  ny_ = static_cast<std::uint32_t>(
+      std::max(1.0, std::ceil(area_height_m / cell_size_m)));
   cells_.resize(static_cast<std::size_t>(nx_) * ny_);
 }
 

@@ -42,24 +42,6 @@ class SpatialIndex final : public mobility::MotionListener {
   SpatialIndex(double area_width_m, double area_height_m, double cell_size_m);
   ~SpatialIndex() override;
 
-  // --- shared grid geometry -------------------------------------------
-  // The sharded engine's region map (sim::ShardMap) must tile the exact
-  // same cells as the delivery index, so the geometry rules are exposed
-  // as pure static functions instead of living inline in the channel.
-  struct Grid {
-    std::uint32_t nx = 1;
-    std::uint32_t ny = 1;
-    double cell_m = 1.0;
-  };
-  // The channel's cell-size rule: half the largest finite detection
-  // range (pass <= 0 for "no finite range"), clamped so neither a huge
-  // range nor a huge area degenerates the grid.
-  [[nodiscard]] static double cell_size_for(double max_finite_range_m,
-                                            double area_width_m,
-                                            double area_height_m);
-  [[nodiscard]] static Grid grid_for(double area_width_m, double area_height_m,
-                                     double cell_size_m);
-
   SpatialIndex(const SpatialIndex&) = delete;
   SpatialIndex& operator=(const SpatialIndex&) = delete;
 

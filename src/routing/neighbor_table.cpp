@@ -67,9 +67,7 @@ double NeighborTable::mean_neighbor_load() const {
   // a load-index sum whose operands come from one node's serial event
   // stream, so for a given (binary, seed) the visit order — and hence
   // the floating-point rounding — is a pure function of the insertion
-  // history. No event or packet is emitted per element. Revisit if the
-  // event loop is ever sharded (insertion history would then depend on
-  // shard count).
+  // history. No event or packet is emitted per element.
   // NOLINTNEXTLINE(wmn-unordered-iteration)
   for (const auto& [addr, info] : neighbors_) sum += info.load_index;
   return sum / static_cast<double>(neighbors_.size());

@@ -3,7 +3,7 @@
 //
 // One Simulator instance = one independent simulation run. The kernel
 // is strictly single-threaded; experiment-level parallelism runs many
-// Simulator instances concurrently (see exp::ParallelRunner), which is
+// Simulator instances concurrently (see exp::SweepEngine), which is
 // safe because instances share no mutable state.
 #pragma once
 

@@ -71,38 +71,6 @@ void FlowRegistry::record_delivery(std::uint32_t flow_id, std::uint64_t seq,
   if (seq > r.highest_seq_delivered) r.highest_seq_delivered = seq;
 }
 
-void FlowRegistry::merge_from(const FlowRegistry& other) {
-  for (const auto& [id, src] : other.flows_) {
-    auto it = flows_.find(id);
-    if (it == flows_.end()) {
-      flows_[id] = src;
-      continue;
-    }
-    FlowRecord& r = it->second;
-    r.sent += src.sent;
-    r.sent_bytes += src.sent_bytes;
-    if (src.any_delivered || src.duplicates != 0 || src.out_of_order != 0) {
-      WMN_CHECK(!r.any_delivered && r.duplicates == 0 && r.out_of_order == 0,
-                "flow delivered in two region registries");
-      r.delivered = src.delivered;
-      r.delivered_bytes = src.delivered_bytes;
-      r.duplicates = src.duplicates;
-      r.out_of_order = src.out_of_order;
-      r.delay_mean_s = src.delay_mean_s;
-      r.delay_m2 = src.delay_m2;
-      r.jitter_mean_s = src.jitter_mean_s;
-      r.jitter_count = src.jitter_count;
-      r.last_delay_s = src.last_delay_s;
-      r.highest_seq_delivered = src.highest_seq_delivered;
-      r.any_delivered = src.any_delivered;
-      r.first_delivery = src.first_delivery;
-      r.last_delivery = src.last_delivery;
-    }
-  }
-  sent_during_outage_ += other.sent_during_outage_;
-  delivered_during_outage_ += other.delivered_during_outage_;
-}
-
 const FlowRecord* FlowRegistry::find(std::uint32_t flow_id) const {
   auto it = flows_.find(flow_id);
   return it == flows_.end() ? nullptr : &it->second;

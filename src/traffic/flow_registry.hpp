@@ -82,14 +82,6 @@ class FlowRegistry {
   [[nodiscard]] const FlowRecord* find(std::uint32_t flow_id) const;
   [[nodiscard]] std::vector<FlowRecord> snapshot() const;
 
-  // Fold another registry's records into this one (the sharded engine
-  // keeps one registry per region and merges after the run). A flow
-  // present in both registries has its send-side counters summed; its
-  // delivery-side block (Welford/jitter/sequence state) is taken from
-  // whichever registry saw deliveries — a flow's sink lives in exactly
-  // one region, so at most one side may have any_delivered set.
-  void merge_from(const FlowRegistry& other);
-
   // Aggregates over all flows.
   [[nodiscard]] std::uint64_t total_sent() const;
   [[nodiscard]] std::uint64_t total_delivered() const;

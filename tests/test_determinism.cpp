@@ -200,89 +200,6 @@ TEST(Determinism, PoolVsSerialFingerprintsProductionWorkload) {
   }
 }
 
-// The sharded engine's tentpole contract (DESIGN.md §3e): the region
-// decomposition and epoch schedule are pure functions of the scenario
-// config, shard count only sets the worker-thread count over them —
-// so the same seed must produce bit-identical fingerprints for every
-// shard count, including 1. The macro-style geometry here actually
-// tiles into multiple regions (asserted), so cross-region inbox
-// merging is genuinely exercised.
-TEST(Determinism, ShardCountInvarianceMacro) {
-  std::uint64_t fp = 0;
-  std::uint64_t events = 0;
-  bool first = true;
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    exp::ScenarioConfig cfg;
-    cfg.n_nodes = 400;
-    cfg.area_width_m = 2000.0;
-    cfg.area_height_m = 2000.0;
-    cfg.traffic.n_flows = 40;
-    cfg.traffic.rate_pps = 4.0;
-    cfg.warmup = sim::Time::seconds(2.0);
-    cfg.traffic_time = sim::Time::seconds(2.0);
-    cfg.drain = sim::Time::seconds(1.0);
-    cfg.seed = 1000;
-    cfg.intra_run_shards = shards;
-    exp::Scenario s(cfg);
-    ASSERT_GT(s.engine().region_count(), 1u) << "geometry must shard";
-    s.run();
-    const std::uint64_t run_fp = exp::fingerprint(s.metrics());
-    const std::uint64_t run_events = s.engine().events_executed();
-    if (first) {
-      fp = run_fp;
-      events = run_events;
-      first = false;
-      EXPECT_GT(run_events, 0u);
-    } else {
-      EXPECT_EQ(run_fp, fp) << "shards=" << shards;
-      EXPECT_EQ(run_events, events) << "shards=" << shards;
-    }
-  }
-}
-
-// Same contract over the F11 production workload: gateway pattern,
-// per-user session aggregation, a flash-crowd rate envelope, and
-// seeded churn (a fault::FaultTimeline read by every region) all
-// running at once.
-TEST(Determinism, ShardCountInvarianceProductionWorkload) {
-  std::uint64_t fp = 0;
-  bool first = true;
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    exp::ScenarioConfig cfg = mid_size_config(42, core::Protocol::kClnlr);
-    cfg.n_nodes = 49;
-    cfg.area_width_m = 700.0;
-    cfg.area_height_m = 700.0;
-    cfg.traffic.pattern = exp::TrafficSpec::Pattern::kGateway;
-    cfg.traffic.n_gateways = 2;
-    cfg.traffic.n_flows = 5;
-    cfg.traffic.model = exp::TrafficSpec::Model::kSessions;
-    cfg.traffic.mean_arrival_gap_s = 1.0;
-    cfg.traffic.users_per_node = 500;
-    cfg.traffic.session_rate_per_user_per_s = 0.004;
-    cfg.traffic.mean_session_pkts = 8.0;
-    cfg.traffic.rate_envelope = {{0.0, 1.0}, {2.0, 1.0}, {3.0, 6.0},
-                                 {5.0, 6.0}, {6.0, 1.0}};
-    cfg.traffic_time = sim::Time::seconds(8.0);
-    cfg.fault.churn.rate_per_s = 0.5;
-    cfg.fault.churn.mean_downtime = sim::Time::seconds(2.0);
-    cfg.fault.churn.start = cfg.warmup;
-    cfg.fault.churn.stop = cfg.warmup + cfg.traffic_time;
-    cfg.intra_run_shards = shards;
-    exp::Scenario s(cfg);
-    s.run();
-    const exp::RunMetrics m = s.metrics();
-    EXPECT_TRUE(m.fault_enabled);
-    EXPECT_GT(m.sessions_started, 0u);
-    const std::uint64_t run_fp = exp::fingerprint(m);
-    if (first) {
-      fp = run_fp;
-      first = false;
-    } else {
-      EXPECT_EQ(run_fp, fp) << "shards=" << shards;
-    }
-  }
-}
-
 TEST(Determinism, FingerprintOrderSensitive) {
   sim::Fingerprint a;
   a.mix(std::uint64_t{1});

@@ -67,9 +67,9 @@ struct FaultBed {
     std::vector<NodeHooks> hooks;
     hooks.reserve(agents.size());
     for (std::size_t i = 0; i < agents.size(); ++i) {
-      hooks.push_back({&sim, phys[i].get(), macs[i].get(), agents[i].get()});
+      hooks.push_back({phys[i].get(), macs[i].get(), agents[i].get()});
     }
-    schedule_crashes(*timeline, hooks);
+    schedule_crashes(sim, *timeline, hooks);
   }
 
   void send(std::size_t from, std::size_t to, std::uint32_t bytes = 256) {

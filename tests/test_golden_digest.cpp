@@ -1,4 +1,4 @@
-// Golden digests: exact fingerprints of ten pinned configurations.
+// Golden digests: exact fingerprints of nine pinned configurations.
 //
 // test_determinism proves a run repeats itself; it cannot notice a
 // change that moves every run the same way. These digests were
@@ -9,10 +9,10 @@
 //
 // The configurations are the simulator benchmark's four workloads
 // (simbench/simbench.cpp) at seed 1000, cut to 2 s of warm-up, 3 s of
-// traffic and 1 s of drain, plus six variants that take the channel
+// traffic and 1 s of drain, plus five variants that take the channel
 // paths those four never reach: the full scan (spatial index off), the
-// fault scan (churn and an outage), RTS/CTS, the sharded engine,
-// log-normal shadowing and link blackouts.
+// fault scan (churn and an outage), RTS/CTS, log-normal shadowing and
+// link blackouts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -81,7 +81,8 @@ std::unique_ptr<exp::Scenario> expect_golden(const exp::ScenarioConfig& cfg,
                                              Golden want) {
   auto s = std::make_unique<exp::Scenario>(cfg);
   s->run();
-  const Golden got{s->engine().events_executed(), exp::fingerprint(s->metrics())};
+  const Golden got{s->simulator().events_executed(),
+                   exp::fingerprint(s->metrics())};
   EXPECT_EQ(got.events, want.events);
   EXPECT_EQ(got.digest, want.digest)
       << "fingerprint drifted: got 0x" << std::hex << got.digest;
@@ -128,12 +129,6 @@ TEST(GoldenDigest, Mesh100RtsCts) {
   expect_golden(cfg, {1171272, 0xe80b212480cef4cf});
 }
 
-TEST(GoldenDigest, Mesh400TwoShards) {
-  exp::ScenarioConfig cfg = mesh400();
-  cfg.intra_run_shards = 2;
-  expect_golden(cfg, {9785092, 0xa6eb831c8a4eadc0});
-}
-
 // Two bidirectional 30 dB link blackouts on a mobile mesh. The
 // second digest zeroes sim_event_count, so it pins every other field
 // apart from the event count.
@@ -153,7 +148,7 @@ TEST(GoldenDigest, Mobile100Blackouts) {
   exp::Scenario s(cfg);
   s.run();
   exp::RunMetrics m = s.metrics();
-  EXPECT_EQ(s.engine().events_executed(), 804500u);
+  EXPECT_EQ(s.simulator().events_executed(), 804500u);
   EXPECT_EQ(exp::fingerprint(m), 0x22736721d06cc1d5ULL);
   m.sim_event_count = 0.0;
   EXPECT_EQ(exp::fingerprint(m), 0xe77965dfcab04a09ULL);

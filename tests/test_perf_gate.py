@@ -146,69 +146,6 @@ class Markdown(GateHarness):
         self.assertIn("Perf gate: baseline vs current", text)
 
 
-class MinSpeedup(GateHarness):
-    """--min-speedup gates a ratio of two current-run entries."""
-
-    SLOW = "BM_Sharded/1/iterations:1"
-    FAST = "BM_Sharded/8/iterations:1"
-
-    def speedup_args(self, ratio: str) -> list[str]:
-        return ["--min-speedup", self.SLOW, self.FAST, ratio]
-
-    def test_speedup_met_passes(self) -> None:
-        rc = self.run_gate(
-            summary([]),
-            summary([bench(self.SLOW, 800.0), bench(self.FAST, 200.0)]),
-            extra_args=self.speedup_args("3.0"))
-        self.assertEqual(rc, 0)
-
-    def test_speedup_miss_fails(self) -> None:
-        rc = self.run_gate(
-            summary([]),
-            summary([bench(self.SLOW, 400.0), bench(self.FAST, 200.0)]),
-            extra_args=self.speedup_args("3.0"))
-        self.assertEqual(rc, 1)
-
-    def test_missing_entry_is_skipped(self) -> None:
-        # The sharded bench may not run on every machine; an absent
-        # entry must skip the spec, not fail the gate.
-        rc = self.run_gate(
-            summary([]),
-            summary([bench(self.SLOW, 800.0)]),
-            extra_args=self.speedup_args("3.0"))
-        self.assertEqual(rc, 0)
-
-    def test_speedup_composes_with_baseline_gate(self) -> None:
-        # Same invocation gates baseline times and the speedup: a
-        # baseline regression still fails even when the speedup holds.
-        rc = self.run_gate(
-            summary([bench("BM_A", 100.0)]),
-            summary([bench("BM_A", 200.0), bench(self.SLOW, 800.0),
-                     bench(self.FAST, 200.0)]),
-            extra_args=self.speedup_args("3.0"))
-        self.assertEqual(rc, 1)
-
-    def test_bad_ratio_exits(self) -> None:
-        with self.assertRaises(SystemExit):
-            self.run_gate(
-                summary([]),
-                summary([bench(self.SLOW, 800.0), bench(self.FAST, 200.0)]),
-                extra_args=self.speedup_args("fast"))
-
-    def test_markdown_row_written(self) -> None:
-        md = self.root / "summary.md"
-        rc = self.run_gate(
-            summary([]),
-            summary([bench(self.SLOW, 400.0), bench(self.FAST, 200.0)]),
-            extra_args=[*self.speedup_args("3.0"), "--markdown-out", str(md)])
-        self.assertEqual(rc, 1)
-        text = md.read_text(encoding="utf-8")
-        self.assertIn(f"| speedup {self.SLOW} / {self.FAST} |", text)
-        self.assertIn(">= 3x", text)
-        self.assertIn("2.00x", text)
-        self.assertIn("REGRESSION", text)
-
-
 class Rebaseline(GateHarness):
     def test_rebaseline_merges_counters(self) -> None:
         base = self.write("baseline.json", summary([bench("BM_A", 100.0)]))

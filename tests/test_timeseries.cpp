@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <stdexcept>
 
 namespace wmn::exp {
 namespace {
@@ -82,24 +81,11 @@ TEST(TimeseriesProbe, CsvExportRoundTrips) {
   std::remove(path.c_str());
 }
 
-TEST(TimeseriesProbe, RefusesAShardedScenario) {
-  // The probe samples every node from region 0's calendar; with several
-  // regions it would read other regions' nodes mid-epoch.
-  ScenarioConfig cfg = probe_config();
-  cfg.intra_run_shards = 2;
-  Scenario s(cfg);
-  ASSERT_GT(s.engine().region_count(), 1u);
-  EXPECT_THROW(TimeseriesProbe(s, sim::Time::seconds(1.0)), std::invalid_argument);
-}
-
-TEST(TimeseriesProbe, SamplesAShardedRunThatDowngradesToOneRegion) {
-  // Mobility keeps a sharded config at one region, whose calendar is
-  // the one the run advances: the probe records the whole run.
+TEST(TimeseriesProbe, SamplesAMobileRun) {
+  // The probe records the whole run of a mobile mesh.
   ScenarioConfig cfg = probe_config();
   cfg.mobility.max_speed_mps = 5.0;
-  cfg.intra_run_shards = 2;
   Scenario s(cfg);
-  ASSERT_EQ(s.engine().region_count(), 1u);
   TimeseriesProbe probe(s, sim::Time::seconds(1.0));
   s.run();
   EXPECT_GE(probe.samples().size(), 12u);

@@ -12,17 +12,16 @@ using namespace clang::ast_matchers;
 
 namespace {
 
-// The two places allowed to hold raw threading primitives: the sweep
-// concurrency layer (exp::ThreadPool and its supervision machinery)
-// and the sharded engine's worker team. Everywhere else a std::thread
-// or std::mutex means simulation state is about to be touched from an
-// unsanctioned thread — which breaks the determinism contract even
-// when it happens to be race-free.
+// The one place allowed to hold raw threading primitives: the sweep
+// concurrency layer (exp::ThreadPool and its supervision machinery).
+// Everywhere else a std::thread or std::mutex means simulation state
+// is about to be touched from an unsanctioned thread — which breaks
+// the determinism contract even when it happens to be race-free.
 bool isSanctionedThreadingFile(llvm::StringRef path) {
   llvm::SmallString<256> norm(path);
   std::replace(norm.begin(), norm.end(), '\\', '/');
   const llvm::StringRef p(norm);
-  return p.contains("src/exp/") || p.contains("sharded_simulator.");
+  return p.contains("src/exp/");
 }
 
 AST_MATCHER_FUNCTION(ast_matchers::internal::Matcher<QualType>,
@@ -127,9 +126,8 @@ void NondeterminismCheck::check(const MatchFinder::MatchResult &Result) {
     if (isSanctionedThreadingFile(file)) return;
     diag(D->getBeginLoc(),
          "raw threading primitive outside the sanctioned concurrency "
-         "layers (src/exp/, the sharded-simulator TU): ad-hoc threads "
-         "can reorder simulation events; use exp::ThreadPool across "
-         "runs or sim::ShardedSimulator within one");
+         "layer (src/exp/): ad-hoc threads can reorder simulation "
+         "events; use exp::ThreadPool across runs");
   }
 }
 

@@ -4,9 +4,9 @@
 // pointer values (unordered containers keyed by pointers) and ordering
 // comparisons between raw pointers, both of which leak allocator
 // layout into results. Also banned: raw threading primitives
-// (std::thread, std::mutex, ...) anywhere outside src/exp/ and the
-// sharded-simulator TU — ad-hoc threads touching simulation state
-// break the determinism contract even when race-free. The one
+// (std::thread, std::mutex, ...) anywhere outside src/exp/ — ad-hoc
+// threads touching simulation state break the determinism contract
+// even when race-free. The one
 // legitimate wall-clock perf timer (exp::Scenario::run) carries a
 // NOLINT with its justification.
 #pragma once

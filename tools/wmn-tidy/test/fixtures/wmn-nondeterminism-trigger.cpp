@@ -1,6 +1,6 @@
 // Fixture: every host-entropy source must be flagged, and so is raw
-// threading outside the sanctioned files (this fixture is neither
-// under src/exp/ nor the sharded-simulator TU).
+// threading outside the sanctioned layer (this fixture is not under
+// src/exp/).
 #include <chrono>
 #include <cstdlib>
 #include <ctime>

@@ -17,9 +17,8 @@ Checks:
     wmn-nondeterminism      std::random_device, rand/srand, time(),
                             getenv(), std::chrono wall clocks,
                             unordered containers keyed by pointers,
-                            raw std::thread/std::mutex outside the
-                            sanctioned files (src/exp/, the
-                            sharded-simulator TU)
+                            raw std::thread/std::mutex outside
+                            src/exp/
     wmn-unordered-iteration loops over unordered_{map,set,...}
     wmn-check-side-effects  mutation inside WMN_CHECK* conditions
 
@@ -64,11 +63,10 @@ RAW_THREADING_RE = re.compile(
     r"recursive_mutex|recursive_timed_mutex|shared_mutex|"
     r"shared_timed_mutex|condition_variable(?:_any)?)\b")
 
-# The two places allowed to hold raw threading primitives: the sweep
-# concurrency layer (exp::ThreadPool and supervision) and the sharded
-# engine's worker team. Matches the plugin's isSanctionedThreadingFile.
-SANCTIONED_THREADING_RE = re.compile(
-    r"src[/\\]exp[/\\]|sharded_simulator\.")
+# The one place allowed to hold raw threading primitives: the sweep
+# concurrency layer (exp::ThreadPool and supervision). Matches the
+# plugin's isSanctionedThreadingFile.
+SANCTIONED_THREADING_RE = re.compile(r"src[/\\]exp[/\\]")
 
 LIBC_ENTROPY_RE = re.compile(
     r"(?:\bstd\s*::\s*|(?<![\w:.>]))(?P<fn>rand|srand|time|getenv)\s*\(")
@@ -297,10 +295,9 @@ def check_nondeterminism(path, lines, supp, findings):
             findings.append(Finding(
                 path, ln, m.start() + 1,
                 f"raw std::{m.group('sym')} outside the sanctioned "
-                "concurrency layers (src/exp/, the sharded-simulator TU): "
-                "ad-hoc threads can reorder simulation events; use "
-                "exp::ThreadPool across runs or sim::ShardedSimulator "
-                "within one", check))
+                "concurrency layer (src/exp/): ad-hoc threads can reorder "
+                "simulation events; use exp::ThreadPool across runs",
+                check))
         m = re.search(r"\bstd\s*::\s*random_device\b", line)
         if m and not supp.suppressed(ln, check):
             findings.append(Finding(
