@@ -21,6 +21,17 @@ namespace {
 
 using namespace wmn;
 
+// Events per channel transmission: deterministic, and the number the
+// weak-copy ledger exists to keep down (each transmission used to cost
+// two calendar items per receiver). Gated by bench/perf_gate.py
+// (--gate-counter events_per_tx, higher = regression).
+double events_per_tx(exp::Scenario& s) {
+  const auto tx = s.channel().counters().transmissions;
+  return tx == 0 ? 0.0
+                 : static_cast<double>(s.simulator().events_executed()) /
+                       static_cast<double>(tx);
+}
+
 exp::ScenarioConfig reference_config(core::Protocol protocol) {
   exp::ScenarioConfig cfg;
   cfg.n_nodes = 100;
@@ -42,16 +53,19 @@ exp::ScenarioConfig reference_config(core::Protocol protocol) {
 void BM_Reference100Nodes6pps(benchmark::State& state) {
   const auto protocol = static_cast<core::Protocol>(state.range(0));
   std::uint64_t events = 0;
+  double per_tx = 0.0;
   for (auto _ : state) {
     exp::Scenario s(reference_config(protocol));
     s.run();
     events += s.simulator().events_executed();
+    per_tx = events_per_tx(s);
   }
   state.SetLabel(core::protocol_name(protocol));
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
   state.counters["sim_events"] = benchmark::Counter(
       static_cast<double>(events) / static_cast<double>(state.iterations()));
+  state.counters["events_per_tx"] = benchmark::Counter(per_tx);
 }
 BENCHMARK(BM_Reference100Nodes6pps)
     ->Arg(static_cast<int>(core::Protocol::kClnlr))
@@ -67,6 +81,7 @@ BENCHMARK(BM_Reference100Nodes6pps)
 void BM_Scale400Nodes6pps(benchmark::State& state) {
   std::uint64_t events = 0;
   std::size_t bytes_per_node = 0;
+  double per_tx = 0.0;
   for (auto _ : state) {
     exp::ScenarioConfig cfg = reference_config(core::Protocol::kClnlr);
     cfg.n_nodes = 400;
@@ -80,6 +95,7 @@ void BM_Scale400Nodes6pps(benchmark::State& state) {
     // End-of-run footprint: tables and caches are at their steady-state
     // size after 8 simulated seconds of routed traffic.
     bytes_per_node = s.bytes_per_node();
+    per_tx = events_per_tx(s);
   }
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
@@ -88,6 +104,7 @@ void BM_Scale400Nodes6pps(benchmark::State& state) {
   // Gated by bench/perf_gate.py (higher = regression).
   state.counters["bytes_per_node"] =
       benchmark::Counter(static_cast<double>(bytes_per_node));
+  state.counters["events_per_tx"] = benchmark::Counter(per_tx);
 }
 BENCHMARK(BM_Scale400Nodes6pps)->Iterations(1)->Unit(benchmark::kMillisecond);
 
@@ -98,6 +115,7 @@ BENCHMARK(BM_Scale400Nodes6pps)->Iterations(1)->Unit(benchmark::kMillisecond);
 // gate reports it without gating on it until a baseline is pinned.
 void BM_F11GatewaySessions(benchmark::State& state) {
   std::uint64_t events = 0;
+  double per_tx = 0.0;
   for (auto _ : state) {
     exp::ScenarioConfig cfg = reference_config(core::Protocol::kClnlr);
     cfg.traffic.pattern = exp::TrafficSpec::Pattern::kGateway;
@@ -111,11 +129,13 @@ void BM_F11GatewaySessions(benchmark::State& state) {
     exp::Scenario s(cfg);
     s.run();
     events += s.simulator().events_executed();
+    per_tx = events_per_tx(s);
   }
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
   state.counters["sim_events"] = benchmark::Counter(
       static_cast<double>(events) / static_cast<double>(state.iterations()));
+  state.counters["events_per_tx"] = benchmark::Counter(per_tx);
 }
 BENCHMARK(BM_F11GatewaySessions)->Iterations(1)->Unit(benchmark::kMillisecond);
 

@@ -272,6 +272,9 @@ void Scenario::run() {
   // never feeds an event time, a seed, or a routing decision.
   const auto t0 = std::chrono::steady_clock::now();  // NOLINT(wmn-nondeterminism)
   sim_.run_until(horizon);
+  // Weak copies settle lazily: bring every radio's interference ledger
+  // to the horizon so its counters and busy time are final.
+  for (NodeStack& n : nodes_) n.phy->settle();
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(wmn-nondeterminism)
   wall_seconds_ = std::chrono::duration<double>(t1 - t0).count();
   // A run cut short by supervision produced a truncated trace, not a
@@ -287,7 +290,29 @@ void Scenario::run() {
     throw RunAborted(FailureKind::kDeadlineExceeded,
                      "cancelled by the run supervisor at t=" + at);
   }
+  check_copy_identities();
   ran_ = true;
+}
+
+void Scenario::check_copy_identities() const {
+  // Every copy of every transmission is delivered (above the floor),
+  // floor-dropped or fault-dropped at the channel...
+  const phy::WirelessChannel::Counters& cc = channel_.counters();
+  WMN_CHECK_EQ(cc.copies_delivered + cc.copies_dropped_floor + cc.copies_dropped_fault,
+               (nodes_.size() - 1) * cc.transmissions,
+               "channel copies != (N - 1) * transmissions");
+  // ...and every delivered copy not still in flight has settled at its
+  // receiver: decoded, clobbered, missed, below sensitivity, dropped
+  // while down, or holding the receiver's lock right now.
+  std::uint64_t settled = 0;
+  for (const NodeStack& n : nodes_) {
+    const phy::WifiPhy::Counters& pc = n.phy->counters();
+    settled += pc.rx_ok + pc.rx_failed_sinr + pc.rx_missed_busy +
+               pc.rx_below_sensitivity + pc.rx_dropped_down;
+    if (n.phy->state() == phy::WifiPhy::State::kRx) ++settled;
+  }
+  WMN_CHECK_EQ(cc.copies_delivered - channel_.deliveries_in_flight(), settled,
+               "copies landed != copies settled at the receivers");
 }
 
 RunMetrics Scenario::metrics() const {

@@ -204,6 +204,9 @@ class Scenario {
   void build_nodes();
   void build_traffic();
   void build_fault_timeline();
+  // The channel's two copy-conservation identities, checked at the end
+  // of every completed run.
+  void check_copy_identities() const;
   [[nodiscard]] std::unique_ptr<phy::PropagationModel> make_propagation() const;
 
   ScenarioConfig cfg_;

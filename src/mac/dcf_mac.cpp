@@ -40,7 +40,7 @@ void DcfMac::power_down() {
   counters_.down_drops += queue_.size() + (current_ ? 1u : 0u);
   queue_.clear();
   current_.reset();
-  state_ = TxState::kIdle;
+  set_state(TxState::kIdle);
   ack_in_flight_ = false;
   cts_in_flight_ = false;
   sending_rts_ = false;
@@ -55,6 +55,13 @@ void DcfMac::power_up() {
   // Cold restart: a rebooted station has no memory of peer sequence
   // numbers, so duplicate detection starts from scratch.
   last_rx_seq_.clear();
+}
+
+void DcfMac::set_state(TxState s) {
+  state_ = s;
+  // CCA edges matter only while contending: the DIFS and backoff timers
+  // exist in kAccess alone.
+  phy_.watch_cca(s == TxState::kAccess);
 }
 
 bool DcfMac::enqueue(net::Packet packet, net::Address dst) {
@@ -79,7 +86,7 @@ bool DcfMac::enqueue(net::Packet packet, net::Address dst) {
 
 void DcfMac::start_access(bool new_backoff) {
   WMN_CHECK(current_.has_value(), "channel access without a frame to send");
-  state_ = TxState::kAccess;
+  set_state(TxState::kAccess);
   if (new_backoff) {
     backoff_slots_ = static_cast<std::uint32_t>(rng_.uniform_u64(0, cw_));
   }
@@ -155,7 +162,7 @@ void DcfMac::transmit_current() {
   if (!phy_.can_transmit()) {
     // Raced with an arrival below the CCA threshold that locked the
     // radio at this instant; behave as if the medium were busy.
-    state_ = TxState::kAccess;
+    set_state(TxState::kAccess);
     return;
   }
   const bool is_retry = current_->attempts > 0;
@@ -180,7 +187,7 @@ void DcfMac::transmit_current() {
                        static_cast<std::uint32_t>(reserve.to_micros())});
     ++counters_.tx_rts;
     sending_rts_ = true;
-    state_ = TxState::kSending;
+    set_state(TxState::kSending);
     phy_.send(std::move(rts));
     return;
   }
@@ -197,7 +204,7 @@ void DcfMac::send_data_frame() {
   } else {
     ++counters_.tx_data_unicast;
   }
-  state_ = TxState::kSending;
+  set_state(TxState::kSending);
   phy_.send(std::move(frame));
 }
 
@@ -215,7 +222,7 @@ void DcfMac::on_tx_end() {
 
   if (sending_rts_) {
     sending_rts_ = false;
-    state_ = TxState::kAwaitCts;
+    set_state(TxState::kAwaitCts);
     const sim::Time cts_air = phy_.tx_duration(CtsHeader::kWireSize);
     cts_timer_ = sim_.schedule(cfg_.sifs + cts_air + cfg_.cts_timeout_slack,
                                [this] { on_cts_timeout(); });
@@ -226,7 +233,7 @@ void DcfMac::on_tx_end() {
     finish_current(true);
     return;
   }
-  state_ = TxState::kAwaitAck;
+  set_state(TxState::kAwaitAck);
   const sim::Time ack_air = phy_.tx_duration(AckHeader::kWireSize);
   ack_timer_ = sim_.schedule(cfg_.sifs + ack_air + cfg_.ack_timeout_slack,
                              [this] { on_ack_timeout(); });
@@ -277,7 +284,7 @@ void DcfMac::finish_current(bool success) {
 
   OutFrame done = std::move(*current_);
   current_.reset();
-  state_ = TxState::kIdle;
+  set_state(TxState::kIdle);
   cw_ = cfg_.cw_min;
 
   if (success) {

@@ -153,6 +153,10 @@ class DcfMac final : public phy::PhyListener {
 
   [[nodiscard]] sim::Time difs() const { return cfg_.sifs + cfg_.slot * 2; }
 
+  // Every TxState change goes through here: it subscribes the MAC to
+  // the radio's CCA edges exactly while it is in kAccess.
+  void set_state(TxState s);
+
   // Begin/continue the channel-access procedure for current_.
   void start_access(bool new_backoff);
   void on_difs_elapsed();

@@ -7,7 +7,7 @@
 namespace wmn::mac {
 
 LoadMonitor::LoadMonitor(sim::Simulator& simulator, const LoadMonitorConfig& cfg,
-                         const phy::WifiPhy& phy)
+                         phy::WifiPhy& phy)
     : sim_(simulator), cfg_(cfg), phy_(phy) {
   last_sample_time_ = sim_.now();
   last_busy_total_ = phy_.cumulative_busy_time();

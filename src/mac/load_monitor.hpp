@@ -26,7 +26,7 @@ struct LoadMonitorConfig {
 class LoadMonitor {
  public:
   LoadMonitor(sim::Simulator& simulator, const LoadMonitorConfig& cfg,
-              const phy::WifiPhy& phy);
+              phy::WifiPhy& phy);
   ~LoadMonitor();
 
   LoadMonitor(const LoadMonitor&) = delete;
@@ -48,7 +48,7 @@ class LoadMonitor {
 
   sim::Simulator& sim_;
   LoadMonitorConfig cfg_;
-  const phy::WifiPhy& phy_;
+  phy::WifiPhy& phy_;
 
   sim::Time last_sample_time_{};
   sim::Time last_busy_total_{};

@@ -7,6 +7,8 @@
 // fingerprint that stopped depending on the RNG would be caught too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exp/metrics.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
@@ -79,6 +81,46 @@ TEST(Determinism, DifferentSeedDifferentFingerprint) {
   // the metric digest folds dozens of RNG-driven quantities — equality
   // would mean the seed no longer reaches the simulation.
   EXPECT_NE(a.metrics_fp, b.metrics_fp);
+}
+
+// Weak copies settle lazily, whenever a radio is read. Where a
+// run_until() slice ends must not matter: a sliced run (simbench's
+// traced run drives 1 s slices before calling run()) gives the
+// fingerprint of one uninterrupted run, for the static mesh and under
+// churn (the fault scan).
+TEST(Determinism, SlicedRunMatchesOneRun) {
+  exp::ScenarioConfig mesh;
+  mesh.n_nodes = 100;
+  mesh.area_width_m = 1000.0;
+  mesh.area_height_m = 1000.0;
+  mesh.traffic.n_flows = 10;
+  mesh.traffic.rate_pps = 6.0;
+  mesh.warmup = sim::Time::seconds(2.0);
+  mesh.traffic_time = sim::Time::seconds(3.0);
+  mesh.drain = sim::Time::seconds(1.0);
+  mesh.seed = 1000;
+  exp::ScenarioConfig churn = mesh;
+  churn.fault.churn.rate_per_s = 2.0;
+  churn.fault.churn.mean_downtime = sim::Time::seconds(0.5);
+  churn.fault.churn.start = churn.warmup;
+  churn.fault.churn.stop = churn.warmup + churn.traffic_time;
+  for (const exp::ScenarioConfig& cfg : {mesh, churn}) {
+    exp::Scenario whole(cfg);
+    whole.run();
+    const std::uint64_t want = exp::fingerprint(whole.metrics());
+    const sim::Time horizon = cfg.warmup + cfg.traffic_time + cfg.drain;
+    for (const sim::Time slice : {sim::Time::seconds(1.0), sim::Time::seconds(0.37)}) {
+      exp::Scenario sliced(cfg);
+      for (sim::Time t = sim::Time::zero(); t < horizon;) {
+        t = std::min(t + slice, horizon);
+        sliced.simulator().run_until(t);
+      }
+      sliced.run();
+      EXPECT_EQ(sliced.simulator().events_executed(), whole.simulator().events_executed());
+      EXPECT_EQ(exp::fingerprint(sliced.metrics()), want)
+          << "slice " << slice.to_seconds() << " s, churn " << !cfg.fault.empty();
+    }
+  }
 }
 
 // The tentpole contract of the persistent-pool sweep engine: a sweep

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "mobility/mobility_model.hpp"
@@ -206,6 +208,59 @@ TEST(DcfMac, FairnessBothSaturatedSendersShareChannel) {
   EXPECT_GT(d0, 0.0);
   EXPECT_GT(d1, 0.0);
   EXPECT_LT(std::abs(d0 - d1) / std::max(d0, d1), 0.3);  // within 30%
+}
+
+// Forwards every PHY callback to the MAC and stamps the CCA ones.
+class CcaTap final : public phy::PhyListener {
+ public:
+  CcaTap(DcfMac& mac, const sim::Simulator& sim) : mac_(mac), sim_(sim) {}
+  void on_rx_start() override { mac_.on_rx_start(); }
+  void on_rx_end(std::optional<net::Packet> p, double dbm) override {
+    mac_.on_rx_end(std::move(p), dbm);
+  }
+  void on_tx_end() override { mac_.on_tx_end(); }
+  void on_cca_change(bool busy) override {
+    edges.emplace_back(busy, sim_.now());
+    mac_.on_cca_change(busy);
+  }
+  std::vector<std::pair<bool, sim::Time>> edges;
+
+ private:
+  DcfMac& mac_;
+  const sim::Simulator& sim_;
+};
+
+TEST(DcfMac, WatchesCcaOnlyWhileContending) {
+  // Node 2 is 320 m from nodes 0 and 1: its frame reaches them as weak
+  // energy, above the CCA threshold but too weak to decode. Node 0
+  // queues a frame while that energy is on the air, so its MAC contends
+  // and watches; node 1 has nothing to send and never watches.
+  MacBed tb({{0, 0}, {0, 10}, {320, 0}});
+  CcaTap tap0(*tb.macs[0], tb.sim);
+  CcaTap tap1(*tb.macs[1], tb.sim);
+  tb.phys[0]->set_listener(&tap0);
+  tb.phys[1]->set_listener(&tap1);
+  const sim::Time air = tb.phys[2]->tx_duration(500);
+  tb.sim.schedule(sim::Time::zero(), [&] { tb.phys[2]->send(tb.packet(500)); });
+  bool watched_while_contending = false;
+  tb.sim.schedule_at(sim::Time::micros(100.0), [&] {
+    EXPECT_FALSE(tb.phys[0]->watched());
+    tb.macs[0]->enqueue(tb.packet(64), net::Address(1));
+    watched_while_contending = tb.phys[0]->watched();
+  });
+  tb.sim.run_until(sim::Time::seconds(1.0));
+  EXPECT_TRUE(watched_while_contending);
+  // The one edge node 0 needs, idle at the frame's end at node 0, at its
+  // exact nanosecond.
+  const sim::Time end_at_0 = air + sim::Time::seconds(320.0 / phy::kSpeedOfLight);
+  ASSERT_EQ(tap0.edges.size(), 1u);
+  EXPECT_FALSE(tap0.edges[0].first);
+  EXPECT_EQ(tap0.edges[0].second, end_at_0);
+  EXPECT_TRUE(tap1.edges.empty());
+  EXPECT_EQ(tb.successes[0].size(), 1u);
+  EXPECT_FALSE(tb.phys[0]->watched());  // done contending
+  // Node 1 still accounts the busy time it never watched.
+  EXPECT_GE(tb.phys[1]->cumulative_busy_time(), air);
 }
 
 }  // namespace
