@@ -1,4 +1,4 @@
-// Golden digests: exact fingerprints of nine pinned configurations.
+// Golden digests: exact fingerprints of twelve pinned configurations.
 //
 // test_determinism proves a run repeats itself; it cannot notice a
 // change that moves every run the same way. These digests were
@@ -23,7 +23,9 @@
 // traffic and 1 s of drain, plus five variants that take the channel
 // paths those four never reach: the full scan (spatial index off), the
 // fault scan (churn and an outage), RTS/CTS, log-normal shadowing and
-// link blackouts.
+// link blackouts, plus three that run the traffic models the four
+// leave out: Poisson on/off, heavy-tail on/off, and gateway sessions
+// under a flash-crowd rate envelope.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -170,6 +172,27 @@ TEST(GoldenDigest, Mobile100Shadowing) {
   exp::ScenarioConfig cfg = mobile100();
   cfg.shadowing_sigma_db = 6.0;
   expect_golden(cfg, {180366, 0x919cd120284e0b0c});
+}
+
+TEST(GoldenDigest, Mesh100PoissonOnOff) {
+  exp::ScenarioConfig cfg = mesh100();
+  cfg.traffic.model = exp::TrafficSpec::Model::kPoissonOnOff;
+  expect_golden(cfg, {75136, 0x704040668e64c93e});
+}
+
+TEST(GoldenDigest, Mesh100HeavyTailOnOff) {
+  exp::ScenarioConfig cfg = mesh100();
+  cfg.traffic.model = exp::TrafficSpec::Model::kHeavyTailOnOff;
+  expect_golden(cfg, {103774, 0x01ee3d06697df426});
+}
+
+// An 8x session surge in the middle of the 3 s traffic window; the
+// envelope also compresses the staggered flow arrivals.
+TEST(GoldenDigest, GatewaySessionsFlashCrowd) {
+  exp::ScenarioConfig cfg = gateway_sessions();
+  cfg.traffic.rate_envelope = {
+      {0.0, 1.0}, {0.5, 1.0}, {1.0, 8.0}, {2.0, 8.0}, {2.5, 1.0}};
+  expect_golden(cfg, {153250, 0x0d3dde34e67eae3a});
 }
 
 }  // namespace
