@@ -18,11 +18,9 @@
 #include "mobility/mobility_model.hpp"
 #include "phy/channel.hpp"
 #include "sim/simulator.hpp"
-#include "traffic/cbr_source.hpp"
 #include "traffic/flow_builder.hpp"
-#include "traffic/heavy_tail_source.hpp"
 #include "traffic/packet_sink.hpp"
-#include "traffic/session_source.hpp"
+#include "traffic/source.hpp"
 
 namespace wmn::exp {
 
@@ -166,11 +164,6 @@ class Scenario {
   [[nodiscard]] const std::vector<std::uint32_t>& gateways() const {
     return gateways_;
   }
-  // Session sources (Model::kSessions only; empty otherwise).
-  [[nodiscard]] const std::vector<std::unique_ptr<traffic::SessionSource>>&
-  session_sources() const {
-    return session_sources_;
-  }
   [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
   // Null when the config's FaultPlan is empty.
   [[nodiscard]] const fault::FaultTimeline* fault_timeline() const {
@@ -225,10 +218,9 @@ class Scenario {
   std::unique_ptr<fault::TimelineOverlay> overlay_;
   std::vector<traffic::NodePair> flow_pairs_;
   std::vector<std::uint32_t> gateways_;
-  std::vector<std::unique_ptr<traffic::CbrSource>> cbr_sources_;
-  std::vector<std::unique_ptr<traffic::PoissonOnOffSource>> onoff_sources_;
-  std::vector<std::unique_ptr<traffic::HeavyTailOnOffSource>> heavy_sources_;
-  std::vector<std::unique_ptr<traffic::SessionSource>> session_sources_;
+  // One source per flow, in flow order (construction order fixes the
+  // calendar seqs of their first wakeups).
+  std::vector<std::unique_ptr<traffic::Source>> sources_;
   bool ran_ = false;
   double wall_seconds_ = 0.0;
   // Snapshot of the global invariant-violation counter at run() start;

@@ -1,6 +1,8 @@
 #include "traffic/flow_builder.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include "core/check.hpp"
@@ -28,26 +30,50 @@ std::vector<NodePair> random_pairs(std::size_t n_flows, std::uint32_t n_nodes,
   return out;
 }
 
-std::vector<NodePair> gateway_pairs(std::size_t n_flows, std::uint32_t n_nodes,
-                                    const std::vector<std::uint32_t>& gateways,
-                                    sim::RngStream& rng) {
-  WMN_CHECK(!gateways.empty() && n_nodes >= 2,
-            "gateway flows need a gateway and at least two nodes");
-  std::vector<NodePair> out;
-  std::set<NodePair> used;
-  out.reserve(n_flows);
-  std::size_t gw_idx = 0;
+GatewayFlows gateway_flows(std::size_t n_flows, std::size_t n_gateways,
+                           const std::vector<mobility::Vec2>& positions,
+                           mobility::Vec2 area, sim::RngStream& rng) {
+  const auto n_nodes = static_cast<std::uint32_t>(positions.size());
+  WMN_CHECK_GE(n_nodes, 2u, "flows need at least two nodes");
+  // The candidate nearest to `target`; the first one wins a tie.
+  auto nearest = [&](mobility::Vec2 target,
+                     const std::vector<std::uint32_t>& candidates) {
+    std::uint32_t best = candidates.front();
+    double best_d = std::numeric_limits<double>::infinity();
+    for (const std::uint32_t c : candidates) {
+      const double d = positions[c].distance_to(target);
+      if (d < best_d) {
+        best_d = d;
+        best = c;
+      }
+    }
+    return best;
+  };
+
+  GatewayFlows out;
+  std::vector<std::uint32_t> all(n_nodes);
+  std::iota(all.begin(), all.end(), 0u);
+  const std::size_t k = std::max<std::size_t>(n_gateways, 1);
+  for (std::size_t g = 0; g < k; ++g) {
+    const double f =
+        (static_cast<double>(g) + 1.0) / (static_cast<double>(k) + 1.0);
+    const std::uint32_t gw = nearest(f * area, all);
+    if (std::find(out.gateways.begin(), out.gateways.end(), gw) ==
+        out.gateways.end()) {
+      out.gateways.push_back(gw);
+    }
+  }
+
+  std::set<std::uint32_t> used(out.gateways.begin(), out.gateways.end());
+  out.pairs.reserve(n_flows);
   std::size_t attempts = 0;
   const std::size_t max_attempts = n_flows * 1000 + 1000;
-  while (out.size() < n_flows && attempts++ < max_attempts) {
-    const std::uint32_t gw = gateways[gw_idx % gateways.size()];
+  while (out.pairs.size() < n_flows && attempts++ < max_attempts) {
     const auto src = static_cast<std::uint32_t>(rng.uniform_u64(0, n_nodes - 1));
-    if (src == gw) continue;
-    if (!used.insert({src, gw}).second) continue;
-    out.push_back({src, gw});
-    ++gw_idx;
+    if (!used.insert(src).second) continue;
+    out.pairs.push_back({src, nearest(positions[src], out.gateways)});
   }
-  WMN_CHECK_EQ(out.size(), n_flows, "could not build requested flow count");
+  WMN_CHECK_EQ(out.pairs.size(), n_flows, "could not build requested flow count");
   return out;
 }
 

@@ -5,15 +5,17 @@
 // pairs), matching the "randomly chosen CBR connections" setup of the
 // source papers.
 //
-// gateway_pairs: WMN backhaul workload — every flow targets one of the
-// gateway nodes (round-robin), concentrating load near gateways; the
-// workload behind the load-balance experiment (F8).
+// gateway_flows: WMN backhaul workload — every flow targets its
+// source's nearest gateway, concentrating load near the gateways; the
+// workload behind the load-balance (F8) and gateway-hotspot (F11)
+// experiments.
 #pragma once
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "mobility/vec2.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 #include "traffic/rate_envelope.hpp"
@@ -26,9 +28,21 @@ using NodePair = std::pair<std::uint32_t, std::uint32_t>;
                                                  std::uint32_t n_nodes,
                                                  sim::RngStream& rng);
 
-[[nodiscard]] std::vector<NodePair> gateway_pairs(
-    std::size_t n_flows, std::uint32_t n_nodes,
-    const std::vector<std::uint32_t>& gateways, sim::RngStream& rng);
+struct GatewayFlows {
+  std::vector<std::uint32_t> gateways;  // distinct, in anchor order
+  std::vector<NodePair> pairs;          // (source, its nearest gateway)
+};
+
+// The gateways are the nodes nearest to `n_gateways` anchor points
+// spread evenly along the diagonal of an `area`-sized field (a node
+// nearest to two anchors counts once), so route diversity exists as in
+// deployed meshes. Each of the `n_flows` flows starts at a distinct
+// non-gateway node drawn uniformly from `rng` and ends at the gateway
+// nearest to it. `positions` holds every node's position, by index.
+[[nodiscard]] GatewayFlows gateway_flows(
+    std::size_t n_flows, std::size_t n_gateways,
+    const std::vector<mobility::Vec2>& positions, mobility::Vec2 area,
+    sim::RngStream& rng);
 
 // Seeded flow-arrival process: `n` non-decreasing start offsets drawn
 // as a Poisson process with the given mean inter-arrival gap (flow 0

@@ -15,12 +15,8 @@ SessionSource::SessionSource(sim::Simulator& simulator,
                              routing::AodvAgent& agent,
                              net::PacketFactory& factory,
                              FlowRegistry& registry)
-    : sim_(simulator),
-      cfg_(cfg),
-      agent_(agent),
-      factory_(factory),
-      registry_(registry),
-      rng_(simulator.make_stream(kSessionStreamSalt ^ cfg.flow_id)) {
+    : Source(simulator, cfg, kSessionStreamSalt, agent, factory, registry),
+      cfg_(cfg) {
   WMN_CHECK_GT(cfg_.users, 0u, "session source needs at least one user");
   WMN_CHECK_GT(cfg_.session_rate_per_user_per_s, 0.0,
                "per-user session rate must be positive");
@@ -31,54 +27,46 @@ SessionSource::SessionSource(sim::Simulator& simulator,
                "Pareto shape must exceed 1 (finite mean session size)");
   WMN_CHECK_GT(cfg_.max_active_sessions, 0u,
                "session concurrency cap must be positive");
-  registry_.register_flow(cfg_.flow_id, agent_.address(), cfg_.dest);
   sessions_.resize(cfg_.max_active_sessions);
-
-  double aggregate_rate = static_cast<double>(cfg_.users) *
-                          cfg_.session_rate_per_user_per_s;
-  // Frozen-rate envelope application: the rate in force at the moment
-  // of the draw shapes this gap (see traffic/rate_envelope.hpp). The
-  // branch keeps the inactive path's arithmetic untouched.
-  if (cfg_.envelope.active()) {
-    aggregate_rate *= cfg_.envelope.multiplier_at(cfg_.start.to_seconds());
-  }
-  const sim::Time first =
-      cfg_.start + sim::Time::seconds(rng_.exponential(1.0 / aggregate_rate));
-  if (first < cfg_.stop) {
-    arrival_timer_ = sim_.schedule_at(first, [this] { on_arrival(); });
-  }
+  arm(cfg_.start + sim::Time::seconds(
+                       rng_.exponential(1.0 / arrival_rate(cfg_.start))),
+      [this] { on_arrival(); });
 }
 
 SessionSource::~SessionSource() {
-  sim_.cancel(arrival_timer_);
   for (Session& s : sessions_) sim_.cancel(s.timer);
 }
 
 bool SessionSource::timer_armed() const {
-  if (arrival_timer_.valid()) return true;
+  if (Source::timer_armed()) return true;
   for (const Session& s : sessions_) {
     if (s.timer.valid()) return true;
   }
   return false;
 }
 
-void SessionSource::on_arrival() {
-  arrival_timer_ = sim::EventId{};
-  if (sim_.now() >= cfg_.stop) return;
+double SessionSource::arrival_rate(sim::Time now) const {
+  double rate = static_cast<double>(cfg_.users) *
+                cfg_.session_rate_per_user_per_s;
+  // Frozen-rate envelope application: the rate in force at the moment
+  // of the draw shapes this gap (see traffic/rate_envelope.hpp). The
+  // branch keeps the inactive path's arithmetic untouched.
+  if (cfg_.envelope.active()) {
+    rate *= cfg_.envelope.multiplier_at(now.to_seconds());
+  }
+  return rate;
+}
 
+void SessionSource::on_arrival() {
   // Fixed draw order per arrival — (size, next gap) — consumed whether
   // or not the session is admitted, so the stream's state depends only
   // on how many arrivals occurred.
   const double alpha = cfg_.pareto_shape;
   const double scale = cfg_.mean_session_pkts * (alpha - 1.0) / alpha;
   const double size = rng_.pareto(alpha, scale);
-  double aggregate_rate = static_cast<double>(cfg_.users) *
-                          cfg_.session_rate_per_user_per_s;
-  if (cfg_.envelope.active()) {
-    aggregate_rate *= cfg_.envelope.multiplier_at(sim_.now().to_seconds());
-  }
   const sim::Time next_arrival =
-      sim_.now() + sim::Time::seconds(rng_.exponential(1.0 / aggregate_rate));
+      sim_.now() + sim::Time::seconds(
+                       rng_.exponential(1.0 / arrival_rate(sim_.now())));
 
   std::uint32_t slot = cfg_.max_active_sessions;
   for (std::uint32_t i = 0; i < sessions_.size(); ++i) {
@@ -99,45 +87,24 @@ void SessionSource::on_arrival() {
     ++active_;
     emit(slot);
   }
-
-  if (next_arrival < cfg_.stop) {
-    arrival_timer_ = sim_.schedule_at(next_arrival, [this] { on_arrival(); });
-  }
+  arm(next_arrival, [this] { on_arrival(); });
 }
 
 void SessionSource::emit(std::uint32_t slot) {
   Session& s = sessions_[slot];
-  s.timer = sim::EventId{};
-  if (sim_.now() >= cfg_.stop) {
-    finish_session(slot);
-    return;
-  }
-  net::Packet pkt = factory_.make(cfg_.packet_bytes, sim_.now());
-  pkt.set_flow_info(net::Packet::FlowInfo{cfg_.flow_id, ++seq_, sim_.now(), true});
-  registry_.record_sent(cfg_.flow_id, cfg_.packet_bytes, sim_.now());
-  agent_.send(std::move(pkt), cfg_.dest);
+  send_packet();
   ++s.sent;
   --s.remaining;
-  if (s.remaining == 0) {
+  if (s.remaining == 0 ||
+      !arm(s.timer, paced(s.base, s.sent, cfg_.session_rate_pps),
+           [this, slot] { emit(slot); })) {
     finish_session(slot);
-    return;
   }
-  // Drift-free pacing: packet k of the session at base + k/rate.
-  const sim::Time next =
-      s.base + sim::Time::seconds(static_cast<double>(s.sent) /
-                                  cfg_.session_rate_pps);
-  if (next >= cfg_.stop) {
-    finish_session(slot);
-    return;
-  }
-  s.timer = sim_.schedule_at(next, [this, slot] { emit(slot); });
 }
 
 void SessionSource::finish_session(std::uint32_t slot) {
   Session& s = sessions_[slot];
-  if (!s.active) return;
   s.active = false;
-  s.timer = sim::EventId{};
   --active_;
   ++completed_;
 }

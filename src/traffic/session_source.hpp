@@ -8,7 +8,7 @@
 // process — new sessions arrive over time instead of a fixed set), each
 // session transfers a Pareto-distributed number of packets (heavy-tailed
 // "file sizes"), paced at `session_rate_pps` with the drift-free
-// absolute-base schedule shared by every traffic:: source. Concurrent
+// absolute-base schedule of every traffic::Source. Concurrent
 // sessions overlap, so the node's offered load is bursty and
 // long-range-dependent even though each session is simple.
 //
@@ -16,27 +16,22 @@
 // aggregate toward its gateway) and one monotone sequence space, so
 // PDR/delay/duplicate accounting works unchanged.
 //
-// Determinism contract: one salted RngStream; the draw sequence per
-// arrival is fixed — (session size, next inter-arrival gap) — and is
-// consumed even when the session is rejected by the concurrency cap, so
-// the sequence is a pure function of the source's own arrival count,
-// never of downstream state. Same-seed fingerprints are bit-identical
-// serial vs pooled.
+// Draw order per arrival is fixed — (session size, next inter-arrival
+// gap) — and is consumed even when the session is rejected by the
+// concurrency cap, so the stream's state is a pure function of the
+// source's own arrival count, never of downstream state.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "routing/aodv.hpp"
-#include "traffic/flow_registry.hpp"
 #include "traffic/rate_envelope.hpp"
+#include "traffic/source.hpp"
 
 namespace wmn::traffic {
 
-struct SessionSourceConfig {
-  std::uint32_t flow_id = 0;
-  net::Address dest;  // the node's gateway
-  std::uint32_t packet_bytes = 512;
+// `dest` is the node's gateway.
+struct SessionSourceConfig : FlowConfig {
   std::uint32_t users = 1000;  // users aggregated behind this node
   double session_rate_per_user_per_s = 0.002;  // session arrivals per user
   double session_rate_pps = 16.0;              // pacing within a session
@@ -45,32 +40,25 @@ struct SessionSourceConfig {
   // Concurrency cap: arrivals beyond this many overlapping sessions are
   // counted as rejected instead of exploding the event calendar.
   std::uint32_t max_active_sessions = 64;
-  sim::Time start{};
-  sim::Time stop = sim::Time::max();
   // Time-varying arrival-rate multiplier (flash crowds, diurnal load).
   // Inactive (the default) keeps the draw sequence — and therefore all
   // existing fingerprints — bit-identical to the constant-rate source.
-  RateEnvelope envelope;
+  RateEnvelope envelope{};
 };
 
-class SessionSource {
+class SessionSource final : public Source {
  public:
   SessionSource(sim::Simulator& simulator, const SessionSourceConfig& cfg,
                 routing::AodvAgent& agent, net::PacketFactory& factory,
                 FlowRegistry& registry);
-  ~SessionSource();
+  ~SessionSource() override;
 
-  SessionSource(const SessionSource&) = delete;
-  SessionSource& operator=(const SessionSource&) = delete;
-
-  [[nodiscard]] std::uint64_t packets_sent() const { return seq_; }
   [[nodiscard]] std::uint64_t sessions_started() const { return started_; }
   [[nodiscard]] std::uint64_t sessions_completed() const { return completed_; }
   [[nodiscard]] std::uint64_t sessions_rejected() const { return rejected_; }
   [[nodiscard]] std::uint32_t active_sessions() const { return active_; }
-  [[nodiscard]] std::uint32_t flow_id() const { return cfg_.flow_id; }
-  // True while any arrival or session pacing event is scheduled.
-  [[nodiscard]] bool timer_armed() const;
+  // True while the arrival process or any session is scheduled.
+  [[nodiscard]] bool timer_armed() const override;
 
  private:
   struct Session {
@@ -81,23 +69,18 @@ class SessionSource {
     sim::EventId timer{};
   };
 
+  // Aggregate session arrival rate in force at `now`.
+  [[nodiscard]] double arrival_rate(sim::Time now) const;
   void on_arrival();
   void emit(std::uint32_t slot);
   void finish_session(std::uint32_t slot);
 
-  sim::Simulator& sim_;
   SessionSourceConfig cfg_;
-  routing::AodvAgent& agent_;
-  net::PacketFactory& factory_;
-  FlowRegistry& registry_;
-  sim::RngStream rng_;
   std::vector<Session> sessions_;  // fixed pool, size max_active_sessions
-  std::uint64_t seq_ = 0;
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint32_t active_ = 0;
-  sim::EventId arrival_timer_{};
 };
 
 }  // namespace wmn::traffic

@@ -6,10 +6,10 @@
 #include "core/protocols.hpp"
 #include "mobility/mobility_model.hpp"
 #include "phy/channel.hpp"
-#include "traffic/cbr_source.hpp"
 #include "traffic/flow_builder.hpp"
 #include "traffic/flow_registry.hpp"
 #include "traffic/packet_sink.hpp"
+#include "traffic/source.hpp"
 
 namespace wmn::traffic {
 namespace {
@@ -86,7 +86,7 @@ TEST(CbrSource, DeliveredPacketsTracked) {
 
 TEST(OnOffSource, RespectsStartStopWindow) {
   TrafficBed tb;
-  PoissonOnOffConfig cfg;
+  OnOffConfig cfg;
   cfg.flow_id = 3;
   cfg.dest = net::Address(1);
   cfg.rate_pps = 20.0;
@@ -94,7 +94,7 @@ TEST(OnOffSource, RespectsStartStopWindow) {
   cfg.mean_off = sim::Time::seconds(1.0);
   cfg.start = sim::Time::seconds(2.0);
   cfg.stop = sim::Time::seconds(12.0);
-  PoissonOnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
+  OnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
   tb.sim.run_until(sim::Time::seconds(15.0));
   // Roughly half duty cycle: well below the CBR-equivalent 200, above 0.
   EXPECT_GT(src.packets_sent(), 20u);
@@ -205,19 +205,43 @@ TEST(FlowBuilder, RandomPairsDeterministic) {
   EXPECT_EQ(random_pairs(10, 20, rng1), random_pairs(10, 20, rng2));
 }
 
-TEST(FlowBuilder, GatewayPairsTargetGateways) {
-  sim::RngStream rng(7, 0);
-  const std::vector<std::uint32_t> gws{0, 1};
-  const auto pairs = gateway_pairs(12, 50, gws, rng);
-  ASSERT_EQ(pairs.size(), 12u);
-  for (const auto& [src, dst] : pairs) {
-    EXPECT_TRUE(dst == 0 || dst == 1);
-    EXPECT_NE(src, dst);
+// A 10 x 5 grid, 10 m apart, in a 100 m x 50 m field.
+std::vector<mobility::Vec2> grid_positions() {
+  std::vector<mobility::Vec2> out;
+  for (int i = 0; i < 50; ++i) {
+    out.push_back({static_cast<double>(i % 10) * 10.0,
+                   static_cast<double>(i / 10) * 10.0});
   }
-  // Round-robin: both gateways used.
+  return out;
+}
+
+TEST(FlowBuilder, GatewayFlowsTargetNearestGateway) {
+  sim::RngStream rng(7, 0);
+  const auto positions = grid_positions();
+  const auto flows = gateway_flows(12, 2, positions, {100.0, 50.0}, rng);
+  ASSERT_EQ(flows.gateways.size(), 2u);
+  ASSERT_EQ(flows.pairs.size(), 12u);
+  std::set<std::uint32_t> srcs;
   std::set<std::uint32_t> dsts;
-  for (const auto& [src, dst] : pairs) dsts.insert(dst);
+  for (const auto& [src, dst] : flows.pairs) {
+    EXPECT_TRUE(dst == flows.gateways[0] || dst == flows.gateways[1]);
+    EXPECT_NE(src, dst);
+    EXPECT_TRUE(srcs.insert(src).second);  // distinct sources
+    for (const std::uint32_t g : flows.gateways) {
+      EXPECT_LE(positions[src].distance_to(positions[dst]),
+                positions[src].distance_to(positions[g]));
+    }
+    dsts.insert(dst);
+  }
   EXPECT_EQ(dsts.size(), 2u);
+}
+
+// 50 nodes and 2 gateways leave 48 possible sources: asking for more
+// must fail loudly instead of building fewer flows.
+TEST(FlowBuilderDeathTest, GatewayFlowsCheckTheirCount) {
+  sim::RngStream rng(7, 0);
+  EXPECT_DEATH((void)gateway_flows(49, 2, grid_positions(), {100.0, 50.0}, rng),
+               "could not build requested flow count");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Traffic-source timing and production-workload model tests.
 //
-// Pins the timing contract shared by every traffic:: source (see
-// cbr_source.hpp): absolute-base pacing (no cumulative rounding drift)
+// Pins the timing contract every traffic::Source keeps (see
+// source.hpp): absolute-base pacing (no cumulative rounding drift)
 // and no events scheduled at or past `stop`. Also exercises the F11
 // workload family: heavy-tailed on/off bursts, the per-user session
 // aggregation model, and the seeded flow-arrival process.
@@ -13,13 +13,12 @@
 #include "core/protocols.hpp"
 #include "mobility/mobility_model.hpp"
 #include "phy/channel.hpp"
-#include "traffic/cbr_source.hpp"
 #include "traffic/flow_builder.hpp"
 #include "traffic/flow_registry.hpp"
-#include "traffic/heavy_tail_source.hpp"
 #include "traffic/packet_sink.hpp"
 #include "traffic/rate_envelope.hpp"
 #include "traffic/session_source.hpp"
+#include "traffic/source.hpp"
 
 namespace wmn::traffic {
 namespace {
@@ -129,7 +128,7 @@ TEST(CbrTiming, NoEventsAfterStop) {
 
 TEST(OnOffTiming, NoEventsAfterStop) {
   TrafficBed tb;
-  PoissonOnOffConfig cfg;
+  OnOffConfig cfg;
   cfg.flow_id = 1;
   cfg.dest = net::Address(1);
   cfg.rate_pps = 20.0;
@@ -137,7 +136,7 @@ TEST(OnOffTiming, NoEventsAfterStop) {
   cfg.mean_off = sim::Time::seconds(0.5);
   cfg.start = sim::Time::seconds(1.0);
   cfg.stop = sim::Time::seconds(8.0);
-  PoissonOnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
+  OnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
   tb.sim.run_until(sim::Time::seconds(9.0));
   EXPECT_FALSE(src.timer_armed());
   const std::uint64_t at_stop = src.packets_sent();
@@ -150,7 +149,7 @@ TEST(OnOffTiming, NoEventsAfterStop) {
 // cycle (the stale off->on wakeup bug).
 TEST(OnOffTiming, OffPeriodCrossingStopGoesQuiet) {
   TrafficBed tb;
-  PoissonOnOffConfig cfg;
+  OnOffConfig cfg;
   cfg.flow_id = 1;
   cfg.dest = net::Address(1);
   cfg.rate_pps = 50.0;
@@ -158,7 +157,7 @@ TEST(OnOffTiming, OffPeriodCrossingStopGoesQuiet) {
   cfg.mean_off = sim::Time::seconds(30.0);  // OFF gaps dwarf the window
   cfg.start = sim::Time::seconds(1.0);
   cfg.stop = sim::Time::seconds(5.0);
-  PoissonOnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
+  OnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
   tb.sim.run_until(sim::Time::seconds(40.0));
   EXPECT_FALSE(src.timer_armed());
 }
@@ -167,7 +166,8 @@ TEST(OnOffTiming, OffPeriodCrossingStopGoesQuiet) {
 
 TEST(HeavyTailSource, EmitsBurstsWithinWindow) {
   TrafficBed tb;
-  HeavyTailOnOffConfig cfg;
+  OnOffConfig cfg;
+  cfg.on_law = OnOffConfig::OnLaw::kPareto;
   cfg.flow_id = 1;
   cfg.dest = net::Address(1);
   cfg.rate_pps = 20.0;
@@ -175,7 +175,7 @@ TEST(HeavyTailSource, EmitsBurstsWithinWindow) {
   cfg.mean_off = sim::Time::seconds(1.0);
   cfg.start = sim::Time::seconds(1.0);
   cfg.stop = sim::Time::seconds(21.0);
-  HeavyTailOnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
+  OnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
   tb.sim.run_until(sim::Time::seconds(23.0));
   EXPECT_GT(src.bursts_started(), 0u);
   EXPECT_GT(src.packets_sent(), 0u);
@@ -190,14 +190,14 @@ TEST(HeavyTailSource, EmitsBurstsWithinWindow) {
 TEST(HeavyTailSource, SameSeedSameSchedule) {
   auto run_once = [] {
     TrafficBed tb(42);
-    HeavyTailOnOffConfig cfg;
+    OnOffConfig cfg;
+    cfg.on_law = OnOffConfig::OnLaw::kPareto;
     cfg.flow_id = 7;
     cfg.dest = net::Address(1);
     cfg.rate_pps = 20.0;
     cfg.start = sim::Time::seconds(1.0);
     cfg.stop = sim::Time::seconds(15.0);
-    HeavyTailOnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory,
-                             tb.registry);
+    OnOffSource src(tb.sim, cfg, *tb.agents[0], tb.factory, tb.registry);
     tb.sim.run_until(sim::Time::seconds(16.0));
     return std::pair{src.packets_sent(), src.bursts_started()};
   };
