@@ -1,0 +1,21 @@
+# Smoke test of the wmnsim_cli entry point, run by ctest as
+#   cmake -DCLI=<path to wmnsim_cli> -P cli_smoke_test.cmake
+# Every traffic model runs for 1 s of traffic, on random pairs and
+# toward 3 gateways, and must exit 0; a malformed value must exit 1.
+
+function(run_cli want)
+  execute_process(COMMAND "${CLI}" ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc STREQUAL want)
+    list(JOIN ARGN " " args)
+    message(FATAL_ERROR "wmnsim_cli ${args}: exit ${rc}, want ${want}\n${out}${err}")
+  endif()
+endfunction()
+
+foreach(model cbr onoff heavytail sessions)
+  foreach(pattern "" "--gateways;3")
+    run_cli(0 --nodes 30 --area 600 600 --flows 4 --seconds 1
+            --traffic ${model} ${pattern})
+  endforeach()
+endforeach()
+run_cli(1 --nodes abc)

@@ -104,7 +104,6 @@ class WirelessChannel {
   // Results are bit-identical with the index on or off.
   void enable_spatial_index(double area_width_m, double area_height_m);
 
-  [[nodiscard]] bool spatial_index_enabled() const { return index_enabled_; }
   // Diagnostics/tests: null until enabled AND the first indexed
   // transmission built the grid.
   [[nodiscard]] const SpatialIndex* spatial_index() const { return index_.get(); }

@@ -11,7 +11,6 @@ PacketSink::PacketSink(sim::Simulator& simulator, routing::AodvAgent& agent,
 }
 
 void PacketSink::on_deliver(net::Packet packet, net::Address) {
-  ++received_;
   const net::Packet::FlowInfo& fi = packet.flow_info();
   if (!fi.valid) return;  // control or untagged traffic
   registry_.record_delivery(fi.flow_id, fi.seq, packet.payload_bytes(),

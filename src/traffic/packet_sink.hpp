@@ -15,14 +15,11 @@ class PacketSink {
   PacketSink(const PacketSink&) = delete;
   PacketSink& operator=(const PacketSink&) = delete;
 
-  [[nodiscard]] std::uint64_t packets_received() const { return received_; }
-
  private:
   void on_deliver(net::Packet packet, net::Address origin);
 
   sim::Simulator& sim_;
   FlowRegistry& registry_;
-  std::uint64_t received_ = 0;
 };
 
 }  // namespace wmn::traffic

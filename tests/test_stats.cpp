@@ -7,92 +7,10 @@
 #include "core/check.hpp"
 #include "stats/confidence.hpp"
 #include "stats/fairness.hpp"
-#include "stats/histogram.hpp"
-#include "stats/summary.hpp"
 #include "stats/table.hpp"
 
 namespace wmn::stats {
 namespace {
-
-TEST(Summary, MeanVarianceMinMax) {
-  Summary s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(Summary, EmptyIsSafe) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(Summary, SingleValueHasZeroVariance) {
-  Summary s;
-  s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(Summary, MergeEqualsSequential) {
-  Summary all, a, b;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.37 - 5.0;
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmpty) {
-  Summary a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  Summary b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
-TEST(Histogram, BinsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.bin_count(0), 10u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 0.5);
-  EXPECT_NEAR(h.quantile(0.9), 9.0, 0.6);
-}
-
-TEST(Histogram, UnderOverflowBuckets) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(0.5);
-  h.add(99.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(), 3u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(10.0, 20.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 12.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 18.0);
-}
 
 TEST(Fairness, JainKnownValues) {
   const double xs_even[] = {5.0, 5.0, 5.0, 5.0};
