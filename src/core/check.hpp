@@ -4,7 +4,7 @@
 // invariants that `assert()` would silently compile out of the default
 // RelWithDebInfo build. WMN_CHECK stays live in ALL build types; the
 // cost is a predictable branch per check, which is noise next to the
-// hash-map traffic on the same paths.
+// table lookups on the same paths.
 //
 // Two policies, switchable at runtime (see CheckPolicy):
 //   * kAbort (default)    — print the violation and abort(). What CI,

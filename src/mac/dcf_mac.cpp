@@ -371,12 +371,12 @@ void DcfMac::handle_data(net::Packet packet, const MacHeader& hdr) {
     // Always acknowledge — the sender's retransmission means our
     // previous ACK was lost.
     send_ack(hdr.src, hdr.seq);
-    const auto it = last_rx_seq_.find(hdr.src);
-    if (it != last_rx_seq_.end() && it->second == hdr.seq && hdr.retry) {
+    auto [last, first_frame] = last_rx_seq_.try_emplace(hdr.src, hdr.seq);
+    if (!first_frame && last == hdr.seq && hdr.retry) {
       ++counters_.rx_duplicates;
       return;
     }
-    last_rx_seq_[hdr.src] = hdr.seq;
+    last = hdr.seq;
   }
   ++counters_.rx_delivered;
   if (rx_cb_) rx_cb_(std::move(packet), hdr.src);

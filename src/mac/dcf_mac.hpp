@@ -23,8 +23,8 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 
+#include "core/flat_map.hpp"
 #include "mac/load_monitor.hpp"
 #include "mac/mac_header.hpp"
 #include "net/address.hpp"
@@ -120,13 +120,11 @@ class DcfMac final : public phy::PhyListener {
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
-  // Dynamic footprint (tx queue + duplicate-detection map) — feeds the
-  // bytes_per_node bench counter.
+  // Dynamic footprint (tx queue + duplicate-detection table) — feeds
+  // the bytes_per_node bench counter.
   [[nodiscard]] std::size_t memory_bytes() const {
-    using Node = std::pair<const net::Address, std::uint16_t>;
     return sizeof(*this) + queue_.size() * sizeof(OutFrame) +
-           last_rx_seq_.bucket_count() * sizeof(void*) +
-           last_rx_seq_.size() * (sizeof(Node) + 16);
+           last_rx_seq_.memory_bytes();
   }
 
   // --- PhyListener -------------------------------------------------------
@@ -219,7 +217,7 @@ class DcfMac final : public phy::PhyListener {
 
   std::uint16_t next_seq_ = 0;
   // MAC-level duplicate detection: last seq seen per source.
-  std::unordered_map<net::Address, std::uint16_t> last_rx_seq_;
+  core::FlatMap<net::Address, std::uint16_t> last_rx_seq_;
 
   // Fault-injection power state.
   bool down_ = false;

@@ -59,24 +59,14 @@ AodvAgent::~AodvAgent() { cancel_all_timers(); }
 void AodvAgent::cancel_all_timers() {
   sim_.cancel(hello_timer_);
   sim_.cancel(housekeeping_timer_);
-  // Cancel is per-timer and idempotent; no event is scheduled or sent,
-  // so the unordered visit order is unobservable.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto& [key, rec] : rreq_cache_) {
-    sim_.cancel(rec.assess_timer);
-    sim_.cancel(rec.reply_timer);
-    sim_.cancel(rec.forward_timer);
-  }
-  // NOLINTNEXTLINE(wmn-unordered-iteration): same argument as above.
-  for (auto& [dest, d] : discoveries_) sim_.cancel(d.timer);
+  for (const auto& [key, rec] : rreq_cache_) sim_.cancel(rec.timer);
+  for (const auto& [dest, d] : discoveries_) sim_.cancel(d.timer);
 }
 
 void AodvAgent::pause() {
   if (paused_) return;
   paused_ = true;
   cancel_all_timers();
-  // Integer-sum over the buffered queues: commutative, no events.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
   for (const auto& [dest, q] : buffers_) {
     counters_.data_dropped_buffer += q.size();
   }
@@ -144,20 +134,24 @@ void AodvAgent::send(net::Packet packet, net::Address dest) {
   }
 
   // No route: buffer and (if not already running) discover.
+  park(dest, BufferedPacket{std::move(packet), now(), std::nullopt});
+  if (!discoveries_.contains(dest)) start_discovery(dest);
+}
+
+void AodvAgent::park(net::Address dest, BufferedPacket bp) {
   auto& buf = buffers_[dest];
   if (buf.size() >= cfg_.buffer_capacity) {
     buf.pop_front();
     ++counters_.data_dropped_buffer;
   }
-  buf.push_back(BufferedPacket{std::move(packet), now(), std::nullopt});
-  if (!discoveries_.contains(dest)) start_discovery(dest);
+  buf.push_back(std::move(bp));
 }
 
 void AodvAgent::flush_buffer(net::Address dest) {
-  auto it = buffers_.find(dest);
-  if (it == buffers_.end()) return;
-  std::deque<BufferedPacket> pending = std::move(it->second);
-  buffers_.erase(it);
+  std::deque<BufferedPacket>* q = buffers_.find(dest);
+  if (q == nullptr) return;
+  std::deque<BufferedPacket> pending = std::move(*q);
+  buffers_.erase(dest);
   for (auto& bp : pending) {
     const RouteEntry* r = routes_.lookup(dest, now());
     if (r == nullptr) {
@@ -183,10 +177,10 @@ void AodvAgent::flush_buffer(net::Address dest) {
 }
 
 void AodvAgent::drop_buffer(net::Address dest, const char*) {
-  auto it = buffers_.find(dest);
-  if (it == buffers_.end()) return;
-  counters_.data_dropped_no_route += it->second.size();
-  buffers_.erase(it);
+  const std::deque<BufferedPacket>* q = buffers_.find(dest);
+  if (q == nullptr) return;
+  counters_.data_dropped_no_route += q->size();
+  buffers_.erase(dest);
 }
 
 // --------------------------------------------------------------------------
@@ -195,10 +189,7 @@ void AodvAgent::drop_buffer(net::Address dest, const char*) {
 
 void AodvAgent::start_discovery(net::Address dest) {
   ++counters_.discovery_started;
-  Discovery d;
-  d.attempts = 0;
-  discoveries_[dest] = d;
-  send_rreq(dest, 0);
+  send_rreq(dest, discoveries_[dest] = Discovery{});
 }
 
 std::optional<std::uint8_t> AodvAgent::ttl_for_attempt(
@@ -216,15 +207,14 @@ std::optional<std::uint8_t> AodvAgent::ttl_for_attempt(
   return std::nullopt;
 }
 
-void AodvAgent::send_rreq(net::Address dest, std::uint32_t attempt) {
-  auto it = discoveries_.find(dest);
-  WMN_CHECK(it != discoveries_.end(), "RREQ sent without an open discovery");
-  const bool repair = it->second.repair;
+void AodvAgent::send_rreq(net::Address dest, Discovery& d) {
+  const std::uint32_t attempt = d.attempts;
+  const bool repair = d.repair;
   std::uint8_t ttl_value;
   if (repair) {
     // Local repair is one hop-bounded attempt; no retry schedule.
     WMN_CHECK_EQ(attempt, 0u, "local repair retried its RREQ");
-    ttl_value = it->second.repair_ttl;
+    ttl_value = d.repair_ttl;
   } else {
     const auto ttl = ttl_for_attempt(attempt);
     WMN_CHECK(ttl.has_value(), "RREQ attempt past the retry schedule");
@@ -255,7 +245,7 @@ void AodvAgent::send_rreq(net::Address dest, std::uint32_t attempt) {
   pkt.push(hdr);
   mac_.enqueue(std::move(pkt), net::Address::broadcast());
 
-  it->second.attempts = attempt + 1;
+  d.attempts = attempt + 1;
   // RREP wait scales with the ring radius (ring traversal time) and
   // doubles per network-wide retry, randomized by up to +50%: two
   // nodes whose first RREQs collided must not re-collide on every
@@ -278,29 +268,28 @@ void AodvAgent::send_rreq(net::Address dest, std::uint32_t attempt) {
     wait = cfg_.net_traversal_time * (std::int64_t{1} << std::min(full_attempt, 4u));
   }
   wait = wait.scaled(rng_.uniform(1.0, 1.5));
-  it->second.timer =
-      sim_.schedule(wait, [this, dest] { on_discovery_timeout(dest); });
+  d.timer = sim_.schedule(wait, [this, dest] { on_discovery_timeout(dest); });
 }
 
 void AodvAgent::on_discovery_timeout(net::Address dest) {
-  auto it = discoveries_.find(dest);
-  if (it == discoveries_.end()) return;
-  const bool repair = it->second.repair;
+  Discovery* d = discoveries_.find(dest);
+  if (d == nullptr) return;
+  const bool repair = d->repair;
   if (routes_.lookup(dest, now()) != nullptr) {
     // Route appeared without us noticing a RREP (e.g. learned from a
     // passing RREQ); treat as success.
     ++counters_.discovery_succeeded;
     if (repair) ++counters_.local_repair_succeeded;
-    discoveries_.erase(it);
+    discoveries_.erase(dest);
     flush_buffer(dest);
     return;
   }
-  if (!repair && ttl_for_attempt(it->second.attempts).has_value()) {
-    send_rreq(dest, it->second.attempts);
+  if (!repair && ttl_for_attempt(d->attempts).has_value()) {
+    send_rreq(dest, *d);
     return;
   }
   ++counters_.discovery_failed;
-  discoveries_.erase(it);
+  discoveries_.erase(dest);
   if (repair) {
     // The repair failed: deliver the RERR we withheld when the link
     // broke, so upstream nodes stop sending through us.
@@ -322,16 +311,15 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
 
   if (hdr.origin == self_) return;  // echo of our own flood
 
-  if (cfg_.rrep_blacklist && !blacklist_.empty()) {
+  if (cfg_.rrep_blacklist) {
     // Section 6.8: RREQs over a link we know to be unidirectional are
     // ignored entirely — answering them would just fail again.
-    auto bl = blacklist_.find(src);
-    if (bl != blacklist_.end()) {
-      if (bl->second > now()) {
+    if (const sim::Time* until = blacklist_.find(src); until != nullptr) {
+      if (*until > now()) {
         ++counters_.rreq_ignored_blacklist;
         return;
       }
-      blacklist_.erase(bl);
+      blacklist_.erase(src);
     }
   }
 
@@ -344,42 +332,37 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
   update_route(hdr.origin, src, hdr.origin_seqno, true, rev,
                cfg_.active_route_timeout);
 
+  // One lookup: a first copy inserts its record here and fills it in
+  // below; `rec` stays valid because nothing below adds to the cache.
   const RreqKey key = make_key(hdr.origin, hdr.rreq_id);
-  auto it = rreq_cache_.find(key);
-  if (it != rreq_cache_.end()) {
+  auto [rec, first_copy] = rreq_cache_.try_emplace(key);
+  if (!first_copy) {
     ++counters_.rreq_duplicates;
-    RreqRecord& rec = it->second;
     ++rec.copies;
     // A destination collecting copies considers this one too.
-    if (self_ == hdr.dest && !rec.replied && sim_.pending(rec.reply_timer)) {
+    if (self_ == hdr.dest && !rec.replied && sim_.pending(rec.timer)) {
       const RouteCandidate cand{path_load, hdr.hop_count};
-      if (!rec.best || selection_->better(cand, *rec.best)) {
-        rec.best = cand;
-        rec.best_prev_hop = src;
+      if (selection_->better(cand, rec.best())) {
         rec.pending_forward = hdr;
+        rec.pending_path_load = path_load;
       }
     }
     return;
   }
 
   ++counters_.rreq_received;
-  RreqRecord rec;
   rec.first_seen = now();
 
   if (self_ == hdr.dest) {
-    const RouteCandidate cand{path_load, hdr.hop_count};
-    rec.best = cand;
-    rec.best_prev_hop = src;
     rec.pending_forward = hdr;
+    rec.pending_path_load = path_load;
     const sim::Time wait = selection_->reply_wait();
     if (wait.is_zero()) {
       rec.replied = true;
-      rreq_cache_.emplace(key, std::move(rec));
-      send_rrep_as_destination(hdr, cand);
+      send_rrep_as_destination(hdr, RouteCandidate{path_load, hdr.hop_count});
     } else {
-      rec.reply_timer =
+      rec.timer =
           sim_.schedule(wait, [this, key] { destination_reply_due(key); });
-      rreq_cache_.emplace(key, std::move(rec));
     }
     return;
   }
@@ -391,7 +374,6 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
         (hdr.unknown_dest_seqno ||
          seqno_newer_or_equal(r->dest_seqno, hdr.dest_seqno))) {
       rec.forward_decided = true;
-      rreq_cache_.emplace(key, std::move(rec));
       ++counters_.rrep_intermediate;
       send_rrep_from_cache(hdr, *r);
       return;
@@ -400,7 +382,6 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
 
   if (hdr.ttl <= 1) {
     rec.forward_decided = true;
-    rreq_cache_.emplace(key, std::move(rec));
     return;
   }
 
@@ -413,49 +394,42 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
 
   const RebroadcastDecision dec = rebroadcast_->decide(ctx, rng_);
   switch (dec.action) {
-    case RebroadcastAction::kForward: {
+    case RebroadcastAction::kForward:
       rec.forward_decided = true;
-      auto [pos, inserted] = rreq_cache_.emplace(key, std::move(rec));
-      WMN_CHECK(inserted, "RREQ record already cached on first copy");
-      pos->second.forward_timer = sim_.schedule(
+      rec.timer = sim_.schedule(
           dec.delay, [this, hdr, path_load] { forward_rreq(hdr, path_load); });
       break;
-    }
     case RebroadcastAction::kDrop:
       rec.forward_decided = true;
       ++counters_.rreq_suppressed;
-      rreq_cache_.emplace(key, std::move(rec));
       break;
     case RebroadcastAction::kDefer:
       rec.pending_forward = hdr;
       rec.pending_path_load = path_load;
-      rec.assess_timer =
+      rec.timer =
           sim_.schedule(dec.delay, [this, key] { finish_defer(key); });
-      rreq_cache_.emplace(key, std::move(rec));
       break;
   }
 }
 
 void AodvAgent::finish_defer(RreqKey key) {
-  auto it = rreq_cache_.find(key);
-  if (it == rreq_cache_.end()) return;
-  RreqRecord& rec = it->second;
-  if (rec.forward_decided || !rec.pending_forward) return;
-  rec.forward_decided = true;
+  RreqRecord* rec = rreq_cache_.find(key);
+  if (rec == nullptr || rec->forward_decided || !rec->pending_forward) return;
+  rec->forward_decided = true;
 
   RebroadcastContext ctx;
-  ctx.hop_count = rec.pending_forward->hop_count;
+  ctx.hop_count = rec->pending_forward->hop_count;
   ctx.neighbor_count = neighbors_.count();
   ctx.own_load = load_->load_index();
   ctx.neighbourhood_load = neighbourhood_load();
-  ctx.duplicates_seen = rec.copies - 1;
+  ctx.duplicates_seen = rec->copies - 1;
 
   if (rebroadcast_->assess(ctx, rng_)) {
-    forward_rreq(*rec.pending_forward, rec.pending_path_load);
+    forward_rreq(*rec->pending_forward, rec->pending_path_load);
   } else {
     ++counters_.rreq_suppressed;
   }
-  rec.pending_forward.reset();
+  rec->pending_forward.reset();
 }
 
 void AodvAgent::forward_rreq(const RreqHeader& hdr, double path_load) {
@@ -473,12 +447,10 @@ void AodvAgent::forward_rreq(const RreqHeader& hdr, double path_load) {
 }
 
 void AodvAgent::destination_reply_due(RreqKey key) {
-  auto it = rreq_cache_.find(key);
-  if (it == rreq_cache_.end()) return;
-  RreqRecord& rec = it->second;
-  if (rec.replied || !rec.best || !rec.pending_forward) return;
-  rec.replied = true;
-  send_rrep_as_destination(*rec.pending_forward, *rec.best);
+  RreqRecord* rec = rreq_cache_.find(key);
+  if (rec == nullptr || rec->replied || !rec->pending_forward) return;
+  rec->replied = true;
+  send_rrep_as_destination(*rec->pending_forward, rec->best());
 }
 
 void AodvAgent::send_rrep_as_destination(const RreqHeader& hdr,
@@ -549,12 +521,11 @@ void AodvAgent::handle_rrep(net::Packet packet, net::Address src) {
   update_route(hdr.dest, src, hdr.dest_seqno, true, cand, lifetime);
 
   if (hdr.origin == self_) {
-    auto it = discoveries_.find(hdr.dest);
-    if (it != discoveries_.end()) {
-      sim_.cancel(it->second.timer);
+    if (const Discovery* d = discoveries_.find(hdr.dest); d != nullptr) {
+      sim_.cancel(d->timer);
       ++counters_.discovery_succeeded;
-      if (it->second.repair) ++counters_.local_repair_succeeded;
-      discoveries_.erase(it);
+      if (d->repair) ++counters_.local_repair_succeeded;
+      discoveries_.erase(hdr.dest);
     }
     flush_buffer(hdr.dest);
     return;
@@ -623,7 +594,7 @@ bool AodvAgent::update_route(net::Address dest, net::Address via,
   entry.state = RouteState::kValid;
   entry.expires = now() + lifetime;
   if (e != nullptr) entry.precursors = std::move(e->precursors);
-  routes_.upsert(entry);
+  routes_.upsert(std::move(entry));
   note_route_restored(dest);
   return true;
 }
@@ -635,19 +606,19 @@ void AodvAgent::note_route_broken(net::Address dest) {
 }
 
 void AodvAgent::note_route_restored(net::Address dest) {
-  if (broken_at_.empty()) return;  // common case: nothing broken
-  auto it = broken_at_.find(dest);
-  if (it == broken_at_.end()) return;
+  const sim::Time* broken = broken_at_.find(dest);
+  if (broken == nullptr) return;
   counters_.route_recovery_ns_total +=
-      static_cast<std::uint64_t>((now() - it->second).ns());
+      static_cast<std::uint64_t>((now() - *broken).ns());
   ++counters_.route_recoveries;
-  broken_at_.erase(it);
+  broken_at_.erase(dest);
 }
 
 void AodvAgent::upsert_neighbor_route(net::Address neighbor) {
   RouteEntry* e = routes_.find(neighbor);
   if (e != nullptr && e->state == RouteState::kValid) {
-    routes_.touch(neighbor, now() + cfg_.active_route_timeout);
+    // touch(), without a second lookup.
+    e->expires = std::max(e->expires, now() + cfg_.active_route_timeout);
     return;
   }
   RouteEntry entry;
@@ -663,7 +634,7 @@ void AodvAgent::upsert_neighbor_route(net::Address neighbor) {
     entry.valid_seqno = e->valid_seqno;
     entry.precursors = std::move(e->precursors);
   }
-  routes_.upsert(entry);
+  routes_.upsert(std::move(entry));
   note_route_restored(neighbor);
 }
 
@@ -695,17 +666,12 @@ void AodvAgent::handle_data(net::Packet packet, net::Address src) {
 
   const RouteEntry* r = routes_.lookup(hdr.dest, now());
   if (r == nullptr) {
-    if (auto d = discoveries_.find(hdr.dest);
-        d != discoveries_.end() && d->second.repair) {
+    if (const Discovery* d = discoveries_.find(hdr.dest);
+        d != nullptr && d->repair) {
       // We are mid-local-repair for this destination (section 6.12):
       // park the packet with the repair's adoptees instead of bouncing
       // a RERR upstream for a break we expect to heal.
-      auto& buf = buffers_[hdr.dest];
-      if (buf.size() >= cfg_.buffer_capacity) {
-        buf.pop_front();
-        ++counters_.data_dropped_buffer;
-      }
-      buf.push_back(BufferedPacket{std::move(packet), now(), hdr});
+      park(hdr.dest, BufferedPacket{std::move(packet), now(), hdr});
       return;
     }
     ++counters_.data_dropped_no_route;
@@ -776,21 +742,15 @@ void AodvAgent::on_mac_tx_failed(net::Address next_hop, net::Packet packet) {
   // repair is adopting them.
   if (packet.top_is<DataHeader>()) {
     DataHeader hdr = packet.pop<DataHeader>();
-    const auto open = discoveries_.find(hdr.dest);
-    const bool repair_running =
-        open != discoveries_.end() && open->second.repair;
+    const Discovery* open = discoveries_.find(hdr.dest);
+    const bool repair_running = open != nullptr && open->repair;
     if (hdr.origin == self_) {
       --counters_.data_originated;  // send() will count it again
       send(std::move(packet), hdr.dest);
     } else if (repair_dest == hdr.dest || repair_running) {
       // Either this failure triggers a repair, or one is already in
       // flight for the destination: the repair adopts the packet.
-      auto& buf = buffers_[hdr.dest];
-      if (buf.size() >= cfg_.buffer_capacity) {
-        buf.pop_front();
-        ++counters_.data_dropped_buffer;
-      }
-      buf.push_back(BufferedPacket{std::move(packet), now(), hdr});
+      park(hdr.dest, BufferedPacket{std::move(packet), now(), hdr});
       if (repair_dest == hdr.dest) start_local_repair(hdr.dest, repair_hops);
     } else {
       ++counters_.data_dropped_link_break;
@@ -806,14 +766,13 @@ void AodvAgent::start_local_repair(net::Address dest, std::uint8_t last_hops) {
             "local repair over an already-open discovery");
   ++counters_.local_repair_attempted;
   ++counters_.discovery_started;
-  Discovery d;
+  Discovery& d = discoveries_[dest] = Discovery{};
   d.repair = true;
   const std::uint32_t ttl =
       static_cast<std::uint32_t>(last_hops) + cfg_.local_repair_ttl_slack;
   d.repair_ttl = static_cast<std::uint8_t>(
       std::min<std::uint32_t>(std::max<std::uint32_t>(ttl, 1), cfg_.rreq_ttl));
-  discoveries_[dest] = d;
-  send_rreq(dest, 0);
+  send_rreq(dest, d);
 }
 
 void AodvAgent::on_neighbor_lost(net::Address neighbor) {
@@ -852,10 +811,8 @@ void AodvAgent::emit_rerr(const std::vector<net::Address>& dests,
     send_rerr(dests, seqnos, net::Address::broadcast());
     return;
   }
-  // Precursors were collected from unordered sets; normalise to a
-  // sorted unique list so the fan-out below is a function of the
-  // logical precursor set, never of hash-bucket layout (which varies
-  // with reserve/rehash history).
+  // Several routes' lists were concatenated; normalise to a sorted
+  // unique list.
   std::sort(precursor_list.begin(), precursor_list.end());
   precursor_list.erase(
       std::unique(precursor_list.begin(), precursor_list.end()),
@@ -965,53 +922,31 @@ void AodvAgent::handle_hello(net::Packet packet, net::Address src) {
 void AodvAgent::housekeeping() {
   routes_.purge(now(), cfg_.dead_route_retention);
 
-  // The four purge loops below erase entries judged independently
-  // against `now` (plus integer counter bumps): the surviving state is
-  // identical for any visit order and nothing is scheduled or sent, so
-  // unordered iteration cannot leak hash layout into the event stream.
-
   // Expired RREQ records.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto it = rreq_cache_.begin(); it != rreq_cache_.end();) {
-    const RreqRecord& rec = it->second;
-    const bool timers_live = sim_.pending(rec.assess_timer) ||
-                             sim_.pending(rec.reply_timer) ||
-                             sim_.pending(rec.forward_timer);
-    if (!timers_live && rec.first_seen + cfg_.rreq_cache_timeout <= now()) {
-      it = rreq_cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  rreq_cache_.erase_if([&](RreqKey, const RreqRecord& rec) {
+    return !sim_.pending(rec.timer) &&
+           rec.first_seen + cfg_.rreq_cache_timeout <= now();
+  });
 
   // Expired blacklist entries.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto it = blacklist_.begin(); it != blacklist_.end();) {
-    it = it->second <= now() ? blacklist_.erase(it) : std::next(it);
-  }
+  blacklist_.erase_if([&](net::Address, sim::Time until) { return until <= now(); });
 
   // Breaks whose route never came back: stop waiting after the same
   // horizon that reclaims dead route entries.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto it = broken_at_.begin(); it != broken_at_.end();) {
-    if (it->second + cfg_.dead_route_retention <= now()) {
-      ++counters_.route_recovery_abandoned;
-      it = broken_at_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  broken_at_.erase_if([&](net::Address, sim::Time broken) {
+    if (broken + cfg_.dead_route_retention > now()) return false;
+    ++counters_.route_recovery_abandoned;
+    return true;
+  });
 
   // Stale buffered packets.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto it = buffers_.begin(); it != buffers_.end();) {
-    auto& q = it->second;
+  buffers_.erase_if([&](net::Address, std::deque<BufferedPacket>& q) {
     while (!q.empty() && q.front().enqueued + cfg_.buffer_timeout <= now()) {
       q.pop_front();
       ++counters_.data_dropped_buffer;
     }
-    it = q.empty() ? buffers_.erase(it) : std::next(it);
-  }
+    return q.empty();
+  });
 
   housekeeping_timer_ =
       sim_.schedule(cfg_.housekeeping_interval, [this] { housekeeping(); });
@@ -1039,31 +974,16 @@ void AodvAgent::on_mac_receive(net::Packet packet, net::Address src) {
   // Unknown top header: silently ignored (future protocol versions).
 }
 
-namespace {
-
-// libstdc++ unordered_map footprint: one bucket pointer per bucket plus
-// a node (value + next pointer + cached hash ≈ value + 16) per element.
-template <typename Map>
-std::size_t umap_bytes(const Map& m) {
-  return m.bucket_count() * sizeof(void*) +
-         m.size() * (sizeof(typename Map::value_type) + 16);
-}
-
-}  // namespace
-
 std::size_t AodvAgent::memory_bytes() const {
   std::size_t bytes = sizeof(*this);
   bytes += routes_.memory_bytes() - sizeof(RouteTable);
   bytes += neighbors_.memory_bytes() - sizeof(NeighborTable);
-  bytes += umap_bytes(rreq_cache_);
-  bytes += umap_bytes(discoveries_);
-  bytes += umap_bytes(buffers_);
-  // NOLINTNEXTLINE(wmn-unordered-iteration) — pure accumulation
+  bytes += rreq_cache_.memory_bytes() + discoveries_.memory_bytes() +
+           buffers_.memory_bytes() + blacklist_.memory_bytes() +
+           broken_at_.memory_bytes();
   for (const auto& [dest, q] : buffers_) {
     bytes += q.size() * sizeof(BufferedPacket);
   }
-  bytes += umap_bytes(blacklist_);
-  bytes += umap_bytes(broken_at_);
   return bytes;
 }
 

@@ -26,8 +26,8 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
+#include "core/flat_map.hpp"
 #include "mac/dcf_mac.hpp"
 #include "net/address.hpp"
 #include "net/packet.hpp"
@@ -185,38 +185,36 @@ class AodvAgent {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  struct RreqKey {
-    std::uint64_t v;
-    bool operator==(const RreqKey&) const = default;
-  };
-  struct RreqKeyHash {
-    std::size_t operator()(const RreqKey& k) const noexcept {
-      return std::hash<std::uint64_t>{}(k.v);
-    }
-  };
+  // (origin, RREQ id) packed into one word.
+  using RreqKey = std::uint64_t;
   static RreqKey make_key(net::Address origin, std::uint32_t id) {
-    return RreqKey{(static_cast<std::uint64_t>(origin.value()) << 32) | id};
+    return (static_cast<std::uint64_t>(origin.value()) << 32) | id;
   }
 
   // Per-RREQ bookkeeping: duplicate counting, deferred forwarding
-  // (counter policy), and destination-side copy collection.
+  // (counter policy), and destination-side copy collection. Packed to
+  // 64 bytes: the cache holds every RREQ heard in the last
+  // rreq_cache_timeout, so the record size shows in bytes_per_node.
   struct RreqRecord {
     sim::Time first_seen{};
+    // The one event a record can own, by how its first copy was
+    // handled: the jittered rebroadcast (kForward), the deferred
+    // assessment (kDefer) or the destination's reply wait. Tracked so
+    // teardown and crash injection can cancel it — an untracked event
+    // would fire into a destroyed or paused agent.
+    sim::EventId timer{};
+    // The copy to act on and its accumulated path load: the deferred
+    // forward (kDefer), or at the destination the best copy so far.
+    double pending_path_load = 0.0;
+    std::optional<RreqHeader> pending_forward;
     std::uint32_t copies = 1;
     bool forward_decided = false;
-    // Deferred forward (kDefer) state.
-    std::optional<RreqHeader> pending_forward;
-    double pending_path_load = 0.0;
-    sim::EventId assess_timer{};
-    // Destination-side selection state.
     bool replied = false;
-    std::optional<RouteCandidate> best;
-    net::Address best_prev_hop;  // where the best copy came from
-    sim::EventId reply_timer{};
-    // Jittered rebroadcast of a kForward decision. Tracked so teardown
-    // and crash injection can cancel it — an untracked forward event
-    // would fire into a destroyed or paused agent.
-    sim::EventId forward_timer{};
+
+    // Destination side: the best copy as a route candidate.
+    [[nodiscard]] RouteCandidate best() const {
+      return RouteCandidate{pending_path_load, pending_forward->hop_count};
+    }
   };
 
   struct Discovery {
@@ -247,7 +245,9 @@ class AodvAgent {
 
   // --- discovery --------------------------------------------------------
   void start_discovery(net::Address dest);
-  void send_rreq(net::Address dest, std::uint32_t attempt);
+  // Send the RREQ for `d`'s next attempt. `d` is dest's entry in
+  // discoveries_.
+  void send_rreq(net::Address dest, Discovery& d);
   // TTL for the given attempt index (ring sequence, then network-wide),
   // or nullopt when the attempt budget is exhausted.
   [[nodiscard]] std::optional<std::uint8_t> ttl_for_attempt(
@@ -267,6 +267,8 @@ class AodvAgent {
                     sim::Time lifetime);
   void upsert_neighbor_route(net::Address neighbor);
   void flush_buffer(net::Address dest);
+  // Queue `bp` for `dest`, dropping the oldest packet when full.
+  void park(net::Address dest, BufferedPacket bp);
   void drop_buffer(net::Address dest, const char* reason);
 
   // --- failures -----------------------------------------------------------
@@ -278,9 +280,8 @@ class AodvAgent {
                          net::Address repair_dest = net::Address{});
   // Decide the RERR recipient (precursor unicast / broadcast /
   // suppression, per cfg_.rerr_to_precursors) and send. `precursor_list`
-  // may arrive in any order with duplicates; it is normalised (sorted,
-  // unique) internally so the fan-out never depends on the hash layout
-  // of the unordered precursor sets it was collected from.
+  // may arrive in any order with duplicates (it concatenates several
+  // routes' lists); it is normalised (sorted, unique) internally.
   void emit_rerr(const std::vector<net::Address>& dests,
                  const std::vector<std::uint32_t>& seqnos,
                  std::vector<net::Address> precursor_list);
@@ -316,9 +317,9 @@ class AodvAgent {
   std::uint32_t rreq_id_ = 0;
   std::uint32_t hello_seqno_ = 0;
 
-  std::unordered_map<RreqKey, RreqRecord, RreqKeyHash> rreq_cache_;
-  std::unordered_map<net::Address, Discovery> discoveries_;
-  std::unordered_map<net::Address, std::deque<BufferedPacket>> buffers_;
+  core::FlatMap<RreqKey, RreqRecord> rreq_cache_;
+  core::FlatMap<net::Address, Discovery> discoveries_;
+  core::FlatMap<net::Address, std::deque<BufferedPacket>> buffers_;
 
   sim::EventId hello_timer_{};
   sim::EventId housekeeping_timer_{};
@@ -326,10 +327,10 @@ class AodvAgent {
   // Fault injection: true while crashed.
   bool paused_ = false;
   // Blacklisted RREQ sources (section 6.8) -> ignore-until time.
-  std::unordered_map<net::Address, sim::Time> blacklist_;
+  core::FlatMap<net::Address, sim::Time> blacklist_;
   // Destinations whose route broke (link break / RERR) and has not been
   // reinstalled yet -> break time. Feeds the recovery-latency metric.
-  std::unordered_map<net::Address, sim::Time> broken_at_;
+  core::FlatMap<net::Address, sim::Time> broken_at_;
 
   Counters counters_;
 };

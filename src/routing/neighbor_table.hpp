@@ -6,9 +6,9 @@
 // inputs to CLNLR's neighbourhood load computation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/address.hpp"
@@ -47,16 +47,18 @@ class NeighborTable {
   void refresh(net::Address addr);
 
   [[nodiscard]] bool contains(net::Address addr) const {
-    return neighbors_.contains(addr);
+    return info(addr) != nullptr;
   }
 
   [[nodiscard]] std::size_t count() const { return neighbors_.size(); }
 
   [[nodiscard]] const NeighborInfo* info(net::Address addr) const;
 
-  [[nodiscard]] std::vector<NeighborInfo> snapshot() const;
+  // Every neighbour, in address order.
+  [[nodiscard]] std::vector<NeighborInfo> snapshot() const { return neighbors_; }
 
-  // Mean advertised load of current neighbours (0 when alone).
+  // Mean advertised load of current neighbours (0 when alone), summed
+  // in address order.
   [[nodiscard]] double mean_neighbor_load() const;
 
   // Called when a neighbour expires from the table.
@@ -68,20 +70,25 @@ class NeighborTable {
   void pause();
   void resume();
 
-  // Dynamic footprint (buckets + entries) — feeds the bytes_per_node
-  // bench counter.
+  // Dynamic footprint (entry storage) — feeds the bytes_per_node bench
+  // counter.
   [[nodiscard]] std::size_t memory_bytes() const {
-    using Node = std::pair<const net::Address, NeighborInfo>;
-    return sizeof(*this) + neighbors_.bucket_count() * sizeof(void*) +
-           neighbors_.size() * (sizeof(Node) + 16);
+    return sizeof(*this) + neighbors_.capacity() * sizeof(NeighborInfo);
   }
 
  private:
   void sweep();
 
+  // Index of the first entry whose address is not below `addr`.
+  [[nodiscard]] std::size_t position(net::Address addr) const {
+    return static_cast<std::size_t>(
+        std::ranges::lower_bound(neighbors_, addr, {}, &NeighborInfo::addr) -
+        neighbors_.begin());
+  }
+
   sim::Simulator& sim_;
   sim::Time lifetime_;
-  std::unordered_map<net::Address, NeighborInfo> neighbors_;
+  std::vector<NeighborInfo> neighbors_;  // sorted by address
   LossCallback loss_cb_;
   sim::EventId sweep_timer_{};
 };

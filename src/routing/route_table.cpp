@@ -1,29 +1,30 @@
 #include "routing/route_table.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/check.hpp"
 
 namespace wmn::routing {
 
 const RouteEntry* RouteTable::lookup(net::Address dest, sim::Time now) {
-  auto it = table_.find(dest);
-  if (it == table_.end()) return nullptr;
-  RouteEntry& e = it->second;
-  if (e.state == RouteState::kValid && e.expires <= now) {
-    e.state = RouteState::kInvalid;
+  RouteEntry* e = find(dest);
+  if (e == nullptr) return nullptr;
+  if (e->state == RouteState::kValid && e->expires <= now) {
+    e->state = RouteState::kInvalid;
     // Hold the dead entry for its seqno; purge() reclaims it later.
-    e.expires = now;
+    e->expires = now;
   }
-  return e.state == RouteState::kValid ? &e : nullptr;
+  return e->state == RouteState::kValid ? e : nullptr;
 }
 
 RouteEntry* RouteTable::find(net::Address dest) {
-  auto it = table_.find(dest);
-  return it == table_.end() ? nullptr : &it->second;
+  const std::uint32_t a = dest.value();
+  if (a >= slot_.size() || slot_[a] == kNoSlot) return nullptr;
+  return &entries_[slot_[a]];
 }
 
-RouteEntry& RouteTable::upsert(const RouteEntry& entry) {
+void RouteTable::upsert(RouteEntry entry) {
   // Next-hop validity: a usable route must point at a concrete
   // neighbour. A broadcast or null next hop would silently blackhole
   // every packet sent along it.
@@ -35,61 +36,63 @@ RouteEntry& RouteTable::upsert(const RouteEntry& entry) {
     WMN_CHECK_GE(entry.hop_count, std::uint8_t{1},
                  "a valid route spans at least one hop");
   }
-  return table_[entry.dest] = entry;
+  // One slot per address, so bounding the address also bounds the
+  // entry count to what a 16-bit slot can name.
+  const std::uint32_t a = entry.dest.value();
+  WMN_CHECK_LT(a, std::uint32_t{kNoSlot},
+               "route index covers addresses below 0xFFFF");
+  if (a >= kNoSlot) return;  // kLogAndCount: never grow the index past it
+  if (RouteEntry* e = find(entry.dest)) {
+    *e = std::move(entry);
+    return;
+  }
+  if (a >= slot_.size()) {
+    slot_.reserve(a + 1);  // exact: resize alone would double the capacity
+    slot_.resize(a + 1, kNoSlot);
+  }
+  slot_[a] = static_cast<std::uint16_t>(entries_.size());
+  entries_.push_back(std::move(entry));
 }
 
 void RouteTable::touch(net::Address dest, sim::Time expires) {
-  auto it = table_.find(dest);
-  if (it == table_.end() || it->second.state != RouteState::kValid) return;
-  if (it->second.expires < expires) it->second.expires = expires;
+  RouteEntry* e = find(dest);
+  if (e == nullptr || e->state != RouteState::kValid) return;
+  if (e->expires < expires) e->expires = expires;
 }
 
 std::optional<RouteEntry> RouteTable::invalidate(net::Address dest,
                                                  sim::Time now) {
-  auto it = table_.find(dest);
-  if (it == table_.end() || it->second.state != RouteState::kValid) {
-    return std::nullopt;
-  }
-  RouteEntry& e = it->second;
-  e.state = RouteState::kInvalid;
+  RouteEntry* e = find(dest);
+  if (e == nullptr || e->state != RouteState::kValid) return std::nullopt;
+  e->state = RouteState::kInvalid;
   // RFC 3561 section 6.11: increment the seqno of an invalidated route.
-  if (e.valid_seqno) ++e.dest_seqno;
-  e.expires = now;
-  return e;
+  if (e->valid_seqno) ++e->dest_seqno;
+  e->expires = now;
+  return *e;
 }
 
 std::vector<net::Address> RouteTable::dests_via(net::Address via, sim::Time now) {
   std::vector<net::Address> out;
-  // Collection order is normalised by the sort below; nothing escapes
-  // in hash order.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto& [dest, e] : table_) {
+  for (const RouteEntry& e : entries_) {
     if (e.state == RouteState::kValid && e.expires > now && e.next_hop == via) {
-      out.push_back(dest);
+      out.push_back(e.dest);
     }
   }
-  // The result feeds RERR destination lists — wire-visible packet
-  // contents — so its order must be a function of the table's *logical*
-  // content, not of unordered_map bucket layout (which depends on
-  // reserve/rehash history and would couple the event stream to the
-  // standard library's hash internals).
+  // Slot order is erase history; RERR lists go out in address order.
   std::sort(out.begin(), out.end());
   return out;
 }
 
 void RouteTable::add_precursor(net::Address dest, net::Address precursor) {
-  auto it = table_.find(dest);
-  if (it == table_.end()) return;
-  auto& prec = it->second.precursors;
+  RouteEntry* e = find(dest);
+  if (e == nullptr) return;
+  auto& prec = e->precursors;
   const auto pos = std::lower_bound(prec.begin(), prec.end(), precursor);
   if (pos == prec.end() || *pos != precursor) prec.insert(pos, precursor);
 }
 
 void RouteTable::remove_precursor(net::Address precursor) {
-  // Erasing one key from every per-entry list is commutative: the final
-  // state is identical for any visit order and no events are emitted.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto& [dest, e] : table_) {
+  for (RouteEntry& e : entries_) {
     const auto pos =
         std::lower_bound(e.precursors.begin(), e.precursors.end(), precursor);
     if (pos != e.precursors.end() && *pos == precursor) {
@@ -99,38 +102,32 @@ void RouteTable::remove_precursor(net::Address precursor) {
 }
 
 std::size_t RouteTable::memory_bytes() const {
-  std::size_t bytes = sizeof(*this) + table_.bucket_count() * sizeof(void*);
-  // libstdc++ node overhead: hash node = value + next pointer + cached
-  // hash; 16 bytes is the measured per-node cost on LP64.
-  using Node = std::pair<const net::Address, RouteEntry>;
-  bytes += table_.size() * (sizeof(Node) + 16);
-  // NOLINTNEXTLINE(wmn-unordered-iteration) — pure accumulation
-  for (const auto& [dest, e] : table_) {
+  std::size_t bytes = sizeof(*this) + entries_.capacity() * sizeof(RouteEntry) +
+                      slot_.capacity() * sizeof(std::uint16_t);
+  for (const RouteEntry& e : entries_) {
     bytes += e.precursors.capacity() * sizeof(net::Address);
   }
   return bytes;
 }
 
 void RouteTable::purge(sim::Time now, sim::Time dead_retention) {
-  // Per-entry expiry test + erase; entries are judged independently
-  // against `now`, so the visit order cannot change the surviving set,
-  // and nothing here schedules events or sends packets.
-  // NOLINTNEXTLINE(wmn-unordered-iteration)
-  for (auto it = table_.begin(); it != table_.end();) {
-    const RouteEntry& e = it->second;
-    const bool expired_valid =
-        e.state == RouteState::kValid && e.expires <= now;
-    if (expired_valid) {
-      it->second.state = RouteState::kInvalid;
-      it->second.expires = now;
-      ++it;
+  for (std::size_t i = 0; i < entries_.size();) {
+    RouteEntry& e = entries_[i];
+    if (e.state == RouteState::kValid && e.expires <= now) {
+      e.state = RouteState::kInvalid;
+      e.expires = now;
+    } else if (e.state == RouteState::kInvalid &&
+               e.expires + dead_retention <= now) {
+      // Erase by moving the last entry into slot i, then look at it.
+      slot_[e.dest.value()] = kNoSlot;
+      if (i + 1 != entries_.size()) {
+        e = std::move(entries_.back());
+        slot_[e.dest.value()] = static_cast<std::uint16_t>(i);
+      }
+      entries_.pop_back();
       continue;
     }
-    if (e.state == RouteState::kInvalid && e.expires + dead_retention <= now) {
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
+    ++i;
   }
 }
 

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/address.hpp"
@@ -24,9 +23,8 @@ struct RouteEntry {
   sim::Time expires{};          // entry dies (or goes stale) at this time
   // Neighbours that route *through us* to `dest`; they get RERRs when
   // the route breaks. Sorted ascending and duplicate-free — a handful
-  // of addresses at most, where a sorted vector is both smaller than a
-  // hash set (24 bytes inline vs 56 + buckets) and already in the
-  // normalised order the RERR path needs.
+  // of addresses at most, already in the normalised order the RERR
+  // path needs.
   std::vector<net::Address> precursors;
   net::Address dest;
   net::Address next_hop;
@@ -36,6 +34,13 @@ struct RouteEntry {
   RouteState state = RouteState::kValid;
 };
 
+// Entries live contiguously; a dense index maps each address (node
+// addresses are 0..N-1) to its entry's slot.
+//
+// Pointer stability: a RouteEntry* from lookup() or find() stays valid
+// only until the next upsert(), purge() or clear() — upsert may grow
+// the storage and purge moves the last entry into an erased slot.
+// touch(), invalidate() and the precursor calls never move entries.
 class RouteTable {
  public:
   // Valid (non-expired, kValid) entry for dest, if any. `now` drives
@@ -45,8 +50,8 @@ class RouteTable {
   // Entry regardless of state (e.g. to read the last known seqno).
   [[nodiscard]] RouteEntry* find(net::Address dest);
 
-  // Insert or overwrite an entry.
-  RouteEntry& upsert(const RouteEntry& entry);
+  // Insert or overwrite the entry for entry.dest.
+  void upsert(RouteEntry entry);
 
   // Refresh the lifetime of an active route (data traffic keeps routes
   // alive, per RFC 3561 section 6.2).
@@ -57,7 +62,8 @@ class RouteTable {
   // entry, if one existed and was valid.
   std::optional<RouteEntry> invalidate(net::Address dest, sim::Time now);
 
-  // All valid routes whose next hop is `via` (link-break handling).
+  // All valid routes whose next hop is `via`, in address order
+  // (link-break handling; the order reaches RERR destination lists).
   [[nodiscard]] std::vector<net::Address> dests_via(net::Address via,
                                                     sim::Time now);
 
@@ -68,21 +74,30 @@ class RouteTable {
   // not addressed to stations known to be gone.
   void remove_precursor(net::Address precursor);
 
-  [[nodiscard]] std::size_t size() const { return table_.size(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   // Drop long-dead invalid entries (housekeeping; called by the agent's
   // periodic timer).
   void purge(sim::Time now, sim::Time dead_retention);
 
   // Forget everything (node crash: a rebooted router has no table).
-  void clear() { table_.clear(); }
+  void clear() {
+    entries_.clear();
+    slot_.clear();
+  }
 
-  // Dynamic footprint (buckets + entries + precursor storage) — feeds
-  // the bytes_per_node bench counter.
+  // Dynamic footprint (index + entry storage + precursor storage) —
+  // feeds the bytes_per_node bench counter.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  std::unordered_map<net::Address, RouteEntry> table_;
+  static constexpr std::uint16_t kNoSlot = 0xFFFF;
+
+  std::vector<RouteEntry> entries_;
+  // Address value -> index into entries_, kNoSlot when absent. Grown to
+  // exactly the highest address seen: addresses arrive in random
+  // order, so that reallocates about ln N times per node.
+  std::vector<std::uint16_t> slot_;
 };
 
 }  // namespace wmn::routing

@@ -1,15 +1,20 @@
-// Hash-layout independence: the orders that escape the routing layer
-// (RERR destination lists, neighbour-loss fan-out, neighbour snapshots)
-// must be a function of *logical* table content only — never of
-// std::unordered_{map,set} bucket layout, which varies with
-// reserve/rehash history and insertion order. These are the runtime
-// twins of the `wmn-unordered-iteration` static check in
-// tools/wmn-tidy (see docs/TOOLING.md, "Custom static analysis").
+// Insertion-order independence: the orders that escape the routing
+// layer (RERR destination lists, neighbour-loss fan-out, neighbour
+// snapshots, walks over the AODV agent's small tables) must be a
+// function of *logical* table content only. The tables hold no hash
+// buckets any more, but the route table's slot order still records its
+// insert/erase history, so these pin what may and may not leak. They
+// are the runtime twins of the `wmn-unordered-iteration` static check
+// in tools/wmn-tidy (see docs/TOOLING.md, "Custom static analysis"),
+// which now guards new code.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 #include <vector>
 
+#include "core/flat_map.hpp"
 #include "routing/neighbor_table.hpp"
 #include "routing/route_table.hpp"
 #include "sim/simulator.hpp"
@@ -30,10 +35,11 @@ RouteEntry entry(std::uint32_t dest, std::uint32_t via, std::uint8_t hops,
   return e;
 }
 
-// Give a table a very different bucket history: grow it far past the
-// final size with short-lived routes, then reclaim them. The surviving
-// logical content is untouched but the rehash history is not.
-void churn_buckets(RouteTable& t, std::uint32_t base, int n) {
+// Give a table a very different slot history: grow it far past the
+// final size with short-lived routes, then reclaim them (each erase
+// moves the last entry into the freed slot). The surviving logical
+// content is untouched but the slot order is not.
+void churn_slots(RouteTable& t, std::uint32_t base, int n) {
   const sim::Time life = sim::Time::seconds(1.0);
   for (int i = 0; i < n; ++i) {
     t.upsert(entry(base + static_cast<std::uint32_t>(i), 99, 1, life));
@@ -53,7 +59,7 @@ TEST(HashLayout, DestsViaIgnoresInsertionOrderAndRehashHistory) {
   for (std::uint32_t d : dests) plain.upsert(entry(d, 2, 3, life));
 
   RouteTable churned;
-  churn_buckets(churned, 1000, 256);
+  churn_slots(churned, 1000, 256);
   for (auto it = dests.rbegin(); it != dests.rend(); ++it) {
     churned.upsert(entry(*it, 2, 3, life));
   }
@@ -63,7 +69,7 @@ TEST(HashLayout, DestsViaIgnoresInsertionOrderAndRehashHistory) {
   ASSERT_EQ(a.size(), dests.size());
   EXPECT_EQ(a, b);
   EXPECT_TRUE(std::is_sorted(a.begin(), a.end()))
-      << "RERR destination order must not depend on bucket layout";
+      << "RERR destination order must not depend on slot order";
 }
 
 TEST(HashLayout, DestsViaFiltersByNextHopThenSorts) {
@@ -99,7 +105,7 @@ TEST(HashLayout, NeighborLossCallbacksFireInAddressOrder) {
   const auto backward = run(true);
   ASSERT_EQ(forward.size(), addrs.size());
   EXPECT_EQ(forward, backward)
-      << "loss fan-out order leaked the neighbour map's bucket layout";
+      << "loss fan-out order leaked the neighbour table's insertion order";
   EXPECT_TRUE(std::is_sorted(forward.begin(), forward.end()));
 }
 
@@ -116,6 +122,46 @@ TEST(HashLayout, NeighborSnapshotSortedByAddress) {
       [](const NeighborInfo& x, const NeighborInfo& y) {
         return x.addr < y.addr;
       }));
+}
+
+TEST(HashLayout, FlatMapWalksInKeyOrderWhateverTheInsertionOrder) {
+  const std::vector<std::uint32_t> keys = {31, 2, 19, 7, 44, 3};
+  auto build = [&](bool reversed) {
+    core::FlatMap<std::uint32_t, std::string> m;
+    auto order = keys;
+    if (reversed) std::reverse(order.begin(), order.end());
+    for (std::uint32_t k : order) m[k] = std::to_string(k);
+    return m;
+  };
+  auto forward = build(false);
+  auto backward = build(true);
+  std::vector<std::uint32_t> walked;
+  for (const auto& [k, v] : forward) walked.push_back(k);
+  EXPECT_TRUE(std::is_sorted(walked.begin(), walked.end()));
+  EXPECT_EQ(walked.size(), keys.size());
+
+  // erase_if visits in key order too, and both maps agree on it.
+  std::vector<std::uint32_t> visited_f;
+  std::vector<std::uint32_t> visited_b;
+  forward.erase_if([&](std::uint32_t k, const std::string&) {
+    visited_f.push_back(k);
+    return k % 2 == 1;
+  });
+  backward.erase_if([&](std::uint32_t k, const std::string&) {
+    visited_b.push_back(k);
+    return k % 2 == 1;
+  });
+  EXPECT_EQ(visited_f, walked);
+  EXPECT_EQ(visited_b, walked);
+  ASSERT_EQ(std::distance(forward.begin(), forward.end()), 2);  // 2 and 44
+  EXPECT_NE(forward.find(2), nullptr);
+  EXPECT_EQ(forward.find(3), nullptr);
+  const std::string* survivor = backward.find(44);
+  ASSERT_NE(survivor, nullptr);
+  EXPECT_EQ(*survivor, "44");
+  const auto [value, inserted] = forward.try_emplace(44, "other");
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(value, "44");
 }
 
 }  // namespace

@@ -263,5 +263,58 @@ TEST(DcfMac, WatchesCcaOnlyWhileContending) {
   EXPECT_GE(tb.phys[1]->cumulative_busy_time(), air);
 }
 
+// Feed node 1 a data frame as if its radio had just decoded it.
+void inject(MacBed& tb, std::uint32_t from, std::uint16_t seq, bool retry) {
+  net::Packet p = tb.packet(64);
+  p.push(MacHeader{net::Address(from), net::Address(1), FrameType::kData, seq, retry});
+  tb.macs[1]->on_rx_end(std::move(p), -50.0);
+}
+
+TEST(DcfMac, DuplicateDetectionIsPerPeerAndResetsOnPowerCycle) {
+  MacBed tb({{0, 0}, {150, 0}, {150, 100}});
+  const auto& c = tb.macs[1]->counters();
+  // (peer, seq, retry flag, delivered?) — one frame per millisecond.
+  struct Frame {
+    std::uint32_t from;
+    std::uint16_t seq;
+    bool retry;
+    bool delivered;
+  };
+  const std::vector<Frame> frames = {
+      {0, 5, false, true},   // first frame from 0
+      {0, 5, true, false},   // its retry: duplicate
+      {2, 5, true, true},    // same seq from another peer: new
+      {0, 6, false, true},
+      {2, 5, true, false},   // 2's retry, interleaved with 0's frames
+      {0, 6, true, false},
+      {0, 6, false, true},   // same seq without the retry bit: new frame
+      {2, 7, true, true},    // retry bit on a new seq: new frame
+  };
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    tb.sim.schedule_at(sim::Time::millis(static_cast<double>(i + 1)), [&, i] {
+      const std::size_t before = tb.rx[1].size();
+      inject(tb, frames[i].from, frames[i].seq, frames[i].retry);
+      EXPECT_EQ(tb.rx[1].size() - before, frames[i].delivered ? 1u : 0u)
+          << "frame " << i;
+    });
+  }
+  tb.sim.run_until(sim::Time::millis(20.0));
+  EXPECT_EQ(c.rx_duplicates, 3u);
+  EXPECT_EQ(tb.rx[1].size(), 5u);
+  EXPECT_EQ(tb.rx[1][1].second, net::Address(2));
+
+  // A power cycle forgets every peer's last seq: the retry of 0's seq 6
+  // is delivered afresh.
+  tb.sim.schedule_at(sim::Time::millis(30.0), [&] {
+    tb.macs[1]->power_down();
+    tb.macs[1]->power_up();
+    inject(tb, 0, 6, true);
+    inject(tb, 0, 6, true);
+  });
+  tb.sim.run_until(sim::Time::millis(40.0));
+  EXPECT_EQ(tb.rx[1].size(), 6u);
+  EXPECT_EQ(c.rx_duplicates, 4u);
+}
+
 }  // namespace
 }  // namespace wmn::mac

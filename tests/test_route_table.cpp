@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <tuple>
+#include <vector>
+
 namespace wmn::routing {
 namespace {
 
@@ -142,6 +148,185 @@ TEST(RouteTable, UpsertOverwrites) {
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->next_hop, net::Address(4));
   EXPECT_EQ(t.size(), 1u);
+}
+
+// ---- differential test against a std::map reference model -------------
+
+// The documented RouteTable semantics over an ordered map: no index, no
+// slots, nothing moved on erase.
+class RouteModel {
+ public:
+  const RouteEntry* lookup(net::Address dest, sim::Time now) {
+    RouteEntry* e = find(dest);
+    if (e == nullptr) return nullptr;
+    if (e->state == RouteState::kValid && e->expires <= now) {
+      e->state = RouteState::kInvalid;
+      e->expires = now;
+    }
+    return e->state == RouteState::kValid ? e : nullptr;
+  }
+  RouteEntry* find(net::Address dest) {
+    auto it = table_.find(dest);
+    return it == table_.end() ? nullptr : &it->second;
+  }
+  void upsert(const RouteEntry& e) { table_[e.dest] = e; }
+  void touch(net::Address dest, sim::Time expires) {
+    RouteEntry* e = find(dest);
+    if (e != nullptr && e->state == RouteState::kValid) {
+      e->expires = std::max(e->expires, expires);
+    }
+  }
+  std::optional<RouteEntry> invalidate(net::Address dest, sim::Time now) {
+    RouteEntry* e = find(dest);
+    if (e == nullptr || e->state != RouteState::kValid) return std::nullopt;
+    e->state = RouteState::kInvalid;
+    if (e->valid_seqno) ++e->dest_seqno;
+    e->expires = now;
+    return *e;
+  }
+  std::vector<net::Address> dests_via(net::Address via, sim::Time now) const {
+    std::vector<net::Address> out;
+    for (const auto& [dest, e] : table_) {
+      if (e.state == RouteState::kValid && e.expires > now && e.next_hop == via) {
+        out.push_back(dest);
+      }
+    }
+    return out;
+  }
+  void add_precursor(net::Address dest, net::Address p) {
+    RouteEntry* e = find(dest);
+    if (e == nullptr) return;
+    auto& prec = e->precursors;
+    if (std::find(prec.begin(), prec.end(), p) == prec.end()) {
+      prec.insert(std::upper_bound(prec.begin(), prec.end(), p), p);
+    }
+  }
+  void remove_precursor(net::Address p) {
+    for (auto& [dest, e] : table_) std::erase(e.precursors, p);
+  }
+  void purge(sim::Time now, sim::Time retention) {
+    for (auto it = table_.begin(); it != table_.end();) {
+      RouteEntry& e = it->second;
+      if (e.state == RouteState::kValid && e.expires <= now) {
+        e.state = RouteState::kInvalid;
+        e.expires = now;
+        ++it;
+      } else if (e.state == RouteState::kInvalid && e.expires + retention <= now) {
+        it = table_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  void clear() { table_.clear(); }
+  [[nodiscard]] std::size_t size() const { return table_.size(); }
+
+ private:
+  std::map<net::Address, RouteEntry> table_;
+};
+
+auto fields(const RouteEntry& e) {
+  return std::tie(e.metric, e.expires, e.precursors, e.dest, e.next_hop,
+                  e.dest_seqno, e.hop_count, e.valid_seqno, e.state);
+}
+
+// Most destinations are small; a few are far out, so the dense index
+// grows in several exact steps.
+net::Address random_dest(std::mt19937_64& rng) {
+  std::uniform_int_distribution<std::uint32_t> pick(0, 99);
+  const std::uint32_t v = pick(rng);
+  if (v < 90) return net::Address(v % 40);
+  return net::Address(100 + 37 * (v - 90));
+}
+
+void expect_same(RouteTable& t, RouteModel& m, sim::Time now, int step) {
+  ASSERT_EQ(t.size(), m.size()) << "step " << step;
+  for (std::uint32_t a = 0; a < 500; ++a) {
+    const RouteEntry* got = t.find(net::Address(a));
+    const RouteEntry* want = m.find(net::Address(a));
+    ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step << " dest " << a;
+    if (got != nullptr) {
+      ASSERT_TRUE(fields(*got) == fields(*want)) << "step " << step << " dest " << a;
+    }
+  }
+  for (std::uint32_t via = 0; via < 8; ++via) {
+    ASSERT_EQ(t.dests_via(net::Address(via), now),
+              m.dests_via(net::Address(via), now))
+        << "step " << step << " via " << via;
+  }
+}
+
+TEST(RouteTable, MatchesOrderedMapModelUnderRandomOperations) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<int> op(0, 99);
+    std::uniform_int_distribution<std::uint32_t> small(0, 7);
+    std::uniform_int_distribution<std::int64_t> ms(0, 3000);
+    RouteTable t;
+    RouteModel m;
+    sim::Time now = sim::Time::zero();
+    for (int step = 0; step < 4000; ++step) {
+      now = now + sim::Time::millis(static_cast<double>(ms(rng) / 10));
+      const net::Address dest = random_dest(rng);
+      const int o = op(rng);
+      if (o < 30) {
+        RouteEntry e;
+        e.dest = dest;
+        e.next_hop = net::Address(small(rng));
+        e.hop_count = static_cast<std::uint8_t>(1 + small(rng));
+        e.dest_seqno = small(rng);
+        e.valid_seqno = small(rng) < 6;
+        e.metric = static_cast<double>(small(rng)) * 0.25;
+        e.state = small(rng) < 6 ? RouteState::kValid : RouteState::kInvalid;
+        e.expires = now + sim::Time::millis(static_cast<double>(ms(rng)));
+        for (std::uint32_t p = 0; p < 8; ++p) {
+          if (small(rng) < 2) e.precursors.push_back(net::Address(p));
+        }
+        t.upsert(e);
+        m.upsert(e);
+      } else if (o < 40) {
+        const sim::Time until = now + sim::Time::millis(static_cast<double>(ms(rng)));
+        t.touch(dest, until);
+        m.touch(dest, until);
+      } else if (o < 50) {
+        const auto a = t.invalidate(dest, now);
+        const auto b = m.invalidate(dest, now);
+        ASSERT_EQ(a.has_value(), b.has_value()) << "step " << step;
+        if (a) {
+          ASSERT_TRUE(fields(*a) == fields(*b)) << "step " << step;
+        }
+      } else if (o < 60) {
+        const net::Address p(small(rng));
+        t.add_precursor(dest, p);
+        m.add_precursor(dest, p);
+      } else if (o < 65) {
+        const net::Address p(small(rng));
+        t.remove_precursor(p);
+        m.remove_precursor(p);
+      } else if (o < 77) {
+        // Purge at a `now` that sometimes jumps far ahead, so whole
+        // runs of entries are reclaimed at once.
+        const sim::Time at = now + sim::Time::millis(static_cast<double>(
+                                      small(rng) < 2 ? ms(rng) * 5 : 0));
+        const sim::Time retention =
+            sim::Time::millis(static_cast<double>(500 + ms(rng) / 2));
+        t.purge(at, retention);
+        m.purge(at, retention);
+        now = at;
+      } else if (o < 78) {
+        t.clear();
+        m.clear();
+      } else {
+        const RouteEntry* a = t.lookup(dest, now);
+        const RouteEntry* b = m.lookup(dest, now);
+        ASSERT_EQ(a == nullptr, b == nullptr) << "step " << step;
+        if (a != nullptr) {
+          ASSERT_TRUE(fields(*a) == fields(*b)) << "step " << step;
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_same(t, m, now, step));
+    }
+  }
 }
 
 }  // namespace

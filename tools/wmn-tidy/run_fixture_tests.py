@@ -15,7 +15,9 @@ Two engines run the same fixtures:
               with clang dev packages)
 
 Fixtures are restricted to the intersection of what both engines
-detect, so the expectation files are engine-independent.
+detect, so the expectation files are engine-independent. The one
+exception is wmn-stale-suppression, which only the lite engine
+implements; the plugin engine skips its fixtures.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ DIAG_RE = re.compile(
     r"(?:warning|error):\s+.*\[(?P<check>[\w.,-]+)\]\s*$")
 
 KINDS = ("trigger", "nolint", "negative")
+LITE_ONLY = {"wmn-stale-suppression"}
 
 
 def parse_fixture_name(path: Path) -> tuple[str, str] | None:
@@ -105,6 +108,9 @@ def main(argv: list[str]) -> int:
             continue
         check, kind = parsed
         if args.only and check != args.only:
+            continue
+        if args.engine == "plugin" and check in LITE_ONLY:
+            print(f"SKIP {fixture.name}: lite-engine check")
             continue
         ran += 1
 

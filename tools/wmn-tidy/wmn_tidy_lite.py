@@ -21,9 +21,16 @@ Checks:
                             src/exp/
     wmn-unordered-iteration loops over unordered_{map,set,...}
     wmn-check-side-effects  mutation inside WMN_CHECK* conditions
+    wmn-stale-suppression   a NOLINT/NOLINTNEXTLINE(wmn-...) entry that
+                            suppresses no finding (lite engine only)
 
 NOLINT / NOLINTNEXTLINE with an optional (check-list) are honoured the
 same way clang-tidy honours them, including globs like wmn-*.
+
+wmn-stale-suppression has no plugin twin: clang-tidy filters NOLINT
+comments after every check has reported, so no single check can see
+which comments suppressed something. Here all four checks run on each
+file and every wmn-* glob records whether it matched a finding.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ ALL_CHECKS = (
     "wmn-nondeterminism",
     "wmn-unordered-iteration",
     "wmn-check-side-effects",
+    "wmn-stale-suppression",
 )
 
 UNORDERED_RE = re.compile(
@@ -134,34 +142,47 @@ def strip_comments_and_strings(src: str) -> str:
     return "".join(out)
 
 
+class Nolint:
+    """One NOLINT comment: where it sits, the line it covers, its check
+    globs (None = every check) and the globs that matched a finding."""
+
+    def __init__(self, line: int, target: int, globs: list[str] | None):
+        self.line, self.target, self.globs = line, target, globs
+        self.used: set[str] = set()
+
+
 class Suppressions:
     """NOLINT bookkeeping, computed from the ORIGINAL source (comments
     survive there)."""
 
     def __init__(self, original: str):
-        self.by_line: dict[int, list[str] | None] = {}
+        self.comments: list[Nolint] = []
+        self.by_line: dict[int, list[Nolint]] = {}
         for lineno, line in enumerate(original.splitlines(), start=1):
             m = NOLINT_RE.search(line)
             if not m:
                 continue
             target = lineno + 1 if m.group("next") else lineno
             checks = m.group("list")
-            if checks is None:
-                self.by_line[target] = None  # suppress everything
-            else:
-                globs = [c.strip() for c in checks.split(",") if c.strip()]
-                prev = self.by_line.get(target)
-                if prev is None and target in self.by_line:
-                    continue  # already suppress-all
-                self.by_line[target] = (prev or []) + globs
+            globs = None if checks is None else \
+                [c.strip() for c in checks.split(",") if c.strip()]
+            nolint = Nolint(lineno, target, globs)
+            self.comments.append(nolint)
+            self.by_line.setdefault(target, []).append(nolint)
 
     def suppressed(self, line: int, check: str) -> bool:
-        if line not in self.by_line:
-            return False
-        globs = self.by_line[line]
-        if globs is None:
-            return True
-        return any(fnmatch.fnmatchcase(check, g) for g in globs)
+        """Whether a finding of `check` on `line` is suppressed; call it
+        only for real findings, since it records which globs were used."""
+        hit = False
+        for nolint in self.by_line.get(line, ()):
+            if nolint.globs is None:
+                hit = True
+                continue
+            for g in nolint.globs:
+                if fnmatch.fnmatchcase(check, g):
+                    nolint.used.add(g)
+                    hit = True
+        return hit
 
 
 class Finding:
@@ -381,14 +402,14 @@ def check_side_effects(path, lines, supp, findings):
         # Skip the macro definitions themselves.
         if lines[ln - 1].lstrip().startswith("#"):
             continue
-        if supp.suppressed(ln, check):
-            continue
         args = split_top_level_commas(text[open_idx + 1:close_idx])
         if len(args) < 2:
             continue
         # Everything except the trailing message is user condition.
         for arg in args[:-1]:
             if SIDE_EFFECT_RE.search(arg):
+                if supp.suppressed(ln, check):
+                    break
                 findings.append(Finding(
                     path, ln, m.start() - text.rfind("\n", 0, m.start()),
                     "WMN_CHECK condition has side effects; under "
@@ -398,25 +419,40 @@ def check_side_effects(path, lines, supp, findings):
                 break
 
 
+def check_stale_suppressions(path, supp, findings):
+    """Runs after the four checks: a wmn-* glob that matched none of
+    their findings suppresses nothing."""
+    for nolint in supp.comments:
+        for g in nolint.globs or ():
+            if g.startswith("wmn-") and g not in nolint.used:
+                findings.append(Finding(
+                    path, nolint.line, 1,
+                    f"NOLINT entry '{g}' suppresses no finding on line "
+                    f"{nolint.target}; delete it so it cannot silence "
+                    "a future one", "wmn-stale-suppression"))
+
+
 def lint_files(paths: list[Path], enabled: list[str]) -> list[Finding]:
     originals = {p: p.read_text(encoding="utf-8", errors="replace")
                  for p in paths}
     stripped = {p: strip_comments_and_strings(src)
                 for p, src in originals.items()}
     unordered_names = gather_unordered_names(list(stripped.values()))
+    stale = "wmn-stale-suppression" in enabled
     findings: list[Finding] = []
     for p in paths:
         supp = Suppressions(originals[p])
         lines = stripped[p].splitlines()
-        if "wmn-no-raw-assert" in enabled:
-            check_no_raw_assert(p, lines, supp, findings)
-        if "wmn-nondeterminism" in enabled:
-            check_nondeterminism(p, lines, supp, findings)
-        if "wmn-unordered-iteration" in enabled:
-            check_unordered_iteration(p, lines, supp, findings,
-                                      unordered_names)
-        if "wmn-check-side-effects" in enabled:
-            check_side_effects(p, lines, supp, findings)
+        # Judging staleness needs every check's findings; keep only the
+        # enabled ones.
+        found: list[Finding] = []
+        check_no_raw_assert(p, lines, supp, found)
+        check_nondeterminism(p, lines, supp, found)
+        check_unordered_iteration(p, lines, supp, found, unordered_names)
+        check_side_effects(p, lines, supp, found)
+        if stale:
+            check_stale_suppressions(p, supp, found)
+        findings.extend(f for f in found if f.check in enabled)
     findings.sort(key=lambda f: (str(f.path), f.line, f.col, f.check))
     return findings
 
