@@ -1,4 +1,4 @@
-// Golden digests: exact fingerprints of twelve pinned configurations.
+// Golden digests: exact fingerprints of fifteen pinned configurations.
 //
 // test_determinism proves a run repeats itself; it cannot notice a
 // change that moves every run the same way. These digests were
@@ -25,7 +25,9 @@
 // fault scan (churn and an outage), RTS/CTS, log-normal shadowing and
 // link blackouts, plus three that run the traffic models the four
 // leave out: Poisson on/off, heavy-tail on/off, and gateway sessions
-// under a flash-crowd rate envelope.
+// under a flash-crowd rate envelope, plus three that run the RREQ paths
+// CLNLR never takes: blind flooding, gossip and counter-based
+// discovery.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -193,6 +195,30 @@ TEST(GoldenDigest, GatewaySessionsFlashCrowd) {
   cfg.traffic.rate_envelope = {
       {0.0, 1.0}, {0.5, 1.0}, {1.0, 8.0}, {2.0, 8.0}, {2.5, 1.0}};
   expect_golden(cfg, {153250, 0x0d3dde34e67eae3a});
+}
+
+// The baseline discovery schemes on the mesh100 point. CLNLR's
+// destinations hold a reply window and its nodes never answer from
+// cache; these three answer the first copy at once and let
+// intermediate nodes reply, and between them they take the policy's
+// other two verdicts: gossip drops copies outright, the counter
+// scheme defers each one and counts its duplicates.
+TEST(GoldenDigest, Mesh100Flood) {
+  exp::ScenarioConfig cfg = mesh100();
+  cfg.protocol = core::Protocol::kAodvFlood;
+  expect_golden(cfg, {222433, 0x1c71bc7761bedec0});
+}
+
+TEST(GoldenDigest, Mesh100Gossip) {
+  exp::ScenarioConfig cfg = mesh100();
+  cfg.protocol = core::Protocol::kAodvGossip;
+  expect_golden(cfg, {204490, 0xa9fd735195ba44a0});
+}
+
+TEST(GoldenDigest, Mesh100Counter) {
+  exp::ScenarioConfig cfg = mesh100();
+  cfg.protocol = core::Protocol::kAodvCounter;
+  expect_golden(cfg, {192157, 0x162305143b7e0dc3});
 }
 
 }  // namespace
