@@ -1,5 +1,5 @@
 // Sorted-vector map for small, sparse per-node tables (the RREQ
-// cache, open discoveries, packet buffers, the MAC duplicate filter).
+// tables, open discoveries, packet buffers, the MAC duplicate filter).
 //
 // Entries sit contiguously in key order: a lookup is a binary search
 // and iteration follows the keys, so no walk over one can depend on a

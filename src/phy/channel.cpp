@@ -386,6 +386,15 @@ void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
                 return nc.delay[a] < nc.delay[b] ||
                        (nc.delay[a] == nc.delay[b] && a < b);
               });
+    // A static list is built once per run and only read after: hold it
+    // at its exact size, not at the growth capacity push_back left.
+    nc.rx_index.shrink_to_fit();
+    nc.is_cached.shrink_to_fit();
+    nc.power_dbm.shrink_to_fit();
+    nc.power_mw.shrink_to_fit();
+    nc.delay.shrink_to_fit();
+    nc.order.shrink_to_fit();
+    nc.weak.shrink_to_fit();
   }
   nc.built_version = index_->version();
 }

@@ -59,7 +59,7 @@ AodvAgent::~AodvAgent() { cancel_all_timers(); }
 void AodvAgent::cancel_all_timers() {
   sim_.cancel(hello_timer_);
   sim_.cancel(housekeeping_timer_);
-  for (const auto& [key, rec] : rreq_cache_) sim_.cancel(rec.timer);
+  for (const auto& [key, p] : rreq_pending_) sim_.cancel(p.timer);
   for (const auto& [dest, d] : discoveries_) sim_.cancel(d.timer);
 }
 
@@ -71,7 +71,8 @@ void AodvAgent::pause() {
     counters_.data_dropped_buffer += q.size();
   }
   buffers_.clear();
-  rreq_cache_.clear();
+  rreq_seen_.clear();
+  rreq_pending_.clear();
   discoveries_.clear();
   routes_.clear();
   neighbors_.pause();
@@ -332,36 +333,32 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
   update_route(hdr.origin, src, hdr.origin_seqno, true, rev,
                cfg_.active_route_timeout);
 
-  // One lookup: a first copy inserts its record here and fills it in
-  // below; `rec` stays valid because nothing below adds to the cache.
   const RreqKey key = make_key(hdr.origin, hdr.rreq_id);
-  auto [rec, first_copy] = rreq_cache_.try_emplace(key);
-  if (!first_copy) {
+  if (!rreq_seen_.try_emplace(key, now()).second) {
     ++counters_.rreq_duplicates;
-    ++rec.copies;
-    // A destination collecting copies considers this one too.
-    if (self_ == hdr.dest && !rec.replied && sim_.pending(rec.timer)) {
+    // Copies count only while the first copy's event is pending, and a
+    // destination still collecting copies considers this one too.
+    PendingRreq* p = rreq_pending_.find(key);
+    if (p == nullptr) return;
+    ++p->copies;
+    if (self_ == hdr.dest) {
       const RouteCandidate cand{path_load, hdr.hop_count};
-      if (selection_->better(cand, rec.best())) {
-        rec.pending_forward = hdr;
-        rec.pending_path_load = path_load;
+      if (selection_->better(cand, p->best())) {
+        p->hdr = hdr;
+        p->path_load = path_load;
       }
     }
     return;
   }
 
   ++counters_.rreq_received;
-  rec.first_seen = now();
 
   if (self_ == hdr.dest) {
-    rec.pending_forward = hdr;
-    rec.pending_path_load = path_load;
     const sim::Time wait = selection_->reply_wait();
     if (wait.is_zero()) {
-      rec.replied = true;
       send_rrep_as_destination(hdr, RouteCandidate{path_load, hdr.hop_count});
     } else {
-      rec.timer =
+      hold_rreq(key, hdr, path_load).timer =
           sim_.schedule(wait, [this, key] { destination_reply_due(key); });
     }
     return;
@@ -373,17 +370,13 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
     if (r != nullptr && r->valid_seqno &&
         (hdr.unknown_dest_seqno ||
          seqno_newer_or_equal(r->dest_seqno, hdr.dest_seqno))) {
-      rec.forward_decided = true;
       ++counters_.rrep_intermediate;
       send_rrep_from_cache(hdr, *r);
       return;
     }
   }
 
-  if (hdr.ttl <= 1) {
-    rec.forward_decided = true;
-    return;
-  }
+  if (hdr.ttl <= 1) return;
 
   RebroadcastContext ctx;
   ctx.hop_count = hdr.hop_count;
@@ -395,41 +388,59 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
   const RebroadcastDecision dec = rebroadcast_->decide(ctx, rng_);
   switch (dec.action) {
     case RebroadcastAction::kForward:
-      rec.forward_decided = true;
-      rec.timer = sim_.schedule(
-          dec.delay, [this, hdr, path_load] { forward_rreq(hdr, path_load); });
+      hold_rreq(key, hdr, path_load).timer =
+          sim_.schedule(dec.delay, [this, key] { rebroadcast_due(key); });
       break;
     case RebroadcastAction::kDrop:
-      rec.forward_decided = true;
       ++counters_.rreq_suppressed;
       break;
     case RebroadcastAction::kDefer:
-      rec.pending_forward = hdr;
-      rec.pending_path_load = path_load;
-      rec.timer =
+      hold_rreq(key, hdr, path_load).timer =
           sim_.schedule(dec.delay, [this, key] { finish_defer(key); });
       break;
   }
 }
 
+AodvAgent::PendingRreq& AodvAgent::hold_rreq(RreqKey key, const RreqHeader& hdr,
+                                             double path_load) {
+  auto [p, inserted] = rreq_pending_.try_emplace(key);
+  WMN_CHECK(inserted, "an RREQ holds at most one pending event");
+  p.hdr = hdr;
+  p.path_load = path_load;
+  return p;
+}
+
+AodvAgent::PendingRreq AodvAgent::take_pending(RreqKey key) {
+  const PendingRreq* found = rreq_pending_.find(key);
+  // The record goes only with its event: here, or cancelled with it.
+  if (found == nullptr) {
+    WMN_UNREACHABLE("a pending RREQ event fired without its record");
+  }
+  const PendingRreq p = *found;
+  rreq_pending_.erase(key);
+  return p;
+}
+
+void AodvAgent::rebroadcast_due(RreqKey key) {
+  const PendingRreq p = take_pending(key);
+  forward_rreq(p.hdr, p.path_load);
+}
+
 void AodvAgent::finish_defer(RreqKey key) {
-  RreqRecord* rec = rreq_cache_.find(key);
-  if (rec == nullptr || rec->forward_decided || !rec->pending_forward) return;
-  rec->forward_decided = true;
+  const PendingRreq p = take_pending(key);
 
   RebroadcastContext ctx;
-  ctx.hop_count = rec->pending_forward->hop_count;
+  ctx.hop_count = p.hdr.hop_count;
   ctx.neighbor_count = neighbors_.count();
   ctx.own_load = load_->load_index();
   ctx.neighbourhood_load = neighbourhood_load();
-  ctx.duplicates_seen = rec->copies - 1;
+  ctx.duplicates_seen = p.copies - 1;
 
   if (rebroadcast_->assess(ctx, rng_)) {
-    forward_rreq(*rec->pending_forward, rec->pending_path_load);
+    forward_rreq(p.hdr, p.path_load);
   } else {
     ++counters_.rreq_suppressed;
   }
-  rec->pending_forward.reset();
 }
 
 void AodvAgent::forward_rreq(const RreqHeader& hdr, double path_load) {
@@ -447,10 +458,8 @@ void AodvAgent::forward_rreq(const RreqHeader& hdr, double path_load) {
 }
 
 void AodvAgent::destination_reply_due(RreqKey key) {
-  RreqRecord* rec = rreq_cache_.find(key);
-  if (rec == nullptr || rec->replied || !rec->pending_forward) return;
-  rec->replied = true;
-  send_rrep_as_destination(*rec->pending_forward, rec->best());
+  const PendingRreq p = take_pending(key);
+  send_rrep_as_destination(p.hdr, p.best());
 }
 
 void AodvAgent::send_rrep_as_destination(const RreqHeader& hdr,
@@ -922,10 +931,10 @@ void AodvAgent::handle_hello(net::Packet packet, net::Address src) {
 void AodvAgent::housekeeping() {
   routes_.purge(now(), cfg_.dead_route_retention);
 
-  // Expired RREQ records.
-  rreq_cache_.erase_if([&](RreqKey, const RreqRecord& rec) {
-    return !sim_.pending(rec.timer) &&
-           rec.first_seen + cfg_.rreq_cache_timeout <= now();
+  // Expired RREQs, unless an event of theirs is still pending.
+  rreq_seen_.erase_if([&](RreqKey key, sim::Time first_seen) {
+    return first_seen + cfg_.rreq_cache_timeout <= now() &&
+           !rreq_pending_.contains(key);
   });
 
   // Expired blacklist entries.
@@ -978,9 +987,9 @@ std::size_t AodvAgent::memory_bytes() const {
   std::size_t bytes = sizeof(*this);
   bytes += routes_.memory_bytes() - sizeof(RouteTable);
   bytes += neighbors_.memory_bytes() - sizeof(NeighborTable);
-  bytes += rreq_cache_.memory_bytes() + discoveries_.memory_bytes() +
-           buffers_.memory_bytes() + blacklist_.memory_bytes() +
-           broken_at_.memory_bytes();
+  bytes += rreq_seen_.memory_bytes() + rreq_pending_.memory_bytes() +
+           discoveries_.memory_bytes() + buffers_.memory_bytes() +
+           blacklist_.memory_bytes() + broken_at_.memory_bytes();
   for (const auto& [dest, q] : buffers_) {
     bytes += q.size() * sizeof(BufferedPacket);
   }

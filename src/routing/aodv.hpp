@@ -116,7 +116,7 @@ class AodvAgent {
 
   // --- fault-injection API ---------------------------------------------
   // Crash/recover this router (fault::schedule_crashes). pause() cancels every
-  // outstanding agent event (HELLO, housekeeping, RREQ-cache timers,
+  // outstanding agent event (HELLO, housekeeping, pending RREQ timers,
   // discovery timeouts), drops buffered packets, and forgets all
   // routing state — a crashed router keeps nothing. resume() is a cold
   // restart: empty tables, fresh HELLO/housekeeping timers (jittered
@@ -180,7 +180,7 @@ class AodvAgent {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
   // Dynamic footprint of the agent's routing state (route + neighbour
-  // tables, RREQ cache, discovery/buffer maps) — feeds the
+  // tables, RREQ tables, discovery/buffer maps) — feeds the
   // bytes_per_node bench counter.
   [[nodiscard]] std::size_t memory_bytes() const;
 
@@ -191,29 +191,27 @@ class AodvAgent {
     return (static_cast<std::uint64_t>(origin.value()) << 32) | id;
   }
 
-  // Per-RREQ bookkeeping: duplicate counting, deferred forwarding
-  // (counter policy), and destination-side copy collection. Packed to
-  // 64 bytes: the cache holds every RREQ heard in the last
-  // rreq_cache_timeout, so the record size shows in bytes_per_node.
-  struct RreqRecord {
-    sim::Time first_seen{};
-    // The one event a record can own, by how its first copy was
-    // handled: the jittered rebroadcast (kForward), the deferred
-    // assessment (kDefer) or the destination's reply wait. Tracked so
-    // teardown and crash injection can cancel it — an untracked event
-    // would fire into a destroyed or paused agent.
+  // The RREQ state is two tables. `rreq_seen_` maps every RREQ heard in
+  // the last rreq_cache_timeout to the arrival of its first copy: the
+  // duplicate filter, 16 bytes an entry, and the one table that grows
+  // with the flood. A first copy that leaves an event behind (the
+  // jittered rebroadcast of kForward, the deferred assessment of kDefer
+  // or the destination's reply wait) also gets a PendingRreq in
+  // `rreq_pending_`, which lives exactly as long as that event: the
+  // event's handler erases it, and teardown and crash injection cancel
+  // the events through it (an untracked event would fire into a
+  // destroyed or paused agent).
+  struct PendingRreq {
     sim::EventId timer{};
-    // The copy to act on and its accumulated path load: the deferred
-    // forward (kDefer), or at the destination the best copy so far.
-    double pending_path_load = 0.0;
-    std::optional<RreqHeader> pending_forward;
+    // The copy to act on and its accumulated path load: the rebroadcast
+    // or deferred forward, or at the destination the best copy so far.
+    double path_load = 0.0;
+    RreqHeader hdr;
     std::uint32_t copies = 1;
-    bool forward_decided = false;
-    bool replied = false;
 
     // Destination side: the best copy as a route candidate.
     [[nodiscard]] RouteCandidate best() const {
-      return RouteCandidate{pending_path_load, pending_forward->hop_count};
+      return RouteCandidate{path_load, hdr.hop_count};
     }
   };
 
@@ -256,6 +254,11 @@ class AodvAgent {
   void forward_rreq(const RreqHeader& hdr, double path_load);
   void send_rrep_as_destination(const RreqHeader& hdr, const RouteCandidate& cand);
   void send_rrep_from_cache(const RreqHeader& hdr, const RouteEntry& route);
+  // Record `hdr` as `key`'s pending copy; the caller schedules its event.
+  PendingRreq& hold_rreq(RreqKey key, const RreqHeader& hdr, double path_load);
+  // Remove and return `key`'s pending record: its event is firing.
+  PendingRreq take_pending(RreqKey key);
+  void rebroadcast_due(RreqKey key);
   void finish_defer(RreqKey key);
   void destination_reply_due(RreqKey key);
 
@@ -317,7 +320,8 @@ class AodvAgent {
   std::uint32_t rreq_id_ = 0;
   std::uint32_t hello_seqno_ = 0;
 
-  core::FlatMap<RreqKey, RreqRecord> rreq_cache_;
+  core::FlatMap<RreqKey, sim::Time> rreq_seen_;  // key -> first copy's arrival
+  core::FlatMap<RreqKey, PendingRreq> rreq_pending_;
   core::FlatMap<net::Address, Discovery> discoveries_;
   core::FlatMap<net::Address, std::deque<BufferedPacket>> buffers_;
 

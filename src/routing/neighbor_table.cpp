@@ -36,6 +36,7 @@ void NeighborTable::heard(net::Address addr, std::uint32_t seqno,
   n.last_seqno = seqno;
   n.load_index = load_index;
   n.degree = degree;
+  mean_load_stale_ = true;
 }
 
 void NeighborTable::refresh(net::Address addr) {
@@ -52,15 +53,20 @@ const NeighborInfo* NeighborTable::info(net::Address addr) const {
 }
 
 double NeighborTable::mean_neighbor_load() const {
-  if (neighbors_.empty()) return 0.0;
+  if (!mean_load_stale_) return mean_load_;
+  mean_load_stale_ = false;
   double sum = 0.0;
   for (const NeighborInfo& n : neighbors_) sum += n.load_index;
-  return sum / static_cast<double>(neighbors_.size());
+  mean_load_ = neighbors_.empty()
+                   ? 0.0
+                   : sum / static_cast<double>(neighbors_.size());
+  return mean_load_;
 }
 
 void NeighborTable::pause() {
   sim_.cancel(sweep_timer_);
   neighbors_.clear();
+  mean_load_stale_ = true;
 }
 
 void NeighborTable::resume() {
@@ -79,6 +85,7 @@ void NeighborTable::sweep() {
     lost.push_back(n.addr);
     return true;
   });
+  mean_load_stale_ = true;
   // Loss callbacks tear down routes and can emit RERRs; they fire in
   // address order, after every lost neighbour has left the table.
   for (net::Address a : lost) {

@@ -58,7 +58,8 @@ class NeighborTable {
   [[nodiscard]] std::vector<NeighborInfo> snapshot() const { return neighbors_; }
 
   // Mean advertised load of current neighbours (0 when alone), summed
-  // in address order.
+  // in address order. Cached between the edits that can change it
+  // (heard, sweep, pause); a read after one re-sums the table.
   [[nodiscard]] double mean_neighbor_load() const;
 
   // Called when a neighbour expires from the table.
@@ -89,6 +90,8 @@ class NeighborTable {
   sim::Simulator& sim_;
   sim::Time lifetime_;
   std::vector<NeighborInfo> neighbors_;  // sorted by address
+  mutable double mean_load_ = 0.0;
+  mutable bool mean_load_stale_ = false;
   LossCallback loss_cb_;
   sim::EventId sweep_timer_{};
 };

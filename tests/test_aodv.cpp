@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "mobility/mobility_model.hpp"
@@ -22,10 +25,22 @@ struct Delivery {
   net::Address at;
 };
 
+// The policies every agent of a bed is built with; a rebroadcast
+// policy may read the bed's clock.
+struct Policies {
+  std::function<std::unique_ptr<RebroadcastPolicy>(const sim::Simulator&)>
+      rebroadcast = [](const sim::Simulator&) {
+        return std::make_unique<FloodPolicy>();
+      };
+  std::function<std::unique_ptr<RouteSelectionPolicy>()> selection = [] {
+    return std::make_unique<FirstArrivalSelection>();
+  };
+};
+
 // Full stacks (phy+mac+aodv) at fixed positions; default flood policy.
 struct RoutingBed {
   explicit RoutingBed(std::vector<Vec2> positions, AodvConfig cfg = {},
-                      std::uint64_t seed = 1)
+                      std::uint64_t seed = 1, const Policies& policies = {})
       : sim(seed), channel(sim, std::make_unique<phy::LogDistanceModel>()) {
     for (std::size_t i = 0; i < positions.size(); ++i) {
       const auto id = static_cast<std::uint32_t>(i);
@@ -37,8 +52,7 @@ struct RoutingBed {
           sim, mac::MacConfig{}, net::Address(id), *phys.back(), factory));
       agents.push_back(std::make_unique<AodvAgent>(
           sim, cfg, net::Address(id), *macs.back(), factory,
-          std::make_unique<FloodPolicy>(),
-          std::make_unique<FirstArrivalSelection>(),
+          policies.rebroadcast(sim), policies.selection(),
           std::make_unique<ZeroLoadSource>()));
       agents.back()->set_deliver_callback(
           [this, id](net::Packet p, net::Address origin) {
@@ -401,6 +415,187 @@ TEST(Aodv, SeqnoWraparoundAcceptsPostRolloverRoutes) {
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->dest_seqno, 2u) << "post-wrap seqno rejected as stale";
   EXPECT_EQ(e->hop_count, 2u);  // the fresher 2-hop path replaced 5 hops
+}
+
+// --- RREQ duplicate set and pending events --------------------------------
+
+// Defers every first copy for `delay`, logs each assessment (when, and
+// how many duplicates it counted) and never forwards.
+class LoggingDeferPolicy final : public RebroadcastPolicy {
+ public:
+  struct Assessment {
+    sim::Time at;
+    std::uint32_t duplicates;
+  };
+
+  LoggingDeferPolicy(const sim::Simulator& simulator, sim::Time delay,
+                     std::vector<Assessment>& log)
+      : sim_(simulator), delay_(delay), log_(log) {}
+
+  RebroadcastDecision decide(const RebroadcastContext&,
+                             sim::RngStream&) override {
+    return {RebroadcastAction::kDefer, delay_};
+  }
+  bool assess(const RebroadcastContext& ctx, sim::RngStream&) override {
+    log_.push_back({sim_.now(), ctx.duplicates_seen});
+    return false;
+  }
+  [[nodiscard]] std::string name() const override { return "logging-defer"; }
+
+ private:
+  const sim::Simulator& sim_;
+  sim::Time delay_;
+  std::vector<Assessment>& log_;
+};
+
+Policies logging_defer(sim::Time delay,
+                       std::vector<LoggingDeferPolicy::Assessment>& log) {
+  Policies p;
+  p.rebroadcast = [delay, &log](const sim::Simulator& simulator) {
+    return std::make_unique<LoggingDeferPolicy>(simulator, delay, log);
+  };
+  return p;
+}
+
+// An RREQ from fictional node 9 for fictional node 8, as relayed by
+// some node two hops out.
+RreqHeader relayed_rreq() {
+  RreqHeader h;
+  h.rreq_id = 1;
+  h.origin = net::Address(9);
+  h.origin_seqno = 1;
+  h.dest = net::Address(8);
+  h.hop_count = 2;
+  h.ttl = 10;
+  return h;
+}
+
+// Node `from` broadcasts one copy of `hdr` (with a path load when the
+// agents run the load metric).
+void broadcast_rreq(RoutingBed& tb, std::size_t from, const RreqHeader& hdr,
+                    std::optional<double> path_load = std::nullopt) {
+  net::Packet pkt = tb.factory.make(0, tb.sim.now());
+  if (path_load) pkt.push(LoadTlv{*path_load});
+  pkt.push(hdr);
+  tb.macs[from]->enqueue(std::move(pkt), net::Address::broadcast());
+}
+
+// Two nodes in range of each other; node 1 plays the relay.
+std::vector<Vec2> pair_placement() { return {{0, 0}, {200, 0}}; }
+
+// Node 1 relays a copy of relayed_rreq() at `at_s` seconds.
+void relay_at(RoutingBed& tb, double at_s) {
+  tb.sim.schedule_at(sim::Time::seconds(at_s),
+                     [&tb] { broadcast_rreq(tb, 1, relayed_rreq()); });
+}
+
+TEST(AodvRreqTable, DuplicateAfterForwardIsSuppressedUntilCacheTimeout) {
+  RoutingBed tb(pair_placement());
+  const AodvAgent::Counters& c = tb.agents[0]->counters();
+  AodvAgent::Counters before{};
+  relay_at(tb, 0.1);
+  tb.sim.run_until(sim::Time::seconds(1.0));
+  // Node 0 forwarded its first copy long ago (10 ms jitter at most).
+  ASSERT_EQ(c.rreq_received, 1u);
+  ASSERT_EQ(c.rreq_forwarded, 1u);
+
+  // Inside rreq_cache_timeout (5 s from 0.1 s) a copy is a duplicate,
+  // although the record's event has fired.
+  for (const double at : {1.0, 4.0}) {
+    before = c;
+    relay_at(tb, at);
+    tb.sim.run_until(sim::Time::seconds(at + 0.5));
+    EXPECT_EQ(c.rreq_received, 1u) << "copy at " << at << " s";
+    EXPECT_EQ(c.rreq_duplicates, before.rreq_duplicates + 1)
+        << "copy at " << at << " s";
+    EXPECT_EQ(c.rreq_forwarded, 1u) << "copy at " << at << " s";
+  }
+
+  // Housekeeping (every second) purged it after 5.1 s: the same RREQ
+  // is new again.
+  relay_at(tb, 7.0);
+  tb.sim.run_until(sim::Time::seconds(7.5));
+  EXPECT_EQ(c.rreq_received, 2u);
+  EXPECT_EQ(c.rreq_forwarded, 2u);
+}
+
+TEST(AodvRreqTable, PendingEventOutlivesCacheTimeout) {
+  // The deferred assessment (3 s) outlasts the cache timeout (1 s).
+  AodvConfig cfg;
+  cfg.rreq_cache_timeout = sim::Time::seconds(1.0);
+  std::vector<LoggingDeferPolicy::Assessment> log;
+  RoutingBed tb(pair_placement(), cfg, 1,
+                logging_defer(sim::Time::seconds(3.0), log));
+  const AodvAgent::Counters& c = tb.agents[0]->counters();
+  relay_at(tb, 0.1);
+  // Past the timeout and two housekeeping passes, with the assessment
+  // still pending: the RREQ is still known, so this is a duplicate.
+  relay_at(tb, 2.5);
+  tb.sim.run_until(sim::Time::seconds(2.9));
+  EXPECT_EQ(c.rreq_received, 1u);
+  EXPECT_EQ(c.rreq_duplicates, 1u);
+  EXPECT_TRUE(log.empty());
+
+  tb.sim.run_until(sim::Time::seconds(3.5));
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_GE(log[0].at, sim::Time::seconds(3.1));
+  EXPECT_EQ(log[0].duplicates, 1u);
+
+  // Once the assessment ran, the next housekeeping pass forgets it.
+  relay_at(tb, 5.0);
+  tb.sim.run_until(sim::Time::seconds(5.5));
+  EXPECT_EQ(c.rreq_received, 2u);
+}
+
+TEST(AodvRreqTable, PauseCancelsPendingEventsAndForgetsSeenRreqs) {
+  std::vector<LoggingDeferPolicy::Assessment> log;
+  RoutingBed tb(pair_placement(), {}, 1,
+                logging_defer(sim::Time::seconds(3.0), log));
+  const AodvAgent::Counters& c = tb.agents[0]->counters();
+  // First copy at 0.1 s defers to about 3.1 s; the node crashes at 1 s
+  // and restarts at 1.5 s.
+  relay_at(tb, 0.1);
+  tb.sim.schedule(sim::Time::seconds(1.0), [&] { tb.agents[0]->pause(); });
+  tb.sim.schedule(sim::Time::seconds(1.5), [&] { tb.agents[0]->resume(); });
+  relay_at(tb, 2.0);
+  tb.sim.run_until(sim::Time::seconds(2.5));
+  // Well inside rreq_cache_timeout, yet the restarted node takes the
+  // copy as new: the crash forgot the RREQ.
+  EXPECT_EQ(c.rreq_received, 2u);
+  EXPECT_EQ(c.rreq_duplicates, 0u);
+
+  // Only the second copy's assessment runs, 3 s after it; the first
+  // copy's event (due at 3.1 s) died with the crash.
+  tb.sim.run_until(sim::Time::seconds(6.0));
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_GE(log[0].at, sim::Time::seconds(5.0));
+}
+
+TEST(AodvRreqTable, DestinationAnswersBestCopyOfItsReplyWindow) {
+  AodvConfig cfg;
+  cfg.use_load_metric = true;
+  Policies policies;
+  policies.selection = [] { return std::make_unique<BestMetricSelection>(); };
+  RoutingBed tb(pair_placement(), cfg, 1, policies);
+  // Node 1 asks node 0 for a route, three copies in quick succession:
+  // inside the destination's 50 ms window, the second has the lowest
+  // path load.
+  RreqHeader hdr = relayed_rreq();
+  hdr.origin = net::Address(1);
+  hdr.dest = net::Address(0);
+  tb.sim.schedule(sim::Time::seconds(0.1), [&] {
+    for (const double load : {0.8, 0.3, 0.6}) broadcast_rreq(tb, 1, hdr, load);
+  });
+  tb.sim.run_until(sim::Time::seconds(1.0));
+  const AodvAgent::Counters& d = tb.agents[0]->counters();
+  EXPECT_EQ(d.rreq_received, 1u);
+  EXPECT_EQ(d.rreq_duplicates, 2u);
+  EXPECT_EQ(d.rrep_originated, 1u);
+  // The reply carries the best copy's metric to the origin's route.
+  const RouteEntry* r = tb.agents[1]->routes().find(net::Address(0));
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->valid_seqno);
+  EXPECT_EQ(r->metric, 0.3);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <vector>
@@ -183,7 +184,18 @@ std::vector<Vec2> random_positions(std::size_t n, double w, double h,
   return out;
 }
 
-void expect_beds_identical(const Bed& a, const Bed& b) {
+// PHY counters are as of each radio's last settle, and a weak copy
+// settles only when its radio is read. Both beds first run to one
+// instant past every copy's end and settle every radio, so the
+// comparison covers every copy, the last weak ones included.
+void expect_beds_identical(Bed& a, Bed& b) {
+  const sim::Time settled_at =
+      std::max(a.sim.now(), b.sim.now()) + sim::Time::seconds(1.0);
+  for (Bed* bed : {&a, &b}) {
+    bed->sim.run_until(settled_at);
+    for (const auto& phy : bed->phys) phy->settle();
+    EXPECT_EQ(bed->channel->deliveries_in_flight(), 0u);
+  }
   const auto& ca = a.channel->counters();
   const auto& cb = b.channel->counters();
   EXPECT_EQ(ca.transmissions, cb.transmissions);
