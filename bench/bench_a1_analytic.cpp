@@ -76,6 +76,5 @@ int main() {
                    stats::Table::num(model.p_collision, 3),
                    stats::Table::num(model.tau, 4)});
   }
-  finish(table, "a1_analytic.csv");
-  return 0;
+  return finish(table, "a1_analytic.csv");
 }

@@ -40,6 +40,5 @@ int main() {
   t.add_row({"CLNLR p_min / p_max", "0.35 / 1.0"});
   t.add_row({"CLNLR load / density weights", "0.8 / 0.25 (gate 0.15)"});
   t.add_row({"CLNLR reply window / hysteresis", "50 ms / 15%"});
-  finish(t, "t1_params.csv");
-  return 0;
+  return finish(t, "t1_params.csv");
 }

@@ -88,8 +88,13 @@ inline BenchEnv announce(const std::string& id, const std::string& title,
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       env.resume = true;
     } else {
-      std::fprintf(stderr, "[wmn] %s: unknown flag '%s' ignored\n", id.c_str(),
-                   argv[i]);
+      // Refuse rather than run the whole campaign: a mistyped --resume
+      // would otherwise silently re-run every slot.
+      std::fprintf(stderr,
+                   "[wmn] %s: unknown flag '%s' (expected --allow-partial "
+                   "or --resume)\n",
+                   id.c_str(), argv[i]);
+      std::exit(1);
     }
   }
   std::cout << "\n=== " << id << ": " << title << " ===\n"
@@ -107,26 +112,34 @@ inline void setup_supervision(exp::SweepEngine& sweep, const BenchEnv& env) {
                              env.resume);
 }
 
-inline void finish(const stats::Table& table, const std::string& csv_name) {
+// Prints the table and writes its CSV. Returns the bench's exit code:
+// 1 when the CSV cannot be written, so a lost result never exits green.
+[[nodiscard]] inline int finish(const stats::Table& table,
+                                const std::string& csv_name) {
   table.print(std::cout);
   // CSVs land under results/ (WMN_RESULTS_DIR to override) instead of
   // the invocation CWD, so runs from the repo root cannot litter it.
   const std::string csv_path = results_path(csv_name);
-  if (table.save_csv(csv_path)) {
+  const bool written = table.save_csv(csv_path);
+  if (written) {
     std::cout << "\n[csv written: " << csv_path << "]\n";
+  } else {
+    std::fprintf(stderr, "[wmn] cannot write csv %s\n", csv_path.c_str());
   }
   std::cout.flush();
+  return written ? 0 : 1;
 }
 
 // Machine-readable sweep summary (SWEEP_<id>.json): slot totals and the
 // per-FailureKind taxonomy counts CI folds into its step summary.
-inline void write_sweep_summary(const exp::SweepEngine& sweep,
-                                const BenchEnv& env) {
+// Returns false when the file cannot be written.
+[[nodiscard]] inline bool write_sweep_summary(const exp::SweepEngine& sweep,
+                                              const BenchEnv& env) {
   const std::string path = results_path("SWEEP_" + env.id + ".json");
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "[wmn] cannot write sweep summary %s\n", path.c_str());
-    return;
+    return false;
   }
   const exp::FailureCounts counts = sweep.failure_counts();
   std::fprintf(f,
@@ -140,24 +153,29 @@ inline void write_sweep_summary(const exp::SweepEngine& sweep,
                  counts[k]);
   }
   std::fprintf(f, "}}\n");
-  std::fclose(f);
+  if (std::fclose(f) != 0) {
+    std::fprintf(stderr, "[wmn] cannot write sweep summary %s\n", path.c_str());
+    return false;
+  }
   std::cout << "[sweep summary written: " << path << "]\n";
+  return true;
 }
 
 // Sweep-aware variant: surfaces failed replication slots next to the
 // table they were excluded from, writes the taxonomy summary, and
-// returns the bench's exit code — non-zero on any failed slot unless
-// partial results were explicitly accepted, so a quietly degraded
-// campaign can never look green in CI.
+// returns the bench's exit code — non-zero when the CSV or the summary
+// cannot be written, or on any failed slot unless partial results were
+// explicitly accepted, so a quietly degraded campaign can never look
+// green in CI.
 [[nodiscard]] inline int finish(const stats::Table& table,
                                 const std::string& csv_name,
                                 const exp::SweepEngine& sweep,
                                 const BenchEnv& env) {
-  finish(table, csv_name);
+  const int csv_rc = finish(table, csv_name);
   if (const std::size_t resumed = sweep.resumed_count(); resumed > 0) {
     std::cout << "[resumed " << resumed << " slot(s) from the journal]\n";
   }
-  write_sweep_summary(sweep, env);
+  const bool summary_written = write_sweep_summary(sweep, env);
   const std::size_t failed = sweep.failed_count();
   if (failed > 0) {
     std::cout << "\n[WARNING: " << failed << " of " << sweep.task_count()
@@ -172,7 +190,7 @@ inline void write_sweep_summary(const exp::SweepEngine& sweep,
     }
   }
   std::cout.flush();
-  return 0;
+  return (csv_rc != 0 || !summary_written) ? 1 : 0;
 }
 
 }  // namespace wmnbench

@@ -172,8 +172,8 @@ class Scenario {
 
   // Mean per-node dynamic footprint: each node's phy/mac/agent state
   // plus an equal share of the channel (caches, index, pending slots).
-  // Surfaced as the bytes_per_node counter in BENCH_macro.json and
-  // gated by bench/perf_gate.py.
+  // Reported by simbench as bytes_per_node; GoldenDigest.Mesh400 holds
+  // it under a ceiling.
   [[nodiscard]] std::size_t bytes_per_node() const {
     if (nodes_.empty()) return 0;
     std::size_t bytes = 0;

@@ -28,6 +28,11 @@
 // under a flash-crowd rate envelope, plus three that run the RREQ paths
 // CLNLR never takes: blind flooding, gossip and counter-based
 // discovery.
+//
+// Mesh400 also carries a memory ceiling: bytes_per_node() may not grow
+// more than 10% above its measured value. It replaces the old
+// bench-harness counter gate on the same 400-node point, which allowed
+// the same 10% but ran only in a separate CI job.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -109,7 +114,9 @@ TEST(GoldenDigest, Mesh100) {
 }
 
 TEST(GoldenDigest, Mesh400) {
-  expect_golden(mesh400(), {1994445, 0x0c0db124cf12cca9});
+  const auto s = expect_golden(mesh400(), {1994445, 0x0c0db124cf12cca9});
+  // Measured 15,735 B; the ceiling is that plus 10%.
+  EXPECT_LE(s->bytes_per_node(), 17308u);
 }
 
 TEST(GoldenDigest, GatewaySessions) {
