@@ -51,8 +51,7 @@ int main(int argc, char** argv) {
           stats::Table::num(rate, 3) + " sess/u/s, " + core::protocol_name(p)));
     }
   }
-  setup_supervision(sweep, env);
-  sweep.run();
+  run_sweep(sweep, env);
 
   auto cell = cells.cbegin();
   for (double rate : session_rates) {

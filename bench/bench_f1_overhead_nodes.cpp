@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
           std::to_string(n) + " nodes, " + core::protocol_name(p)));
     }
   }
-  setup_supervision(sweep, env);
-  sweep.run();
+  run_sweep(sweep, env);
 
   auto cell = cells.cbegin();
   for (std::size_t n : node_counts) {

@@ -30,8 +30,7 @@ int main(int argc, char** argv) {
           std::to_string(flows) + " flows, " + core::protocol_name(p)));
     }
   }
-  setup_supervision(sweep, env);
-  sweep.run();
+  run_sweep(sweep, env);
 
   auto cell = cells.cbegin();
   for (std::size_t flows : flow_counts) {

@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
           stats::Table::num(speed, 0) + " m/s, " + core::protocol_name(p)));
     }
   }
-  setup_supervision(sweep, env);
-  sweep.run();
+  run_sweep(sweep, env);
 
   auto cell = cells.cbegin();
   for (double speed : speeds) {

@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
     cfg.protocol = p;
     cells.push_back(sweep.add_cell(cfg, env.reps, core::protocol_name(p)));
   }
-  setup_supervision(sweep, env);
-  sweep.run();
+  run_sweep(sweep, env);
 
   auto cell = cells.cbegin();
   for (core::Protocol p : core::headline_protocols()) {

@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
     add("AODV-BF + expanding-ring", cfg);
   }
 
-  setup_supervision(sweep, env);
-  sweep.run();
+  run_sweep(sweep, env);
 
   // Phase 2: render one row per variant.
   for (std::size_t i = 0; i < cells.size(); ++i) {

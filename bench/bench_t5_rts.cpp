@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
           core::protocol_name(p) + (rts ? " +RTS/CTS" : " (basic)")));
     }
   }
-  setup_supervision(sweep, env);
-  sweep.run();
+  run_sweep(sweep, env);
 
   auto cell = cells.cbegin();
   for (core::Protocol p : protocols) {

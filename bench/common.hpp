@@ -1,9 +1,9 @@
 // Shared scaffolding for the figure/table reproduction binaries.
 //
 // Every bench flattens its whole sweep (point × protocol × replication)
-// into one exp::SweepEngine drained by the persistent worker pool, then
-// renders a paper-style series table to stdout and writes the same data
-// as CSV next to the binary. Benches run WMN_CHECK under kLogAndCount:
+// into one exp::SweepEngine, drains it with run_sweep(), then renders
+// a paper-style series table to stdout and writes the same data as CSV
+// under the results directory. Benches run WMN_CHECK under kLogAndCount:
 // a replication that trips an invariant (or throws) becomes a failed
 // slot in the sweep report instead of killing the campaign.
 //
@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "core/check.hpp"
@@ -104,12 +105,21 @@ inline BenchEnv announce(const std::string& id, const std::string& title,
   return env;
 }
 
-// Arm the sweep's supervision from the environment and point its
-// checkpoint journal at results/JOURNAL_<id>.jsonl. Call after every
-// add_cell(), before run().
-inline void setup_supervision(exp::SweepEngine& sweep, const BenchEnv& env) {
+// Arm the sweep's supervision from the environment, point its
+// checkpoint journal at results/JOURNAL_<id>.jsonl and drain it. Call
+// once, after every add_cell(). A sweep that cannot start (the journal
+// cannot be opened, or resume is refused) ends the bench with a message
+// and exit 1, after the banner already printed has been flushed.
+inline void run_sweep(exp::SweepEngine& sweep, const BenchEnv& env) {
   exp::apply_supervision_env(sweep, results_path("JOURNAL_" + env.id + ".jsonl"),
                              env.resume);
+  std::cout.flush();
+  try {
+    sweep.run();
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "[wmn] %s: %s\n", env.id.c_str(), e.what());
+    std::exit(1);
+  }
 }
 
 // Prints the table and writes its CSV. Returns the bench's exit code:

@@ -34,7 +34,8 @@
 //                      across the traffic window, ~10 s mean downtime)
 //   --outage NODE T0 T1  crash NODE from T0 to T1 seconds (repeatable)
 //   --repair           enable local repair + blacklist + precursor RERR
-//   --no-spatial-index run the channel's full O(N^2) broadcast scan
+//   --no-spatial-index run the channel's per-pair reference scan, which
+//                      never uses the range bound the index culls with
 //                      (results are bit-identical; diagnostic only)
 //   --timeseries FILE  write 1 Hz network time series CSV
 //   --flows-csv FILE   write per-flow results CSV

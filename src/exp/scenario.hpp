@@ -5,7 +5,7 @@
 // one net::PacketFactory and one traffic::FlowRegistry. Construction
 // wires everything; run() executes; metrics() aggregates the paper's
 // quantities. Scenarios are self-contained and share nothing, so the
-// sweep layer runs them concurrently on a thread pool.
+// sweep layer runs them concurrently on its own workers.
 #pragma once
 
 #include <memory>
@@ -116,10 +116,11 @@ struct ScenarioConfig {
   // untouched.
   std::uint64_t event_budget = 0;
 
-  // Channel spatial neighbourhood index + link-budget cache. Results
-  // are bit-identical either way (see docs/TOOLING.md); turn off only
-  // to benchmark the full O(N^2) scan or to isolate a suspected index
-  // bug.
+  // Channel spatial neighbourhood index + link-budget cache. Off, the
+  // channel runs its per-pair reference scan, which never uses the
+  // model's max_range_m. Results are bit-identical either way (see
+  // docs/TOOLING.md); turn off only to check the index against the
+  // reference or to isolate a suspected index bug.
   bool spatial_index = true;
 };
 

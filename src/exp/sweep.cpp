@@ -1,5 +1,6 @@
 #include "exp/sweep.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -12,7 +13,6 @@
 
 #include "core/check.hpp"
 #include "exp/journal.hpp"
-#include "exp/supervision.hpp"
 
 namespace wmn::exp {
 
@@ -168,7 +168,7 @@ void SweepEngine::run_slot(std::size_t cell_id, std::size_t rep) {
     sim::CancelToken token;
     Watchdog::Lease lease;
     if (rep_deadline_s_ > 0.0) {
-      lease = shared_pool().watchdog().watch(token, rep_deadline_s_);
+      lease = watchdog_.watch(token, rep_deadline_s_);
     }
     try {
       metrics =
@@ -237,9 +237,9 @@ void SweepEngine::run() {
     }
   }
 
-  // Flatten the (cell, rep) pairs still owed an execution so the pool
-  // sees one uniform task list. Journal-restored slots are already
-  // final and never re-run — that is the whole point of resume.
+  // Flatten the (cell, rep) pairs still owed an execution into one
+  // list. Journal-restored slots are already final and never re-run —
+  // that is the whole point of resume.
   struct Task {
     std::size_t cell;
     std::size_t rep;
@@ -252,14 +252,35 @@ void SweepEngine::run() {
     }
   }
 
-  // Each task writes its own outcomes_ slot exclusively; run_slot
-  // contains every failure, so the boxed result is always `true` and
-  // only the drain machinery of parallel_try_map is used.
-  (void)parallel_try_map(shared_pool(), tasks.size(), threads_,
-                         [this, &tasks](std::size_t t) {
-                           run_slot(tasks[t].cell, tasks[t].rep);
-                           return true;
-                         });
+  // Each slot writes its own outcomes_ entry exclusively, so a worker
+  // is a loop over the shared index. Joining the workers publishes
+  // every slot write.
+  std::atomic<std::size_t> next{0};
+  const auto drain = [this, &tasks, &next] {
+    for (;;) {
+      const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
+      if (t >= tasks.size()) return;
+      try {
+        run_slot(tasks[t].cell, tasks[t].rep);
+      } catch (const std::exception& e) {
+        // run_slot contains what a replication throws; this is the
+        // harness's own failure (an allocation, the watchdog's start).
+        // It fails the slot rather than end the process from a worker.
+        RepOutcome& out = outcomes_[cells_[tasks[t].cell].first + tasks[t].rep];
+        out.metrics.reset();
+        out.kind = FailureKind::kException;
+        out.error = e.what();
+      }
+    }
+  };
+  const std::size_t workers = std::min<std::size_t>(threads_, tasks.size());
+  if (workers <= 1) {
+    drain();
+  } else {
+    std::vector<std::jthread> threads;
+    threads.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(drain);
+  }
 
   if (journal_file_ != nullptr) {
     std::fclose(journal_file_);

@@ -1,13 +1,14 @@
 // Replication and sweep helpers used by every bench binary.
 //
 // The sweep engine flattens an entire experiment — every (point ×
-// protocol) cell times every replication — into one task list drained
-// by the persistent worker pool (exp::shared_pool). There is no
-// barrier between points: a worker finishing the last replication of
-// point 3 immediately picks up point 4. Workers are crash-safe: a
-// replication that fails fills its RepOutcome slot with a structured
-// FailureKind instead of terminating the binary, and the sweep
-// completes with the failure reported alongside the results.
+// protocol) cell times every replication — into one slot list that
+// run() drains with its own workers, each taking the next slot from
+// one atomic index. There is no barrier between points: a worker
+// finishing the last replication of point 3 immediately picks up
+// point 4. Workers are crash-safe: a replication that fails fills its
+// RepOutcome slot with a structured FailureKind instead of terminating
+// the binary, and the sweep completes with the failure reported
+// alongside the results.
 //
 // Run supervision (all off by default):
 //   * set_rep_deadline    — wall-clock watchdog per replication; a hung
@@ -43,16 +44,24 @@
 #include <optional>
 #include <string>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "exp/failure.hpp"
 #include "exp/metrics.hpp"
-#include "exp/parallel.hpp"
 #include "exp/scenario.hpp"
+#include "exp/supervision.hpp"
 #include "sim/cancel_token.hpp"
 #include "stats/confidence.hpp"
 
 namespace wmn::exp {
+
+// Number of worker threads to use by default: hardware concurrency,
+// floored at 1.
+[[nodiscard]] inline unsigned default_thread_count() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1u : hw;
+}
 
 // SplitMix64 finalizer: the standard 64-bit bijective mixer.
 [[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
@@ -88,7 +97,7 @@ struct RepOutcome {
   [[nodiscard]] bool ok() const { return metrics.has_value() && error.empty(); }
 };
 
-// Flattened sweep over the shared pool. Usage (every bench binary):
+// Flattened sweep over its own workers. Usage (every bench binary):
 //   SweepEngine sweep(env.threads);
 //   ... add_cell() for every point × protocol ...   (phase 1)
 //   ... supervision knobs, enable_journal() ...
@@ -138,7 +147,9 @@ class SweepEngine {
   // skipped with a warning and its slot re-runs.
   void enable_journal(std::string path, bool resume);
 
-  // Drain every queued replication through the shared pool. Call once.
+  // Drain every queued replication: min(threads, unfinished slots)
+  // workers take slots from one atomic index; with one worker the
+  // slots run inline, in index order, on the calling thread. Call once.
   void run();
 
   // All replication slots of a cell, in replication order.
@@ -182,6 +193,9 @@ class SweepEngine {
                       const RunMetrics& metrics);
 
   unsigned threads_;
+  // Supervisor for set_rep_deadline(); its thread starts on the first
+  // lease, so an unsupervised sweep never starts it.
+  Watchdog watchdog_;
   std::vector<Cell> cells_;
   std::vector<RepOutcome> outcomes_;  // flattened, cell-major
   bool ran_ = false;
@@ -202,7 +216,7 @@ class SweepEngine {
 };
 
 // Run `n_reps` independent replications of `base` across `threads`
-// workers of the shared pool, seeded replication_seed(base.seed, 0, i).
+// workers, seeded replication_seed(base.seed, 0, i).
 // Strict wrapper over SweepEngine: throws std::runtime_error with the
 // failure report if any replication failed (benches that want partial
 // results use SweepEngine directly).

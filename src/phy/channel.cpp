@@ -408,7 +408,7 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
   NeighborCache& nc = neighbor_caches_[s];
   if (nc.built_version != index_->version()) rebuild_neighbor_cache(s);
   // Every receiver the index culled is provably below its detection
-  // floor: account the whole batch so the counter equals the full
+  // floor: account the whole batch so the counter equals the per-pair
   // scan's (N-1 - examined) + individually-dropped identity.
   counters_.copies_dropped_floor += nc.culled;
   const std::size_t n = nc.rx_index.size();
@@ -434,7 +434,7 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
 
   // Mixed cache: batch the mobile candidates through the kernel, then
   // merge with the memoised ones in ascending attach order (the order
-  // the full scan visits, so every copy takes the same rank and seq).
+  // the per-pair scan visits, so every copy takes the same rank and seq).
   batch_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (nc.is_cached[i] == 0) {
@@ -474,76 +474,28 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
   launch_reordered(id, now, nc);
 }
 
-void WirelessChannel::transmit_full_scan(const WifiPhy& src,
-                                         const net::Packet& packet,
-                                         sim::Time duration, sim::Time now,
-                                         mobility::Vec2 tx_pos) {
-  batch_.clear();
-  for (WifiPhy* rx : radios_) {
-    if (rx == &src) continue;
-    batch_.push(rx->position(now), rx->node_id(),
-                rx->channel_index());
-  }
-  LinkBudgetKernel::compute_distances(batch_, tx_pos);
-
-  // Distance prefilter: the source's conservative max_range_m
-  // inversion at the minimum attached floor — the same proof the
-  // spatial index culls with. Every pair farther out is provably below
-  // every receiver's floor, so it can be floor-accounted without
-  // paying the model's transcendentals. (The > 0.05 guard keeps the
-  // proof exact where the distance floor could round a degenerate
-  // range up.)
-  const double r = radio_range_m_[src.channel_index()];
-  std::size_t n = batch_.size();
-  if (std::isfinite(r) && r > 0.05) {
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < n; ++read) {
-      if (batch_.distance_m[read] > r) {
-        ++counters_.copies_dropped_floor;
-        continue;
-      }
-      if (write != read) batch_.compact_keep(write, read);
-      ++write;
-    }
-    batch_.resize_down(write);
-    n = write;
-  }
-
-  LinkBudgetKernel::evaluate_with_distances(
-      *propagation_, src.config().tx_power_dbm, tx_pos, src.node_id(), batch_);
-  const std::uint32_t id = open_stream(packet, duration);
-  for (std::size_t i = 0; i < n; ++i) {
-    WifiPhy* rx = radios_[batch_.rx_index[i]];
-    const double p_dbm = batch_.power_dbm[i];
-    if (p_dbm < rx->config().detection_floor_dbm) {
-      ++counters_.copies_dropped_floor;
-      continue;
-    }
-    add_copy_or_weak(rx, p_dbm, dbm_to_mw(p_dbm),
-                     sim::Time::seconds(batch_.distance_m[i] / kSpeedOfLight), now,
-                     duration);
-  }
-  launch_pending(id, now);
-}
-
-void WirelessChannel::transmit_fault_scan(const WifiPhy& src,
-                                          const net::Packet& packet,
-                                          sim::Time duration, sim::Time now,
-                                          mobility::Vec2 tx_pos) {
-  // Per-pair scalar walk: the overlay decides per receiver whether a
-  // drop is a fault drop or a floor drop, and that attribution (plus
-  // blackout attenuation) must see every pair in order.
+void WirelessChannel::transmit_scan(const WifiPhy& src,
+                                    const net::Packet& packet,
+                                    sim::Time duration, sim::Time now,
+                                    mobility::Vec2 tx_pos) {
+  // Per-pair scalar walk over every receiver in attach order, with no
+  // range proof: the reference the indexed path is checked against.
+  // An installed fault overlay decides per receiver whether a drop is a
+  // fault drop or a floor drop, and that attribution (plus blackout
+  // attenuation) must see every pair in order.
   const std::uint32_t id = open_stream(packet, duration);
   for (WifiPhy* rx : radios_) {
     if (rx == &src) continue;
     const mobility::Vec2 rx_pos = rx->position(now);
     double p_dbm = propagation_->rx_power_dbm(
         src.config().tx_power_dbm, tx_pos, rx_pos, src.node_id(), rx->node_id());
-    if (!fault_->node_up(rx->node_id())) {
-      ++counters_.copies_dropped_fault;
-      continue;
+    if (fault_ != nullptr) {
+      if (!fault_->node_up(rx->node_id())) {
+        ++counters_.copies_dropped_fault;
+        continue;
+      }
+      p_dbm -= fault_->link_loss_db(src.node_id(), rx->node_id(), now);
     }
-    p_dbm -= fault_->link_loss_db(src.node_id(), rx->node_id(), now);
     if (p_dbm < rx->config().detection_floor_dbm) {
       ++counters_.copies_dropped_floor;
       continue;
@@ -565,22 +517,17 @@ void WirelessChannel::transmit(const WifiPhy& src, const net::Packet& packet,
   const sim::Time now = sim_.now();
   const mobility::Vec2 tx_pos = src.position(now);
 
-  // With a fault overlay installed both batched paths stand down: the
+  // With a fault overlay installed the indexed path stands down: the
   // overlay's per-receiver attribution must see every pair.
-  if (fault_ != nullptr) {
-    transmit_fault_scan(src, packet, duration, now, tx_pos);
+  if (!index_enabled_ || fault_ != nullptr) {
+    transmit_scan(src, packet, duration, now, tx_pos);
     return;
   }
-
+  // Grid sizing needs the detection ranges, so refresh_ranges() must
+  // run first.
   if (!ranges_valid_) refresh_ranges();
-  if (index_enabled_) {
-    // Grid sizing needs the detection ranges, so refresh_ranges() must
-    // have run first.
-    if (index_ == nullptr) build_spatial_index();
-    transmit_indexed(src, packet, duration, now, tx_pos);
-    return;
-  }
-  transmit_full_scan(src, packet, duration, now, tx_pos);
+  if (index_ == nullptr) build_spatial_index();
+  transmit_indexed(src, packet, duration, now, tx_pos);
 }
 
 std::size_t WirelessChannel::deliveries_in_flight() const {

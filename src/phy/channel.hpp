@@ -12,7 +12,7 @@
 // it becomes no event at all: it goes straight into the receiver's
 // interference ledger (WifiPhy::add_weak_copy), which settles lazily.
 // A static neighbour cache classifies each link once, at rebuild; the
-// live, full-scan and fault-scan paths classify per copy.
+// live path and the per-pair scan classify per copy.
 //
 // Arrival streams: the lockable copies do not become calendar events
 // of their own either. Each transmission opens one stream holding the
@@ -34,17 +34,17 @@
 // compare plain integers. A static neighbour list stores its order once
 // per cache rebuild. An indexed list with live links re-sorts the order
 // its previous transmission left, which is nearly sorted already. The
-// full and fault scans sort from scratch.
+// per-pair scan sorts from scratch.
 //
 // Streams live in a free-listed pool; the calendar event captures only
 // (this, stream index), and nothing holds a reference into the pool
 // across a PHY/MAC callback, which may transmit and grow it.
 //
-// Broadcast fan-out cost: all candidate-link math runs through the
-// phy::LinkBudgetKernel over reusable SoA buffers (one batched
-// distance pass + one batched model pass per transmission) instead of
-// a virtual propagation call per pair. On top of that,
-// enable_spatial_index() activates two layers:
+// Two fan-out paths. The per-pair scan (transmit_scan) walks every
+// attached receiver in attach order with one scalar propagation call
+// each and no range proof; it is the reference. enable_spatial_index()
+// activates the fast path, two layers over the phy::LinkBudgetKernel's
+// reusable SoA buffers:
 //
 //   * a phy::SpatialIndex (uniform grid fed by mobility epochs) culls
 //     receivers provably out of range (PropagationModel::max_range_m)
@@ -55,16 +55,14 @@
 //     the propagation delay — so a static mesh pays the propagation
 //     model (and the dBm->mW pow()) once per link per run.
 //
-// Even without the index, the full scan culls receivers whose batched
-// distance exceeds the source's conservative max_range_m inversion
-// (the same proof the spatial index rests on) before the model pass.
-//
-// The indexed path is bit-identical to the full scan: candidates are
-// examined in attach order, culled pairs are provably below the floor
-// and are bulk-accounted as copies_dropped_floor, and cached budgets
-// are the exact values the kernel would recompute. With a fault
-// overlay installed the channel reverts to the per-pair scan so the
-// overlay's counter attribution (fault vs floor drops) stays exact.
+// The indexed path is bit-identical to the per-pair scan: candidates
+// are examined in attach order, culled pairs are provably below the
+// floor and are bulk-accounted as copies_dropped_floor, and cached
+// budgets are the exact values the scalar model returns. Because the
+// scan never consults max_range_m, a wrong range inversion shows up as
+// a difference between the two. With a fault overlay installed the
+// channel runs the per-pair scan so the overlay's counter attribution
+// (fault vs floor drops) stays exact.
 #pragma once
 
 #include <cstdint>
@@ -101,7 +99,8 @@ class WirelessChannel {
   // the given deployment area. Callable before or after attaches; the
   // grid itself is built lazily on the first transmission (cell size
   // derives from the radios' detection range, known only then).
-  // Results are bit-identical with the index on or off.
+  // Results are bit-identical with the index on or off as long as the
+  // model's max_range_m is sound.
   void enable_spatial_index(double area_width_m, double area_height_m);
 
   // Diagnostics/tests: null until enabled AND the first indexed
@@ -207,7 +206,7 @@ class WirelessChannel {
   // this version (out of range, or a pinned pair whose exact cached
   // budget is under the receiver's floor) — bulk-added to
   // copies_dropped_floor per transmission so the counter matches the
-  // full scan exactly.
+  // per-pair scan exactly.
   //
   // `order` holds candidate positions sorted by (delay, position), the
   // order the copies begin in. A fully memoised list (n_live == 0)
@@ -251,8 +250,8 @@ class WirelessChannel {
   // enter it in the receiver's ledger if weak (WifiPhy::is_weak).
   bool add_copy_or_weak(WifiPhy* rx, double p_dbm, double p_mw, sim::Time delay,
                         sim::Time now, sim::Time duration);
-  // Scans: sort pending_ by packed (delay, rank) keys, reserve one seq
-  // block, hand its seqs out in begin order and launch.
+  // Per-pair scan: sort pending_ by packed (delay, rank) keys, reserve
+  // one seq block, hand its seqs out in begin order and launch.
   void launch_pending(std::uint32_t id, sim::Time now);
   // Indexed transmissions: re-sort nc.order by the delays in slots_,
   // then launch pending_ in that order, as launch_pending() does.
@@ -273,12 +272,9 @@ class WirelessChannel {
   void transmit_indexed(const WifiPhy& src, const net::Packet& packet,
                         sim::Time duration, sim::Time now,
                         mobility::Vec2 tx_pos);
-  void transmit_full_scan(const WifiPhy& src, const net::Packet& packet,
-                          sim::Time duration, sim::Time now,
-                          mobility::Vec2 tx_pos);
-  void transmit_fault_scan(const WifiPhy& src, const net::Packet& packet,
-                           sim::Time duration, sim::Time now,
-                           mobility::Vec2 tx_pos);
+  void transmit_scan(const WifiPhy& src, const net::Packet& packet,
+                     sim::Time duration, sim::Time now,
+                     mobility::Vec2 tx_pos);
 
   sim::Simulator& sim_;
   std::unique_ptr<PropagationModel> propagation_;
@@ -293,13 +289,14 @@ class WirelessChannel {
   std::size_t in_flight_ = 0;
   Counters counters_;
   // Reusable kernel buffers (hoisted out of any per-node state): one
-  // for per-transmission evaluation, one for cache rebuilds.
+  // for the live links of an indexed transmission, one for cache
+  // rebuilds.
   LinkBudgetKernel::Batch batch_;
   LinkBudgetKernel::Batch rebuild_batch_;
 
   // Conservative per-source detection ranges (max_range_m at the
-  // minimum attached floor) — used by both the spatial index grid and
-  // the full scan's distance prefilter. Recomputed after attaches.
+  // minimum attached floor) — the spatial index's cull radius and grid
+  // sizing. Recomputed after attaches.
   bool ranges_valid_ = false;
   double min_detection_floor_dbm_ = 0.0;
   std::vector<double> radio_range_m_;  // per attach index

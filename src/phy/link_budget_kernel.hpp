@@ -54,25 +54,6 @@ class LinkBudgetKernel {
 
     [[nodiscard]] std::size_t size() const { return rx_x.size(); }
 
-    // Keep element i, dropping everything before the write cursor —
-    // used by the channel's full-scan prefilter to compact in-range
-    // survivors (with their distances) without a second buffer.
-    void compact_keep(std::size_t write, std::size_t read) {
-      rx_x[write] = rx_x[read];
-      rx_y[write] = rx_y[read];
-      rx_id[write] = rx_id[read];
-      rx_index[write] = rx_index[read];
-      distance_m[write] = distance_m[read];
-    }
-
-    void resize_down(std::size_t n) {
-      rx_x.resize(n);
-      rx_y.resize(n);
-      rx_id.resize(n);
-      rx_index.resize(n);
-      distance_m.resize(n);
-    }
-
     [[nodiscard]] std::size_t memory_bytes() const {
       return rx_x.capacity() * sizeof(double) +
              rx_y.capacity() * sizeof(double) +
@@ -83,21 +64,11 @@ class LinkBudgetKernel {
     }
   };
 
-  // Pass 1 only: fill batch.distance_m for every element.
-  static void compute_distances(Batch& batch, mobility::Vec2 tx_pos);
-
-  // Pass 1 + pass 2: distances, then model powers into batch.power_dbm.
+  // Pass 1 + pass 2: distances into batch.distance_m, then model
+  // powers into batch.power_dbm.
   static void evaluate(const PropagationModel& model, double tx_power_dbm,
                        mobility::Vec2 tx_pos, std::uint32_t tx_id,
                        Batch& batch);
-
-  // Pass 2 only, for batches whose distances are already valid (the
-  // channel's full-scan path computes distances, culls, then evaluates
-  // the surviving sub-batch).
-  static void evaluate_with_distances(const PropagationModel& model,
-                                      double tx_power_dbm,
-                                      mobility::Vec2 tx_pos,
-                                      std::uint32_t tx_id, Batch& batch);
 };
 
 }  // namespace wmn::phy

@@ -82,7 +82,7 @@ class PropagationModel {
   // the wrong way — the spatial index culls receivers beyond R without
   // evaluating the model, and a false cull would change delivered sets.
   // Models that cannot bound themselves return +infinity, which makes
-  // the index fall back to the full receiver scan transparently.
+  // the index gather every receiver as a candidate.
   [[nodiscard]] virtual double max_range_m(double tx_power_dbm,
                                            double floor_dbm) const {
     (void)tx_power_dbm;
@@ -192,7 +192,7 @@ class LogNormalShadowing final : public PropagationModel {
   // 2^-52 and s = 0 is rejected), i.e. |z| < 12.01 — so a 12.5-sigma
   // pad makes the cull exact, not merely probable. The pad is large in
   // distance terms (sigma 6 dB inflates a log-distance range ~1000x),
-  // so shadowed runs mostly degrade to the full scan — correct first,
+  // so shadowed runs mostly gather every receiver — correct first,
   // fast where provable.
   static constexpr double kSigmaBound = 12.5;
 

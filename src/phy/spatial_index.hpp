@@ -23,7 +23,7 @@
 // ascending attach order, and only ever *excludes* a node when its
 // epoch bounds are provably farther than the query range — so the
 // caller's delivered sets, drop counters, and event order are
-// bit-identical to the full scan (see docs/TOOLING.md).
+// bit-identical to the channel's per-pair scan (see docs/TOOLING.md).
 #pragma once
 
 #include <cstdint>
@@ -87,7 +87,7 @@ class SpatialIndex final : public mobility::MotionListener {
   // reach at most `range_m` metres: every node (except src, ascending
   // index order) whose bounds lie within `range_m` of src's bounds,
   // plus all roamers. An infinite/NaN range, or a roaming source,
-  // degrades to "everyone" — the transparent full-scan fallback.
+  // degrades to "everyone": no cull, still correct.
   // Exclusion guarantee: a node left out is, for the entire current
   // epoch of both endpoints, strictly farther than range_m from src.
   void gather(std::uint32_t src, double range_m,

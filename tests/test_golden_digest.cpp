@@ -21,13 +21,13 @@
 // The configurations are the simulator benchmark's four workloads
 // (simbench/simbench.cpp) at seed 1000, cut to 2 s of warm-up, 3 s of
 // traffic and 1 s of drain, plus five variants that take the channel
-// paths those four never reach: the full scan (spatial index off), the
-// fault scan (churn and an outage), RTS/CTS, log-normal shadowing and
-// link blackouts, plus three that run the traffic models the four
-// leave out: Poisson on/off, heavy-tail on/off, and gateway sessions
-// under a flash-crowd rate envelope, plus three that run the RREQ paths
-// CLNLR never takes: blind flooding, gossip and counter-based
-// discovery.
+// paths those four never reach: the per-pair scan (spatial index off),
+// the per-pair scan under a fault overlay (churn and an outage),
+// RTS/CTS, log-normal shadowing and link blackouts, plus three that run
+// the traffic models the four leave out: Poisson on/off, heavy-tail
+// on/off, and gateway sessions under a flash-crowd rate envelope, plus
+// three that run the RREQ paths CLNLR never takes: blind flooding,
+// gossip and counter-based discovery.
 //
 // Mesh400 also carries a memory ceiling: bytes_per_node() may not grow
 // more than 10% above its measured value. It replaces the old

@@ -116,10 +116,10 @@ TEST(LinkBudgetKernel, BaseClassBatchFallbackLoopsScalarOverride) {
 
 // ----- max_range_m inversion under the batched kernel -----------------------
 //
-// The channel's full-scan prefilter and the spatial index both cull on
-// "distance > max_range_m implies below floor". Re-prove it through the
-// batch path: a 40x40 field of receivers placed just beyond the bound
-// must all come back under the floor, for every model.
+// The spatial index culls on "distance > max_range_m implies below
+// floor". Re-prove it through the batch path: a 40x40 field of
+// receivers placed just beyond the bound must all come back under the
+// floor, for every model.
 
 void expect_batched_cull_sound(const PropagationModel& m, const char* label) {
   const double tx_dbm = 15.0;
@@ -197,9 +197,9 @@ std::uint64_t run_fingerprint(exp::ScenarioConfig cfg, bool indexed,
 }
 
 TEST(LinkBudgetKernelEquivalence, ScenarioFingerprintFullScanVsIndexed) {
-  // The full scan evaluates every pair through the kernel; the indexed
-  // run culls, memoises and batches only live links. Both must agree
-  // bit for bit.
+  // The per-pair scan evaluates every pair through the scalar model;
+  // the indexed run culls, memoises and batches only live links
+  // through the kernel. Both must agree bit for bit.
   const exp::ScenarioConfig cfg = scenario_config();
   WirelessChannel::Counters plain{}, fast{};
   const std::uint64_t fp_plain = run_fingerprint(cfg, false, &plain);

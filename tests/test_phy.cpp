@@ -461,7 +461,8 @@ TEST(ArrivalStream, MovingSourcesBeginInTimeThenAttachOrder) {
   }
   EXPECT_EQ(transmissions, 2000u);
   EXPECT_GT(ties, 0u);  // equal-delay ties do occur and are covered
-  // The full scan sorts each stream from scratch: same begins, same order.
+  // The per-pair scan sorts each stream from scratch: same begins, same
+  // order.
   const std::vector<Callback> full = moving_mesh_journal(false);
   ASSERT_EQ(full.size(), indexed.size());
   for (std::size_t k = 0; k < full.size(); ++k) {

@@ -1,124 +1,19 @@
-// Persistent pool + crash-safe sweep engine: the worker machinery every
-// bench binary drains its flattened task list through. The TSan CI leg
-// runs this binary (with test_scenario and test_determinism) to catch
-// data races in the sweep layer at PR time.
-#include "exp/pool.hpp"
+// Crash-safe sweep engine: the worker machinery every bench binary
+// drains its flattened slot list through. The TSan CI leg runs this
+// binary (with test_scenario and test_determinism) to catch data races
+// in the sweep layer at PR time.
+#include "exp/sweep.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <stdexcept>
 #include <string>
 
-#include "exp/parallel.hpp"
-#include "exp/sweep.hpp"
-
 namespace wmn::exp {
 namespace {
-
-// ----- ThreadPool ------------------------------------------------------------
-
-TEST(ThreadPool, ExecutesEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, FloorsThreadCountAtOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // ~ThreadPool joins after the queue empties
-  EXPECT_EQ(count.load(), 50);
-}
-
-// ----- parallel_try_map: crash containment -----------------------------------
-
-TEST(ParallelTryMap, CapturesExceptionsPerTaskSlot) {
-  ThreadPool pool(4);
-  const auto results =
-      parallel_try_map(pool, 16, 4, [](std::size_t i) -> std::size_t {
-        if (i % 2 == 1) throw std::runtime_error("odd index " + std::to_string(i));
-        return i * 10;
-      });
-  ASSERT_EQ(results.size(), 16u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (i % 2 == 1) {
-      EXPECT_FALSE(results[i].ok());
-      EXPECT_NE(results[i].error.find("odd index"), std::string::npos);
-      EXPECT_TRUE(results[i].exception != nullptr);
-    } else {
-      ASSERT_TRUE(results[i].ok());
-      EXPECT_EQ(*results[i].value, i * 10);
-    }
-  }
-}
-
-TEST(ParallelTryMap, SerialWidthAlsoContainsExceptions) {
-  ThreadPool pool(4);
-  const auto results =
-      parallel_try_map(pool, 3, 1, [](std::size_t i) -> int {
-        if (i == 1) throw std::runtime_error("boom");
-        return static_cast<int>(i);
-      });
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_TRUE(results[2].ok());
-}
-
-TEST(ParallelMap, RethrowsFirstFailureInCaller) {
-  EXPECT_THROW(parallel_map(8, 4,
-                            [](std::size_t i) -> int {
-                              if (i == 3) throw std::runtime_error("task 3");
-                              return static_cast<int>(i);
-                            }),
-               std::runtime_error);
-}
-
-// ----- bool results: no std::vector<bool> bit-packing race -------------------
-
-TEST(ParallelMap, BoolResultsAreRaceFreeAndCorrect) {
-  // With results collected straight into std::vector<bool>, adjacent
-  // slots share a word and concurrent writes race (TSan flags it).
-  // TaskResult boxes each slot; this proves values survive boxing and
-  // gives the TSan leg a dense workload over shared words. An explicit
-  // 8-worker pool guarantees real concurrency even on 1-core hosts
-  // (shared_pool() sizes itself to the hardware).
-  const std::size_t n = 4096;
-  ThreadPool pool(8);
-  const auto boxed =
-      parallel_try_map(pool, n, 8, [](std::size_t i) { return i % 3 == 0; });
-  ASSERT_EQ(boxed.size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(boxed[i].ok());
-    EXPECT_EQ(*boxed[i].value, i % 3 == 0) << "index " << i;
-  }
-  // The public wrapper unboxes to plain std::vector<bool> values.
-  const auto out =
-      parallel_map(n, 8, [](std::size_t i) { return i % 3 == 0; });
-  ASSERT_EQ(out.size(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(out[i], i % 3 == 0) << "index " << i;
-  }
-}
 
 // ----- seed derivation -------------------------------------------------------
 

@@ -250,22 +250,5 @@ TEST(Sweep, CiAggregatesMetric) {
   EXPECT_GE(c.half_width, 0.0);
 }
 
-TEST(ParallelMap, PreservesOrderAndCoversAll) {
-  const auto out =
-      parallel_map(100, 8, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(out[i], i * i);
-}
-
-TEST(ParallelMap, SingleThreadFallback) {
-  const auto out = parallel_map(5, 1, [](std::size_t i) { return i + 1; });
-  EXPECT_EQ(out, (std::vector<std::size_t>{1, 2, 3, 4, 5}));
-}
-
-TEST(ParallelMap, EmptyInput) {
-  const auto out = parallel_map(0, 4, [](std::size_t i) { return i; });
-  EXPECT_TRUE(out.empty());
-}
-
 }  // namespace
 }  // namespace wmn::exp

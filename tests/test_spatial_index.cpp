@@ -83,7 +83,7 @@ TEST(MaxRange, TwoRayInversionIsSound) {
 
 TEST(MaxRange, BasePropagationModelReportsUnbounded) {
   // A model that does not override max_range_m must advertise infinity
-  // (the transparent full-scan fallback), never a finite guess.
+  // (the index then gathers every receiver), never a finite guess.
   class Opaque final : public PropagationModel {
     [[nodiscard]] double rx_power_dbm(double tx, Vec2, Vec2, std::uint32_t,
                                       std::uint32_t) const override {
@@ -128,16 +128,25 @@ TEST(MaxRange, ShadowingDelegatesToInnerWithPaddedFloor) {
 // Two identical radio fields over the same propagation model; one with
 // the spatial index, one with the plain O(N^2) scan. Any observable
 // divergence is a contract violation.
+std::unique_ptr<PropagationModel> log_distance(double shadowing_sigma,
+                                               std::uint64_t seed) {
+  std::unique_ptr<PropagationModel> prop = std::make_unique<LogDistanceModel>();
+  if (shadowing_sigma > 0.0) {
+    prop = std::make_unique<LogNormalShadowing>(std::move(prop),
+                                                shadowing_sigma, seed);
+  }
+  return prop;
+}
+
 struct Bed {
   Bed(const std::vector<Vec2>& positions, double area_w, double area_h,
       bool indexed, double shadowing_sigma, std::uint64_t seed)
+      : Bed(positions, area_w, area_h, indexed,
+            log_distance(shadowing_sigma, seed), seed) {}
+
+  Bed(const std::vector<Vec2>& positions, double area_w, double area_h,
+      bool indexed, std::unique_ptr<PropagationModel> prop, std::uint64_t seed)
       : sim(seed) {
-    std::unique_ptr<PropagationModel> prop =
-        std::make_unique<LogDistanceModel>();
-    if (shadowing_sigma > 0.0) {
-      prop = std::make_unique<LogNormalShadowing>(std::move(prop),
-                                                  shadowing_sigma, seed);
-    }
     channel = std::make_unique<WirelessChannel>(sim, std::move(prop));
     if (indexed) channel->enable_spatial_index(area_w, area_h);
     for (std::size_t i = 0; i < positions.size(); ++i) {
@@ -242,6 +251,39 @@ TEST(SpatialIndexEquivalence, RandomPlacementsWithShadowing) {
   }
 }
 
+// Log-distance path loss that reports 0.6x its true range: an unsound
+// max_range_m inversion, so the index culls receivers that hear the
+// frame.
+class ShortRangeModel final : public PropagationModel {
+ public:
+  [[nodiscard]] double rx_power_dbm(double tx_power_dbm, Vec2 tx_pos,
+                                    Vec2 rx_pos, std::uint32_t tx_id,
+                                    std::uint32_t rx_id) const override {
+    return inner_.rx_power_dbm(tx_power_dbm, tx_pos, rx_pos, tx_id, rx_id);
+  }
+  [[nodiscard]] double max_range_m(double tx_power_dbm,
+                                   double floor_dbm) const override {
+    return 0.6 * inner_.max_range_m(tx_power_dbm, floor_dbm);
+  }
+
+ private:
+  LogDistanceModel inner_;
+};
+
+TEST(SpatialIndexEquivalence, UnsoundRangeBoundIsCaught) {
+  // Negative control for every equivalence test here: they can catch a
+  // wrong range inversion only if the unindexed bed never relies on
+  // it. The per-pair scan does not consult max_range_m, so a bound
+  // that is too short must show as copies the indexed bed lost.
+  const auto pos = random_positions(60, 3000.0, 3000.0, 1);
+  Bed plain(pos, 3000.0, 3000.0, false, std::make_unique<ShortRangeModel>(), 1);
+  Bed fast(pos, 3000.0, 3000.0, true, std::make_unique<ShortRangeModel>(), 1);
+  plain.broadcast_round(3);
+  fast.broadcast_round(3);
+  EXPECT_GT(plain.channel->counters().copies_delivered,
+            fast.channel->counters().copies_delivered);
+}
+
 TEST(SpatialIndexEquivalence, CounterIdentityPerTransmission) {
   // Without a fault overlay every one of the N-1 copies is either
   // delivered or floor-dropped — the identity the bulk cull accounting
@@ -282,7 +324,7 @@ TEST(SpatialIndexEquivalence, SetPositionInvalidatesCaches) {
 }
 
 // RWP endpoints: leg boxes, pauses (pinned), epoch churn. The indexed
-// bed must track every leg boundary and still match the full scan.
+// bed must track every leg boundary and still match the per-pair scan.
 TEST(SpatialIndexEquivalence, RandomWaypointMobility) {
   for (const std::uint64_t seed : {2ULL, 13ULL}) {
     auto build_and_run = [seed](bool indexed) {
@@ -387,7 +429,7 @@ TEST(SpatialIndexEquivalence, ScenarioFingerprintMobileShadowed) {
 }
 
 TEST(SpatialIndexEquivalence, PooledIndexedMatchesSerialFullScan) {
-  // The strongest cross-check: replications drained by a 4-thread pool
+  // The strongest cross-check: replications drained by four sweep workers
   // with the index on must reproduce, bit for bit, a single-threaded
   // sweep with the index off.
   exp::ScenarioConfig on = scenario_config(42, true, 0.0);

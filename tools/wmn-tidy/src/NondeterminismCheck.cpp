@@ -13,7 +13,7 @@ using namespace clang::ast_matchers;
 namespace {
 
 // The one place allowed to hold raw threading primitives: the sweep
-// concurrency layer (exp::ThreadPool and its supervision machinery).
+// concurrency layer (exp::SweepEngine and its supervision machinery).
 // Everywhere else a std::thread or std::mutex means simulation state
 // is about to be touched from an unsanctioned thread — which breaks
 // the determinism contract even when it happens to be race-free.
@@ -127,7 +127,7 @@ void NondeterminismCheck::check(const MatchFinder::MatchResult &Result) {
     diag(D->getBeginLoc(),
          "raw threading primitive outside the sanctioned concurrency "
          "layer (src/exp/): ad-hoc threads can reorder simulation "
-         "events; use exp::ThreadPool across runs");
+         "events; use exp::SweepEngine across runs");
   }
 }
 

@@ -72,7 +72,7 @@ RAW_THREADING_RE = re.compile(
     r"shared_timed_mutex|condition_variable(?:_any)?)\b")
 
 # The one place allowed to hold raw threading primitives: the sweep
-# concurrency layer (exp::ThreadPool and supervision). Matches the
+# concurrency layer (exp::SweepEngine and supervision). Matches the
 # plugin's isSanctionedThreadingFile.
 SANCTIONED_THREADING_RE = re.compile(r"src[/\\]exp[/\\]")
 
@@ -317,7 +317,7 @@ def check_nondeterminism(path, lines, supp, findings):
                 path, ln, m.start() + 1,
                 f"raw std::{m.group('sym')} outside the sanctioned "
                 "concurrency layer (src/exp/): ad-hoc threads can reorder "
-                "simulation events; use exp::ThreadPool across runs",
+                "simulation events; use exp::SweepEngine across runs",
                 check))
         m = re.search(r"\bstd\s*::\s*random_device\b", line)
         if m and not supp.suppressed(ln, check):
