@@ -319,6 +319,16 @@ int main(int argc, char** argv) {
                stats::Table::num(m.route_recovery_mean_ms, 1)});
     t.add_row({"flows stranded", std::to_string(m.flows_stranded)});
   }
+  const exp::Scenario::Footprint fp = scenario.footprint();
+  const auto share = [&fp](const char* name, std::size_t bytes) {
+    return std::string(name) + " " + stats::Table::num(fp.per_node(bytes), 0);
+  };
+  t.add_row({"bytes/node", std::to_string(scenario.bytes_per_node()) + " = " +
+                               share("phy", fp.phy) + " + " +
+                               share("mac", fp.mac) + " + " +
+                               share("routing", fp.routing) + " + " +
+                               share("channel", fp.channel) + " + " +
+                               share("stack", fp.stacks)});
   t.add_row({"sim events", stats::Table::num(m.sim_event_count, 0)});
   t.add_row({"wall seconds", stats::Table::num(m.wall_seconds, 2)});
   t.print(std::cout);

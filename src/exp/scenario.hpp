@@ -171,19 +171,46 @@ class Scenario {
     return timeline_.get();
   }
 
-  // Mean per-node dynamic footprint: each node's phy/mac/agent state
-  // plus an equal share of the channel (caches, index, pending slots).
+  // Dynamic footprint by layer, each summed over the whole network:
+  // every node's PHY, MAC and routing agent state, the channel (caches,
+  // index, pending slots), and the NodeStack records that wire each
+  // node's layers together. per_node() divides a sum by the node count.
+  struct Footprint {
+    std::size_t nodes = 0;
+    std::size_t phy = 0;
+    std::size_t mac = 0;
+    std::size_t routing = 0;
+    std::size_t channel = 0;
+    std::size_t stacks = 0;
+
+    [[nodiscard]] std::size_t total() const {
+      return phy + mac + routing + channel + stacks;
+    }
+    [[nodiscard]] double per_node(std::size_t bytes) const {
+      if (nodes == 0) return 0.0;
+      return static_cast<double>(bytes) / static_cast<double>(nodes);
+    }
+  };
+  [[nodiscard]] Footprint footprint() const {
+    Footprint f;
+    f.nodes = nodes_.size();
+    for (const NodeStack& n : nodes_) {
+      f.phy += n.phy->memory_bytes();
+      f.mac += n.mac->memory_bytes();
+      f.routing += n.agent->memory_bytes();
+    }
+    f.channel = channel_.memory_bytes();
+    f.stacks = nodes_.size() * sizeof(NodeStack);
+    return f;
+  }
+
+  // Mean per-node dynamic footprint: the footprint() total over the
+  // node count, each node taking an equal share of the channel.
   // Reported by simbench as bytes_per_node; GoldenDigest.Mesh400 holds
   // it under a ceiling.
   [[nodiscard]] std::size_t bytes_per_node() const {
-    if (nodes_.empty()) return 0;
-    std::size_t bytes = 0;
-    for (const NodeStack& n : nodes_) {
-      bytes += sizeof(NodeStack) + n.phy->memory_bytes() +
-               n.mac->memory_bytes() + n.agent->memory_bytes();
-    }
-    bytes += channel_.memory_bytes();
-    return bytes / nodes_.size();
+    const Footprint f = footprint();
+    return f.nodes == 0 ? 0 : f.total() / f.nodes;
   }
 
  private:

@@ -310,15 +310,14 @@ void WirelessChannel::build_spatial_index() {
 
 void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
   NeighborCache& nc = neighbor_caches_[src_index];
+  nc.lockable.clear();
+  nc.weak.clear();
   nc.rx_index.clear();
   nc.is_cached.clear();
   nc.power_dbm.clear();
   nc.power_mw.clear();
   nc.delay.clear();
   nc.order.clear();
-  nc.weak.clear();
-  nc.culled = 0;
-  nc.n_live = 0;
   const WifiPhy& src = *radios_[src_index];
   index_->gather(src_index, radio_range_m_[src_index], gather_scratch_);
   nc.culled = radios_.size() - 1 - gather_scratch_.size();
@@ -335,13 +334,73 @@ void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
   if (src_pinned) {
     for (const std::uint32_t i : gather_scratch_) {
       if (index_->pinned(i)) {
-        rebuild_batch_.push(index_->bounds(i).lo, radios_[i]->node_id(), i);
+        rebuild_batch_.push(index_->bounds(i).lo, radios_[i]->node_id());
       }
     }
     LinkBudgetKernel::evaluate(*propagation_, src.config().tx_power_dbm,
                                src_pos, src.node_id(), rebuild_batch_);
   }
+  nc.n_live = static_cast<std::uint32_t>(gather_scratch_.size() -
+                                         rebuild_batch_.size());
+  if (nc.n_live == 0) {
+    rebuild_static(nc);
+  } else {
+    rebuild_live(nc, src_pinned);
+  }
+  nc.built_version = index_->version();
+}
 
+void WirelessChannel::rebuild_static(NeighborCache& nc) {
+  // Every candidate is memoised: classify each link once, lockable ones
+  // into begin order, weak ones with their ledger units.
+  for (std::size_t k = 0; k < gather_scratch_.size(); ++k) {
+    const std::uint32_t i = gather_scratch_[k];
+    const WifiPhy& rx = *radios_[i];
+    const double p_dbm = rebuild_batch_.power_dbm[k];
+    if (p_dbm < rx.config().detection_floor_dbm) {
+      ++nc.culled;
+      continue;
+    }
+    const std::int64_t delay_ns =
+        sim::Time::seconds(rebuild_batch_.distance_m[k] / kSpeedOfLight).ns();
+    WMN_CHECK(delay_ns >= 0 && delay_ns <= std::int64_t{0xFFFFFFFF},
+              "propagation delay does not fit a 32-bit link record");
+    const auto d = static_cast<std::uint32_t>(delay_ns);
+    const double p_mw = dbm_to_mw(p_dbm);
+    if (rx.is_weak(p_dbm)) {
+      nc.weak.push_back(WeakLink{i, d, rx.weak_units(p_mw)});
+    } else {
+      nc.lockable.push_back(LockableLink{i, d, p_dbm, p_mw});
+    }
+  }
+  // Attach indices grow with candidate position, so they break delay
+  // ties in candidate order.
+  std::sort(nc.lockable.begin(), nc.lockable.end(),
+            [](const LockableLink& a, const LockableLink& b) {
+              return a.delay_ns < b.delay_ns ||
+                     (a.delay_ns == b.delay_ns && a.rx < b.rx);
+            });
+  // A static list is built once per run and only read after: hold it
+  // at its exact size, and give back the live arrays.
+  nc.lockable.shrink_to_fit();
+  nc.weak.shrink_to_fit();
+  nc.rx_index.shrink_to_fit();
+  nc.is_cached.shrink_to_fit();
+  nc.power_dbm.shrink_to_fit();
+  nc.power_mw.shrink_to_fit();
+  nc.delay.shrink_to_fit();
+  nc.order.shrink_to_fit();
+}
+
+void WirelessChannel::rebuild_live(NeighborCache& nc, bool src_pinned) {
+  // Exact sizes up front: every candidate takes a position, and at most
+  // the batched pairs take a memoised budget.
+  nc.rx_index.reserve(gather_scratch_.size());
+  nc.is_cached.reserve(gather_scratch_.size());
+  nc.order.reserve(gather_scratch_.size());
+  nc.power_dbm.reserve(rebuild_batch_.size());
+  nc.power_mw.reserve(rebuild_batch_.size());
+  nc.delay.reserve(rebuild_batch_.size());
   std::size_t cursor = 0;
   for (const std::uint32_t i : gather_scratch_) {
     if (src_pinned && index_->pinned(i)) {
@@ -360,7 +419,6 @@ void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
     } else {
       nc.rx_index.push_back(i);
       nc.is_cached.push_back(0);
-      ++nc.n_live;
     }
   }
   // The budget arrays hold memoised entries only. Once a source starts
@@ -371,32 +429,13 @@ void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
     nc.power_mw.shrink_to_fit();
     nc.delay.shrink_to_fit();
   }
-  // Copies begin in (delay, candidate position) order; a static list
-  // classifies and sorts once here, not per transmission: lockable
-  // links go to `order` in begin order, weak ones to `weak`. A live
-  // list starts from attach order and is re-sorted per transmission.
-  const std::size_t n = nc.rx_index.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    const bool weak = nc.n_live == 0 && radios_[nc.rx_index[k]]->is_weak(nc.power_dbm[k]);
-    (weak ? nc.weak : nc.order).push_back(static_cast<std::uint32_t>(k));
+  // Copies begin in (delay, candidate position) order; a live list
+  // starts from attach order and is re-sorted per transmission.
+  for (std::size_t k = 0; k < nc.rx_index.size(); ++k) {
+    nc.order.push_back(static_cast<std::uint32_t>(k));
   }
-  if (nc.n_live == 0) {
-    std::sort(nc.order.begin(), nc.order.end(),
-              [&nc](std::uint32_t a, std::uint32_t b) {
-                return nc.delay[a] < nc.delay[b] ||
-                       (nc.delay[a] == nc.delay[b] && a < b);
-              });
-    // A static list is built once per run and only read after: hold it
-    // at its exact size, not at the growth capacity push_back left.
-    nc.rx_index.shrink_to_fit();
-    nc.is_cached.shrink_to_fit();
-    nc.power_dbm.shrink_to_fit();
-    nc.power_mw.shrink_to_fit();
-    nc.delay.shrink_to_fit();
-    nc.order.shrink_to_fit();
-    nc.weak.shrink_to_fit();
-  }
-  nc.built_version = index_->version();
+  nc.lockable.shrink_to_fit();
+  nc.weak.shrink_to_fit();
 }
 
 void WirelessChannel::transmit_indexed(const WifiPhy& src,
@@ -411,22 +450,22 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
   // floor: account the whole batch so the counter equals the per-pair
   // scan's (N-1 - examined) + individually-dropped identity.
   counters_.copies_dropped_floor += nc.culled;
-  const std::size_t n = nc.rx_index.size();
   const std::uint32_t id = open_stream(packet, duration);
 
   if (nc.n_live == 0) {
     // Static mesh: every budget is memoised and classified, and the
-    // cached order is the lockable copies' begin order — no propagation
-    // math, no unit conversions, no sort.
-    counters_.copies_delivered += nc.order.size();
-    std::uint64_t seq = sim_.reserve_seq(nc.order.size());
+    // lockable links are in begin order — no propagation math, no unit
+    // conversions, no sort.
+    counters_.copies_delivered += nc.lockable.size() + nc.weak.size();
+    std::uint64_t seq = sim_.reserve_seq(nc.lockable.size());
     std::vector<Copy>& copies = streams_[id].copies;
-    for (const std::uint32_t i : nc.order) {
-      copies.push_back(Copy{now + nc.delay[i], seq++, nc.power_dbm[i],
-                            nc.power_mw[i], 0, radios_[nc.rx_index[i]]});
+    for (const LockableLink& l : nc.lockable) {
+      copies.push_back(Copy{now + sim::Time::nanos(l.delay_ns), seq++,
+                            l.power_dbm, l.power_mw, 0, radios_[l.rx]});
     }
-    for (const std::uint32_t i : nc.weak) {
-      add_weak(radios_[nc.rx_index[i]], nc.power_mw[i], now + nc.delay[i], duration);
+    for (const WeakLink& w : nc.weak) {
+      const sim::Time at = now + sim::Time::nanos(w.delay_ns);
+      radios_[w.rx]->add_weak_units(at, at + duration, w.units);
     }
     launch_stream(id);
     return;
@@ -435,11 +474,12 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
   // Mixed cache: batch the mobile candidates through the kernel, then
   // merge with the memoised ones in ascending attach order (the order
   // the per-pair scan visits, so every copy takes the same rank and seq).
+  const std::size_t n = nc.rx_index.size();
   batch_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (nc.is_cached[i] == 0) {
       const std::uint32_t r = nc.rx_index[i];
-      batch_.push(radios_[r]->position(now), radios_[r]->node_id(), r);
+      batch_.push(radios_[r]->position(now), radios_[r]->node_id());
     }
   }
   LinkBudgetKernel::evaluate(*propagation_, src.config().tx_power_dbm, tx_pos,

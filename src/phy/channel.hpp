@@ -10,7 +10,7 @@
 // Lockable and weak copies: the channel splits a transmission's copies
 // by the receiver's rx_sensitivity_dbm. A weak copy can never lock, so
 // it becomes no event at all: it goes straight into the receiver's
-// interference ledger (WifiPhy::add_weak_copy), which settles lazily.
+// interference ledger (WifiPhy::add_weak_units), which settles lazily.
 // A static neighbour cache classifies each link once, at rebuild; the
 // live path and the per-pair scan classify per copy.
 //
@@ -31,10 +31,10 @@
 // Begin order is (propagation delay, candidate position): the arrival
 // time is now + delay, and equal delays keep candidate (attach) order.
 // Sorts compare packed 64-bit (delay_ns << 24 | index) keys, so they
-// compare plain integers. A static neighbour list stores its order once
-// per cache rebuild. An indexed list with live links re-sorts the order
-// its previous transmission left, which is nearly sorted already. The
-// per-pair scan sorts from scratch.
+// compare plain integers. A static neighbour list stores its lockable
+// links in that order once per cache rebuild. An indexed list with live
+// links re-sorts the order its previous transmission left, which is
+// nearly sorted already. The per-pair scan sorts from scratch.
 //
 // Streams live in a free-listed pool; the calendar event captures only
 // (this, stream index), and nothing holds a reference into the pool
@@ -49,11 +49,12 @@
 //   * a phy::SpatialIndex (uniform grid fed by mobility epochs) culls
 //     receivers provably out of range (PropagationModel::max_range_m)
 //     before any propagation math;
-//   * a per-source neighbour cache memoises the candidate list in SoA
-//     form and, for pinned-position pairs (both mobility bounds are
-//     points), the full link budget — power in dBm AND milliwatts plus
-//     the propagation delay — so a static mesh pays the propagation
-//     model (and the dBm->mW pow()) once per link per run.
+//   * a per-source neighbour cache memoises the candidate list and,
+//     for pinned-position pairs (both mobility bounds are points), the
+//     full link budget — power in dBm and milliwatts (a weak link's in
+//     the receiver's ledger units) plus the propagation delay — so a
+//     static mesh pays the propagation model (and the dBm->mW pow())
+//     once per link per run.
 //
 // The indexed path is bit-identical to the per-pair scan: candidates
 // are examined in attach order, culled pairs are provably below the
@@ -193,14 +194,28 @@ class WirelessChannel {
   };
   static constexpr std::uint32_t kNoRank = 0xFFFFFFFFu;
 
-  // Per-source candidate list in SoA form, valid for one SpatialIndex
-  // version, elements in ascending attach order. Memoised (pinned-
-  // pair) entries carry the exact budget: power in dBm and mW plus the
-  // propagation delay, all computed once at rebuild through the same
-  // kernel the live path uses. The budget arrays hold memoised entries
-  // only, in candidate order; live entries (a mobile endpoint) are
-  // re-evaluated per transmission and store nothing there. n_live == 0
-  // (the static-mesh common case) enables the branch-free fast loop.
+  // A memoised link of a fully memoised list, in begin order: the
+  // receiver's attach index, the propagation delay and the power in
+  // both units.
+  struct LockableLink {
+    std::uint32_t rx;
+    std::uint32_t delay_ns;
+    double power_dbm;
+    double power_mw;
+  };
+  // A memoised weak link, its power already in the receiver's ledger
+  // units (WifiPhy::weak_units).
+  struct WeakLink {
+    std::uint32_t rx;
+    std::uint32_t delay_ns;
+    std::int64_t units;
+  };
+  static_assert(sizeof(LockableLink) == 24);
+  static_assert(sizeof(WeakLink) == 16);
+
+  // Per-source candidate list, valid for one SpatialIndex version.
+  // Memoised (pinned-pair) links carry the exact budget, computed once
+  // at rebuild through the same kernel the live path uses.
   //
   // `culled` counts receivers provably below the detection floor for
   // this version (out of range, or a pinned pair whose exact cached
@@ -208,35 +223,44 @@ class WirelessChannel {
   // copies_dropped_floor per transmission so the counter matches the
   // per-pair scan exactly.
   //
-  // `order` holds candidate positions sorted by (delay, position), the
-  // order the copies begin in. A fully memoised list (n_live == 0)
-  // classifies its links once at rebuild: `order` holds the lockable
-  // ones, sorted then, so a static mesh never sorts a stream, and
-  // `weak` the rest, in attach order. A list with live entries keeps
-  // every candidate in `order`, starting from attach order and
-  // re-sorted at each transmission from the previous transmission's
-  // order: nodes move little between two transmissions of one source,
-  // so few entries move (8% per transmission on the 10 m/s benchmark
-  // mesh).
+  // Copies begin in (delay, candidate position) order. A fully
+  // memoised list (n_live == 0, the static-mesh common case) holds
+  // only two record arrays, classified once at rebuild: `lockable`,
+  // sorted in begin order then, so a static mesh never sorts a stream,
+  // and `weak`, in attach order. Most of a transmission's copies are
+  // weak, so a weak link is 16 bytes and carries its ledger units, not
+  // milliwatts.
+  //
+  // A list with live links (a mobile endpoint) uses the SoA arrays
+  // instead, elements in ascending attach order. The budget arrays hold
+  // its memoised entries only, in candidate order; live entries are
+  // re-evaluated per transmission and store nothing there. `order`
+  // keeps every candidate, starting from attach order and re-sorted at
+  // each transmission from the previous transmission's order: nodes
+  // move little between two transmissions of one source, so few entries
+  // move (8% per transmission on the 10 m/s benchmark mesh).
   struct NeighborCache {
     std::uint64_t built_version = ~std::uint64_t{0};
     std::uint64_t culled = 0;
     std::uint32_t n_live = 0;
+    std::vector<LockableLink> lockable;
+    std::vector<WeakLink> weak;
     std::vector<std::uint32_t> rx_index;
     std::vector<std::uint8_t> is_cached;  // 1 = memoised budget below
     std::vector<double> power_dbm;
     std::vector<double> power_mw;
     std::vector<sim::Time> delay;
     std::vector<std::uint32_t> order;
-    std::vector<std::uint32_t> weak;
 
     [[nodiscard]] std::size_t memory_bytes() const {
-      return rx_index.capacity() * sizeof(std::uint32_t) +
+      return lockable.capacity() * sizeof(LockableLink) +
+             weak.capacity() * sizeof(WeakLink) +
+             rx_index.capacity() * sizeof(std::uint32_t) +
              is_cached.capacity() +
              power_dbm.capacity() * sizeof(double) +
              power_mw.capacity() * sizeof(double) +
              delay.capacity() * sizeof(sim::Time) +
-             (order.capacity() + weak.capacity()) * sizeof(std::uint32_t);
+             order.capacity() * sizeof(std::uint32_t);
     }
   };
 
@@ -269,6 +293,11 @@ class WirelessChannel {
   void refresh_ranges();
   void build_spatial_index();
   void rebuild_neighbor_cache(std::uint32_t src_index);
+  // The two halves of a rebuild, over gather_scratch_ and
+  // rebuild_batch_: a fully memoised list fills the link records, one
+  // with live links the SoA arrays. Each frees the other's storage.
+  void rebuild_static(NeighborCache& nc);
+  void rebuild_live(NeighborCache& nc, bool src_pinned);
   void transmit_indexed(const WifiPhy& src, const net::Packet& packet,
                         sim::Time duration, sim::Time now,
                         mobility::Vec2 tx_pos);

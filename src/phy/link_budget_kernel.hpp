@@ -28,13 +28,12 @@ namespace wmn::phy {
 class LinkBudgetKernel {
  public:
   // Reusable SoA buffers describing one transmitter's candidates.
-  // Callers push (position, node id, payload index) tuples, then run
-  // evaluate(); distance_m/power_dbm come back aligned element-wise.
+  // Callers push (position, node id) pairs, then run evaluate();
+  // distance_m/power_dbm come back aligned element-wise.
   struct Batch {
     std::vector<double> rx_x;
     std::vector<double> rx_y;
     std::vector<std::uint32_t> rx_id;     // node ids (shadowing hash input)
-    std::vector<std::uint32_t> rx_index;  // caller payload (attach index)
     std::vector<double> distance_m;       // out: floored link distance
     std::vector<double> power_dbm;        // out: received power
 
@@ -42,14 +41,12 @@ class LinkBudgetKernel {
       rx_x.clear();
       rx_y.clear();
       rx_id.clear();
-      rx_index.clear();
     }
 
-    void push(mobility::Vec2 pos, std::uint32_t id, std::uint32_t index) {
+    void push(mobility::Vec2 pos, std::uint32_t id) {
       rx_x.push_back(pos.x);
       rx_y.push_back(pos.y);
       rx_id.push_back(id);
-      rx_index.push_back(index);
     }
 
     [[nodiscard]] std::size_t size() const { return rx_x.size(); }
@@ -58,7 +55,6 @@ class LinkBudgetKernel {
       return rx_x.capacity() * sizeof(double) +
              rx_y.capacity() * sizeof(double) +
              rx_id.capacity() * sizeof(std::uint32_t) +
-             rx_index.capacity() * sizeof(std::uint32_t) +
              distance_m.capacity() * sizeof(double) +
              power_dbm.capacity() * sizeof(double);
     }

@@ -244,20 +244,29 @@ class WifiPhy {
   // locked frame if this was it, then update CCA.
   void end_arrival(std::uint64_t key);
 
+  // A weak copy's power `power_mw` in this radio's integer ledger units.
+  // The channel memoises it per static link.
+  [[nodiscard]] std::int64_t weak_units(double power_mw) const {
+    return static_cast<std::int64_t>(power_mw * weak_units_per_mw_ + 0.5);
+  }
+
   // Enter a weak copy (below rx_sensitivity_dbm) in the interference
-  // ledger: it is on the air over [begin, end) at `power_mw`. `begin`
-  // must not lie in the past. Inline: the channel calls it for most
-  // receivers of every transmission.
-  void add_weak_copy(sim::Time begin, sim::Time end, double power_mw) {
+  // ledger: it is on the air over [begin, end) at `units` (weak_units).
+  // `begin` must not lie in the past. Inline: the channel calls it for
+  // most receivers of every transmission.
+  void add_weak_units(sim::Time begin, sim::Time end, std::int64_t units) {
     WMN_CHECK_GT(end, begin, "weak copy with no air time");
     // Begins arrive nearly sorted: they differ by propagation delays.
-    enqueue(ledger_, ledger_head_,
-            WeakCopy{begin, end,
-                     static_cast<std::int64_t>(power_mw * weak_units_per_mw_ + 0.5)},
+    enqueue(ledger_, ledger_head_, WeakCopy{begin, end, units},
             [](const WeakCopy& c) { return c.begin; });
     // A radio nothing reads for a while still keeps a short ledger.
     if (ledger_.size() - ledger_head_ >= kLedgerBatch) settle_due();
     if (watched_) rearm_watch_slow();
+  }
+
+  // add_weak_units at `power_mw`.
+  void add_weak_copy(sim::Time begin, sim::Time end, double power_mw) {
+    add_weak_units(begin, end, weak_units(power_mw));
   }
 
   // Apply every ledger transition due by now.

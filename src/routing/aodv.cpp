@@ -295,11 +295,11 @@ void AodvAgent::on_discovery_timeout(net::Address dest) {
     // The repair failed: deliver the RERR we withheld when the link
     // broke, so upstream nodes stop sending through us.
     std::uint32_t s = 0;
-    std::vector<net::Address> prec;
-    if (RouteEntry* e = routes_.find(dest); e != nullptr) {
+    if (const RouteEntry* e = routes_.find(dest); e != nullptr) {
       s = e->dest_seqno;
-      prec.assign(e->precursors.begin(), e->precursors.end());
     }
+    std::vector<net::Address> prec;
+    routes_.append_precursors(dest, prec);
     emit_rerr({dest}, {s}, std::move(prec));
   }
   drop_buffer(dest, "discovery failed");
@@ -602,7 +602,6 @@ bool AodvAgent::update_route(net::Address dest, net::Address via,
   entry.metric = cand.metric;
   entry.state = RouteState::kValid;
   entry.expires = now() + lifetime;
-  if (e != nullptr) entry.precursors = std::move(e->precursors);
   routes_.upsert(std::move(entry));
   note_route_restored(dest);
   return true;
@@ -641,7 +640,6 @@ void AodvAgent::upsert_neighbor_route(net::Address neighbor) {
   if (e != nullptr) {
     entry.dest_seqno = e->dest_seqno;
     entry.valid_seqno = e->valid_seqno;
-    entry.precursors = std::move(e->precursors);
   }
   routes_.upsert(std::move(entry));
   note_route_restored(neighbor);
@@ -688,11 +686,11 @@ void AodvAgent::handle_data(net::Packet packet, net::Address src) {
     // sender is a precursor by construction — it just routed data
     // through us — so it is always among the candidate recipients.
     std::uint32_t s = 0;
-    std::vector<net::Address> prec;
-    if (RouteEntry* e = routes_.find(hdr.dest); e != nullptr) {
+    if (const RouteEntry* e = routes_.find(hdr.dest); e != nullptr) {
       s = e->dest_seqno;
-      prec.assign(e->precursors.begin(), e->precursors.end());
     }
+    std::vector<net::Address> prec;
+    routes_.append_precursors(hdr.dest, prec);
     prec.push_back(src);
     emit_rerr({hdr.dest}, {s}, std::move(prec));
     return;
@@ -806,8 +804,7 @@ void AodvAgent::handle_link_break(net::Address next_hop,
       if (d == repair_dest) continue;  // repaired locally, no RERR yet
       dests.push_back(d);
       seqnos.push_back(inv->dest_seqno);
-      precursors.insert(precursors.end(), inv->precursors.begin(),
-                        inv->precursors.end());
+      routes_.append_precursors(d, precursors);
     }
   }
   if (!dests.empty()) emit_rerr(dests, seqnos, std::move(precursors));
@@ -891,8 +888,7 @@ void AodvAgent::handle_rerr(net::Packet packet, net::Address src) {
     }
     propagate.push_back(d);
     seqnos.push_back(seqno_max(inv->dest_seqno, hdr.seqno[i]));
-    precursors.insert(precursors.end(), inv->precursors.begin(),
-                      inv->precursors.end());
+    routes_.append_precursors(d, precursors);
   }
   if (!propagate.empty()) emit_rerr(propagate, seqnos, std::move(precursors));
 }

@@ -84,30 +84,31 @@ std::vector<net::Address> RouteTable::dests_via(net::Address via, sim::Time now)
 }
 
 void RouteTable::add_precursor(net::Address dest, net::Address precursor) {
-  RouteEntry* e = find(dest);
-  if (e == nullptr) return;
-  auto& prec = e->precursors;
-  const auto pos = std::lower_bound(prec.begin(), prec.end(), precursor);
-  if (pos == prec.end() || *pos != precursor) prec.insert(pos, precursor);
+  if (find(dest) == nullptr) return;
+  const std::pair pair{dest, precursor};
+  const auto pos =
+      std::lower_bound(precursors_.begin(), precursors_.end(), pair);
+  if (pos == precursors_.end() || *pos != pair) precursors_.insert(pos, pair);
+}
+
+void RouteTable::append_precursors(net::Address dest,
+                                   std::vector<net::Address>& out) const {
+  auto it = std::lower_bound(precursors_.begin(), precursors_.end(),
+                             std::pair{dest, net::Address(0)});
+  for (; it != precursors_.end() && it->first == dest; ++it) {
+    out.push_back(it->second);
+  }
 }
 
 void RouteTable::remove_precursor(net::Address precursor) {
-  for (RouteEntry& e : entries_) {
-    const auto pos =
-        std::lower_bound(e.precursors.begin(), e.precursors.end(), precursor);
-    if (pos != e.precursors.end() && *pos == precursor) {
-      e.precursors.erase(pos);
-    }
-  }
+  std::erase_if(precursors_,
+                [precursor](const auto& p) { return p.second == precursor; });
 }
 
 std::size_t RouteTable::memory_bytes() const {
-  std::size_t bytes = sizeof(*this) + entries_.capacity() * sizeof(RouteEntry) +
-                      slot_.capacity() * sizeof(std::uint16_t);
-  for (const RouteEntry& e : entries_) {
-    bytes += e.precursors.capacity() * sizeof(net::Address);
-  }
-  return bytes;
+  return sizeof(*this) + entries_.capacity() * sizeof(RouteEntry) +
+         slot_.capacity() * sizeof(std::uint16_t) +
+         precursors_.capacity() * sizeof(decltype(precursors_)::value_type);
 }
 
 void RouteTable::purge(sim::Time now, sim::Time dead_retention) {
@@ -120,6 +121,8 @@ void RouteTable::purge(sim::Time now, sim::Time dead_retention) {
                e.expires + dead_retention <= now) {
       // Erase by moving the last entry into slot i, then look at it.
       slot_[e.dest.value()] = kNoSlot;
+      std::erase_if(precursors_,
+                    [dest = e.dest](const auto& p) { return p.first == dest; });
       if (i + 1 != entries_.size()) {
         e = std::move(entries_.back());
         slot_[e.dest.value()] = static_cast<std::uint16_t>(i);

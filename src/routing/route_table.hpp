@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
@@ -14,18 +15,14 @@ namespace wmn::routing {
 
 enum class RouteState : std::uint8_t { kValid, kInvalid };
 
-// Field order packs the entry to 56 bytes (wide members first, the
+// Field order packs the entry to 32 bytes (wide members first, the
 // byte-sized flags sharing one tail word) — at 400+ nodes the route
 // tables are the largest per-node structure, so the layout is part of
-// the bytes_per_node budget.
+// the bytes_per_node budget. Precursor lists live in the table, not
+// here: few entries have any.
 struct RouteEntry {
   double metric = 0.0;          // accumulated path metric (CLNLR load)
   sim::Time expires{};          // entry dies (or goes stale) at this time
-  // Neighbours that route *through us* to `dest`; they get RERRs when
-  // the route breaks. Sorted ascending and duplicate-free — a handful
-  // of addresses at most, already in the normalised order the RERR
-  // path needs.
-  std::vector<net::Address> precursors;
   net::Address dest;
   net::Address next_hop;
   std::uint32_t dest_seqno = 0;
@@ -33,6 +30,7 @@ struct RouteEntry {
   bool valid_seqno = false;
   RouteState state = RouteState::kValid;
 };
+static_assert(sizeof(RouteEntry) == 32);
 
 // Entries live contiguously; a dense index maps each address (node
 // addresses are 0..N-1) to its entry's slot.
@@ -67,7 +65,17 @@ class RouteTable {
   [[nodiscard]] std::vector<net::Address> dests_via(net::Address via,
                                                     sim::Time now);
 
+  // Precursors of `dest`: neighbours that route *through us* to it and
+  // get RERRs when the route breaks. A destination's list belongs to
+  // its entry: it survives upsert() and invalidate(), and goes with
+  // the entry in purge() and clear(). Adding to a destination with no
+  // entry does nothing.
   void add_precursor(net::Address dest, net::Address precursor);
+
+  // Append dest's precursors to `out`, ascending and duplicate-free —
+  // already the normalised order the RERR path needs.
+  void append_precursors(net::Address dest,
+                         std::vector<net::Address>& out) const;
 
   // Remove `precursor` from every entry's precursor list — called when
   // the neighbour expires from the NeighborTable, so later RERRs are
@@ -84,6 +92,7 @@ class RouteTable {
   void clear() {
     entries_.clear();
     slot_.clear();
+    precursors_.clear();
   }
 
   // Dynamic footprint (index + entry storage + precursor storage) —
@@ -98,6 +107,9 @@ class RouteTable {
   // exactly the highest address seen: addresses arrive in random
   // order, so that reallocates about ln N times per node.
   std::vector<std::uint16_t> slot_;
+  // Every entry's precursors as (dest, precursor) pairs, sorted: a
+  // node has a handful, against dozens of entries.
+  std::vector<std::pair<net::Address, net::Address>> precursors_;
 };
 
 }  // namespace wmn::routing

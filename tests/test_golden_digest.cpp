@@ -1,4 +1,4 @@
-// Golden digests: exact fingerprints of fifteen pinned configurations.
+// Golden digests: exact fingerprints of sixteen pinned configurations.
 //
 // test_determinism proves a run repeats itself; it cannot notice a
 // change that moves every run the same way. These digests were
@@ -27,7 +27,8 @@
 // the traffic models the four leave out: Poisson on/off, heavy-tail
 // on/off, and gateway sessions under a flash-crowd rate envelope, plus
 // three that run the RREQ paths CLNLR never takes: blind flooding,
-// gossip and counter-based discovery.
+// gossip and counter-based discovery, plus one that turns on the AODV
+// resilience extensions, the only runs that send RERRs to precursors.
 //
 // Mesh400 also carries a memory ceiling: bytes_per_node() may not grow
 // more than 10% above its measured value. It replaces the old
@@ -115,8 +116,10 @@ TEST(GoldenDigest, Mesh100) {
 
 TEST(GoldenDigest, Mesh400) {
   const auto s = expect_golden(mesh400(), {1994445, 0x0c0db124cf12cca9});
-  // Measured 15,735 B; the ceiling is that plus 10%.
-  EXPECT_LE(s->bytes_per_node(), 17308u);
+  // Measured 11,929 B (15,735 B before static neighbour lists kept
+  // 16-byte weak-link records and route entries lost their precursor
+  // vectors); the ceiling is that plus 10%.
+  EXPECT_LE(s->bytes_per_node(), 13121u);
 }
 
 TEST(GoldenDigest, GatewaySessions) {
@@ -226,6 +229,24 @@ TEST(GoldenDigest, Mesh100Counter) {
   exp::ScenarioConfig cfg = mesh100();
   cfg.protocol = core::Protocol::kAodvCounter;
   expect_golden(cfg, {192157, 0x162305143b7e0dc3});
+}
+
+// The resilience extensions on the mobile point: local repair, the
+// RREP blacklist and RERR delivery to precursors. The last is the only
+// setting under which a route's precursor list reaches a packet, so
+// the run must actually take that path: some RERR found no live
+// precursor and was suppressed.
+TEST(GoldenDigest, Mobile100RepairPrecursors) {
+  exp::ScenarioConfig cfg = mobile100();
+  cfg.options.aodv.local_repair = true;
+  cfg.options.aodv.rrep_blacklist = true;
+  cfg.options.aodv.rerr_to_precursors = true;
+  const auto s = expect_golden(cfg, {178373, 0xe42404037a599d65});
+  std::uint64_t suppressed = 0;
+  for (std::size_t i = 0; i < s->node_count(); ++i) {
+    suppressed += s->agent(i).counters().rerr_suppressed_no_precursor;
+  }
+  EXPECT_GT(suppressed, 0u);
 }
 
 }  // namespace

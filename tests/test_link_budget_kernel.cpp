@@ -60,8 +60,7 @@ void expect_batch_matches_scalar(const PropagationModel& model,
 
   LinkBudgetKernel::Batch batch;
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    batch.push(positions[i], static_cast<std::uint32_t>(i + 10),
-               static_cast<std::uint32_t>(i));
+    batch.push(positions[i], static_cast<std::uint32_t>(i + 10));
   }
   LinkBudgetKernel::evaluate(model, tx_dbm, tx_pos, tx_id, batch);
   ASSERT_EQ(batch.size(), positions.size());
@@ -138,7 +137,7 @@ void expect_batched_cull_sound(const PropagationModel& m, const char* label) {
       const double factor = 1.0001 + static_cast<double>(gx) * 0.05;
       batch.push({tx_pos.x + r * factor * std::cos(angle),
                   tx_pos.y + r * factor * std::sin(angle)},
-                 gx * 40 + gy + 1, gx * 40 + gy);
+                 gx * 40 + gy + 1);
     }
   }
   LinkBudgetKernel::evaluate(m, tx_dbm, tx_pos, 0, batch);

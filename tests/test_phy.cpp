@@ -624,6 +624,70 @@ TEST(InterferenceLedger, BusyTimeOfWeakEnergyIsTheHandComputedInterval) {
   EXPECT_EQ(phy.arrival_energy_mw(), 0.0);
 }
 
+TEST(InterferenceLedger, WeakUnitsEnterTheSameLedgerAsMilliwatts) {
+  // The channel memoises a static weak link's power as weak_units(mw)
+  // and enters it with add_weak_units; that must leave exactly what
+  // add_weak_copy(mw) leaves: ledger, counters and busy time.
+  struct Seen {
+    std::vector<double> energy_mw;
+    std::vector<bool> busy;
+    std::vector<std::size_t> pending;
+    sim::Time busy_time;
+    WifiPhy::Counters counters;
+  };
+  const auto run = [](bool as_units) {
+    TestBed tb({{0, 0}});
+    WifiPhy& phy = *tb.phys[0];
+    const net::Packet frame = tb.packet(64);
+    WifiPhy::ArrivalEnd end;
+    const auto add = [&](double b_us, double e_us, double dbm) {
+      const sim::Time b = sim::Time::micros(b_us);
+      const sim::Time e = sim::Time::micros(e_us);
+      if (as_units) {
+        phy.add_weak_units(b, e, phy.weak_units(dbm_to_mw(dbm)));
+      } else {
+        phy.add_weak_copy(b, e, dbm_to_mw(dbm));
+      }
+    };
+    tb.sim.schedule(sim::Time::zero(), [&] {
+      end = phy.begin_arrival(frame, -78.0, dbm_to_mw(-78.0));
+      add(10.0, 110.0, -90.0);
+      add(50.0, 200.0, -88.3);
+      add(60.0, 70.0, -93.7);
+      add(300.0, 400.0, -95.1);
+    });
+    tb.sim.schedule_at(sim::Time::micros(150.0),
+                       [&] { phy.end_arrival(end.key); });
+    Seen seen;
+    for (const double us : {5.0, 30.0, 65.0, 100.0, 150.0, 250.0, 350.0,
+                            450.0}) {
+      tb.sim.schedule_at(sim::Time::micros(us), [&] {
+        seen.pending.push_back(phy.weak_copies_pending());
+        seen.energy_mw.push_back(phy.arrival_energy_mw());
+        seen.busy.push_back(phy.cca_busy());
+      });
+    }
+    tb.sim.run_until(sim::Time::micros(500.0));
+    seen.busy_time = phy.cumulative_busy_time();
+    seen.counters = phy.counters();
+    return seen;
+  };
+  const Seen mw = run(false);
+  const Seen units = run(true);
+  EXPECT_EQ(units.energy_mw, mw.energy_mw);
+  EXPECT_EQ(units.busy, mw.busy);
+  EXPECT_EQ(units.pending, mw.pending);
+  EXPECT_EQ(units.busy_time, mw.busy_time);
+  EXPECT_GT(mw.busy_time, sim::Time::zero());
+  EXPECT_EQ(units.counters.rx_ok, mw.counters.rx_ok);
+  EXPECT_EQ(units.counters.rx_failed_sinr, mw.counters.rx_failed_sinr);
+  EXPECT_EQ(units.counters.rx_below_sensitivity,
+            mw.counters.rx_below_sensitivity);
+  EXPECT_EQ(mw.counters.rx_below_sensitivity, 4u);
+  EXPECT_EQ(units.counters.rx_airtime, mw.counters.rx_airtime);
+  EXPECT_EQ(units.counters.busy_time, mw.counters.busy_time);
+}
+
 TEST(InterferenceLedger, WeakCopyBeginningMidLockFailsTheDecode) {
   // A -80 dBm frame alone decodes (16 dB over the noise floor). A -86
   // dBm weak copy that begins halfway through raises the lock's

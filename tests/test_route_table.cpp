@@ -94,16 +94,34 @@ TEST(RouteTable, DestsViaSkipsExpired) {
   EXPECT_TRUE(t.dests_via(net::Address(2), sim::Time::seconds(2.0)).empty());
 }
 
+std::vector<net::Address> precursors_of(const RouteTable& t,
+                                        std::uint32_t dest) {
+  std::vector<net::Address> out;
+  t.append_precursors(net::Address(dest), out);
+  return out;
+}
+
 TEST(RouteTable, PrecursorsAccumulate) {
   RouteTable t;
   t.upsert(entry(5, 2, 3, sim::Time::seconds(10.0)));
-  t.add_precursor(net::Address(5), net::Address(8));
   t.add_precursor(net::Address(5), net::Address(9));
+  t.add_precursor(net::Address(5), net::Address(8));
   t.add_precursor(net::Address(5), net::Address(8));  // dup
   // The list is kept sorted and duplicate-free — RERR precursor fanout
   // reads it in this normalised order.
   const std::vector<net::Address> expect{net::Address(8), net::Address(9)};
-  EXPECT_EQ(t.find(net::Address(5))->precursors, expect);
+  EXPECT_EQ(precursors_of(t, 5), expect);
+}
+
+TEST(RouteTable, AppendPrecursorsKeepsWhatIsThere) {
+  RouteTable t;
+  t.upsert(entry(5, 2, 3, sim::Time::seconds(10.0)));
+  t.add_precursor(net::Address(5), net::Address(8));
+  std::vector<net::Address> out{net::Address(1)};
+  t.append_precursors(net::Address(5), out);
+  t.append_precursors(net::Address(6), out);  // no entry: nothing
+  const std::vector<net::Address> expect{net::Address(1), net::Address(8)};
+  EXPECT_EQ(out, expect);
 }
 
 TEST(RouteTable, RemovePrecursorScrubsEveryEntry) {
@@ -115,17 +133,63 @@ TEST(RouteTable, RemovePrecursorScrubsEveryEntry) {
   t.add_precursor(net::Address(6), net::Address(8));
   t.remove_precursor(net::Address(8));
   const std::vector<net::Address> expect{net::Address(9)};
-  EXPECT_EQ(t.find(net::Address(5))->precursors, expect);
-  EXPECT_TRUE(t.find(net::Address(6))->precursors.empty());
+  EXPECT_EQ(precursors_of(t, 5), expect);
+  EXPECT_TRUE(precursors_of(t, 6).empty());
+}
+
+TEST(RouteTable, AddPrecursorToAbsentDestinationDoesNothing) {
+  RouteTable t;
+  t.upsert(entry(5, 2, 3, sim::Time::seconds(10.0)));
+  t.add_precursor(net::Address(6), net::Address(8));
+  EXPECT_TRUE(precursors_of(t, 6).empty());
+  // A later entry for that destination starts with no precursors.
+  t.upsert(entry(6, 3, 2, sim::Time::seconds(10.0)));
+  EXPECT_TRUE(precursors_of(t, 6).empty());
+}
+
+TEST(RouteTable, UpsertOverLiveEntryKeepsPrecursors) {
+  RouteTable t;
+  t.upsert(entry(5, 2, 3, sim::Time::seconds(10.0)));
+  t.add_precursor(net::Address(5), net::Address(8));
+  t.upsert(entry(5, 4, 1, sim::Time::seconds(20.0), 7));
+  ASSERT_NE(t.find(net::Address(5)), nullptr);
+  EXPECT_EQ(t.find(net::Address(5))->next_hop, net::Address(4));
+  const std::vector<net::Address> expect{net::Address(8)};
+  EXPECT_EQ(precursors_of(t, 5), expect);
+  // Invalidation keeps them too: the RERR for the break reads them.
+  ASSERT_TRUE(
+      t.invalidate(net::Address(5), sim::Time::seconds(1.0)).has_value());
+  EXPECT_EQ(precursors_of(t, 5), expect);
+}
+
+TEST(RouteTable, PurgeDropsDeadDestinationsPrecursors) {
+  RouteTable t;
+  t.upsert(entry(5, 2, 3, sim::Time::seconds(1.0)));
+  t.upsert(entry(6, 2, 3, sim::Time::seconds(100.0)));
+  t.add_precursor(net::Address(5), net::Address(8));
+  t.add_precursor(net::Address(6), net::Address(9));
+  t.purge(sim::Time::seconds(2.0), sim::Time::seconds(10.0));
+  EXPECT_EQ(precursors_of(t, 5).size(), 1u);  // dead but retained
+  t.purge(sim::Time::seconds(13.0), sim::Time::seconds(10.0));
+  ASSERT_EQ(t.find(net::Address(5)), nullptr);
+  EXPECT_TRUE(precursors_of(t, 5).empty());
+  const std::vector<net::Address> expect{net::Address(9)};
+  EXPECT_EQ(precursors_of(t, 6), expect);
+  // A new route to the purged destination starts clean.
+  t.upsert(entry(5, 2, 3, sim::Time::seconds(100.0)));
+  EXPECT_TRUE(precursors_of(t, 5).empty());
 }
 
 TEST(RouteTable, ClearDropsEverything) {
   RouteTable t;
   t.upsert(entry(5, 2, 3, sim::Time::seconds(10.0)));
   t.upsert(entry(6, 2, 3, sim::Time::seconds(10.0)));
+  t.add_precursor(net::Address(5), net::Address(8));
   t.clear();
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.find(net::Address(5)), nullptr);
+  t.upsert(entry(5, 2, 3, sim::Time::seconds(10.0)));
+  EXPECT_TRUE(precursors_of(t, 5).empty());
 }
 
 TEST(RouteTable, PurgeRemovesLongDeadEntries) {
@@ -152,8 +216,9 @@ TEST(RouteTable, UpsertOverwrites) {
 
 // ---- differential test against a std::map reference model -------------
 
-// The documented RouteTable semantics over an ordered map: no index, no
-// slots, nothing moved on erase.
+// The documented RouteTable semantics over ordered maps: no index, no
+// slots, nothing moved on erase, and each destination's precursors in
+// a list of their own.
 class RouteModel {
  public:
   const RouteEntry* lookup(net::Address dest, sim::Time now) {
@@ -194,15 +259,18 @@ class RouteModel {
     return out;
   }
   void add_precursor(net::Address dest, net::Address p) {
-    RouteEntry* e = find(dest);
-    if (e == nullptr) return;
-    auto& prec = e->precursors;
+    if (find(dest) == nullptr) return;
+    auto& prec = precursors_[dest];
     if (std::find(prec.begin(), prec.end(), p) == prec.end()) {
       prec.insert(std::upper_bound(prec.begin(), prec.end(), p), p);
     }
   }
+  std::vector<net::Address> precursors(net::Address dest) const {
+    auto it = precursors_.find(dest);
+    return it == precursors_.end() ? std::vector<net::Address>{} : it->second;
+  }
   void remove_precursor(net::Address p) {
-    for (auto& [dest, e] : table_) std::erase(e.precursors, p);
+    for (auto& [dest, prec] : precursors_) std::erase(prec, p);
   }
   void purge(sim::Time now, sim::Time retention) {
     for (auto it = table_.begin(); it != table_.end();) {
@@ -212,22 +280,27 @@ class RouteModel {
         e.expires = now;
         ++it;
       } else if (e.state == RouteState::kInvalid && e.expires + retention <= now) {
+        precursors_.erase(it->first);
         it = table_.erase(it);
       } else {
         ++it;
       }
     }
   }
-  void clear() { table_.clear(); }
+  void clear() {
+    table_.clear();
+    precursors_.clear();
+  }
   [[nodiscard]] std::size_t size() const { return table_.size(); }
 
  private:
   std::map<net::Address, RouteEntry> table_;
+  std::map<net::Address, std::vector<net::Address>> precursors_;
 };
 
 auto fields(const RouteEntry& e) {
-  return std::tie(e.metric, e.expires, e.precursors, e.dest, e.next_hop,
-                  e.dest_seqno, e.hop_count, e.valid_seqno, e.state);
+  return std::tie(e.metric, e.expires, e.dest, e.next_hop, e.dest_seqno,
+                  e.hop_count, e.valid_seqno, e.state);
 }
 
 // Most destinations are small; a few are far out, so the dense index
@@ -248,6 +321,8 @@ void expect_same(RouteTable& t, RouteModel& m, sim::Time now, int step) {
     if (got != nullptr) {
       ASSERT_TRUE(fields(*got) == fields(*want)) << "step " << step << " dest " << a;
     }
+    ASSERT_EQ(precursors_of(t, a), m.precursors(net::Address(a)))
+        << "step " << step << " dest " << a;
   }
   for (std::uint32_t via = 0; via < 8; ++via) {
     ASSERT_EQ(t.dests_via(net::Address(via), now),
@@ -279,9 +354,6 @@ TEST(RouteTable, MatchesOrderedMapModelUnderRandomOperations) {
         e.metric = static_cast<double>(small(rng)) * 0.25;
         e.state = small(rng) < 6 ? RouteState::kValid : RouteState::kInvalid;
         e.expires = now + sim::Time::millis(static_cast<double>(ms(rng)));
-        for (std::uint32_t p = 0; p < 8; ++p) {
-          if (small(rng) < 2) e.precursors.push_back(net::Address(p));
-        }
         t.upsert(e);
         m.upsert(e);
       } else if (o < 40) {
