@@ -7,27 +7,20 @@
 // a replication that trips an invariant (or throws) becomes a failed
 // slot in the sweep report instead of killing the campaign.
 //
-// Supervision & resume (docs/TOOLING.md, "Run supervision & resume"):
-// every sweep bench journals completed slots to
-// ${WMN_RESULTS_DIR:-results}/JOURNAL_<id>.jsonl and exits non-zero
-// when any slot failed, unless --allow-partial / WMN_ALLOW_PARTIAL
-// says a partial campaign is acceptable. A rerun with --resume /
-// WMN_RESUME re-executes only the missing slots.
+// Failed slots and the per-slot record (docs/TOOLING.md): every sweep
+// bench rewrites ${WMN_RESULTS_DIR:-results}/JOURNAL_<id>.jsonl with
+// one line per clean slot, writes the failure taxonomy to
+// SWEEP_<id>.json, and exits non-zero when any slot failed. A bench
+// takes no arguments; any argument exits 1 before the sweep runs.
 //
 // Environment knobs:
 //   WMN_REPS=N          replications per point (default 2)
 //   WMN_THREADS=N       worker threads (default: hardware concurrency)
 //   WMN_QUICK=1         shrink traffic time for smoke runs
-//   WMN_DEADLINE_S=X    wall-clock watchdog per replication
-//   WMN_RETRIES=N       transient-failure retries (same seed)
-//   WMN_SWEEP_EVENT_BUDGET=N  cumulative event ceiling for the sweep
-//   WMN_RESUME=1        resume from the journal
-//   WMN_ALLOW_PARTIAL=1 exit 0 despite failed slots
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -64,39 +57,28 @@ inline exp::ScenarioConfig base_config() {
 }
 
 struct BenchEnv {
-  std::string id;  // bench identifier ("F2", ...) — names the journal
+  std::string id;  // bench identifier ("F2", ...) — names the record
   std::size_t reps = 2;
   unsigned threads = 1;
-  bool allow_partial = false;  // --allow-partial / WMN_ALLOW_PARTIAL
-  bool resume = false;         // --resume / WMN_RESUME
 };
 
 inline BenchEnv announce(const std::string& id, const std::string& title,
                          int argc = 0, char** argv = nullptr) {
   // Long campaigns: one bad replication taints its own slot instead of
-  // aborting the binary (docs/TOOLING.md, "Crash-safe sweeps").
+  // aborting the binary (docs/TOOLING.md, "The sweep engine: one drain +
+  // failure containment").
   core::set_check_policy(core::CheckPolicy::kLogAndCount);
   BenchEnv env;
   env.id = id;
   env.reps = exp::env_reps(2);
   env.threads = exp::env_threads();
-  // Harness switches, not simulation inputs (same contract as WMN_REPS).
-  // NOLINTNEXTLINE(wmn-nondeterminism,concurrency-mt-unsafe)
-  env.allow_partial = std::getenv("WMN_ALLOW_PARTIAL") != nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--allow-partial") == 0) {
-      env.allow_partial = true;
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      env.resume = true;
-    } else {
-      // Refuse rather than run the whole campaign: a mistyped --resume
-      // would otherwise silently re-run every slot.
-      std::fprintf(stderr,
-                   "[wmn] %s: unknown flag '%s' (expected --allow-partial "
-                   "or --resume)\n",
-                   id.c_str(), argv[i]);
-      std::exit(1);
-    }
+  // Refuse rather than run the whole campaign: an argument a bench
+  // ignored would look like it had been honoured.
+  if (argc > 1) {
+    std::fprintf(stderr, "[wmn] %s: unexpected argument '%s' (a bench "
+                         "takes none)\n",
+                 id.c_str(), argv[1]);
+    std::exit(1);
   }
   std::cout << "\n=== " << id << ": " << title << " ===\n"
             << "(replications per point: " << env.reps
@@ -105,14 +87,12 @@ inline BenchEnv announce(const std::string& id, const std::string& title,
   return env;
 }
 
-// Arm the sweep's supervision from the environment, point its
-// checkpoint journal at results/JOURNAL_<id>.jsonl and drain it. Call
-// once, after every add_cell(). A sweep that cannot start (the journal
-// cannot be opened, or resume is refused) ends the bench with a message
-// and exit 1, after the banner already printed has been flushed.
+// Point the sweep's per-slot record at results/JOURNAL_<id>.jsonl and
+// drain it. Call once, after every add_cell(). A record that cannot be
+// opened or written ends the bench with a message and exit 1, after the
+// banner already printed has been flushed.
 inline void run_sweep(exp::SweepEngine& sweep, const BenchEnv& env) {
-  exp::apply_supervision_env(sweep, results_path("JOURNAL_" + env.id + ".jsonl"),
-                             env.resume);
+  sweep.enable_journal(results_path("JOURNAL_" + env.id + ".jsonl"));
   std::cout.flush();
   try {
     sweep.run();
@@ -154,9 +134,8 @@ inline void run_sweep(exp::SweepEngine& sweep, const BenchEnv& env) {
   const exp::FailureCounts counts = sweep.failure_counts();
   std::fprintf(f,
                "{\"bench\":\"%s\",\"slots\":%zu,\"failed\":%zu,"
-               "\"resumed\":%zu,\"counts\":{",
-               env.id.c_str(), sweep.task_count(), sweep.failed_count(),
-               sweep.resumed_count());
+               "\"counts\":{",
+               env.id.c_str(), sweep.task_count(), sweep.failed_count());
   for (std::size_t k = 0; k < exp::kFailureKindCount; ++k) {
     std::fprintf(f, "%s\"%s\":%zu", k == 0 ? "" : ",",
                  exp::failure_kind_name(static_cast<exp::FailureKind>(k)),
@@ -174,17 +153,13 @@ inline void run_sweep(exp::SweepEngine& sweep, const BenchEnv& env) {
 // Sweep-aware variant: surfaces failed replication slots next to the
 // table they were excluded from, writes the taxonomy summary, and
 // returns the bench's exit code — non-zero when the CSV or the summary
-// cannot be written, or on any failed slot unless partial results were
-// explicitly accepted, so a quietly degraded campaign can never look
-// green in CI.
+// cannot be written, or on any failed slot, so a quietly degraded
+// campaign can never look green in CI.
 [[nodiscard]] inline int finish(const stats::Table& table,
                                 const std::string& csv_name,
                                 const exp::SweepEngine& sweep,
                                 const BenchEnv& env) {
   const int csv_rc = finish(table, csv_name);
-  if (const std::size_t resumed = sweep.resumed_count(); resumed > 0) {
-    std::cout << "[resumed " << resumed << " slot(s) from the journal]\n";
-  }
   const bool summary_written = write_sweep_summary(sweep, env);
   const std::size_t failed = sweep.failed_count();
   if (failed > 0) {
@@ -192,12 +167,7 @@ inline void run_sweep(exp::SweepEngine& sweep, const BenchEnv& env) {
               << " replication(s) failed; their slots are excluded above]\n"
               << sweep.failure_report();
     std::cout.flush();
-    if (!env.allow_partial) {
-      std::cout << "[exiting non-zero: pass --allow-partial or set "
-                   "WMN_ALLOW_PARTIAL=1 to accept a partial campaign]\n";
-      std::cout.flush();
-      return 1;
-    }
+    return 1;
   }
   std::cout.flush();
   return (csv_rc != 0 || !summary_written) ? 1 : 0;

@@ -1,7 +1,8 @@
 # Smoke test of the wmnsim_cli entry point, run by ctest as
 #   cmake -DCLI=<path to wmnsim_cli> -P cli_smoke_test.cmake
 # Every traffic model runs for 1 s of traffic, on random pairs and
-# toward 3 gateways, and must exit 0; a malformed value must exit 1.
+# toward 3 gateways, and must exit 0; a malformed value or an unknown
+# flag must exit 1; a run the event budget cuts short must exit 3.
 
 function(run_cli want)
   execute_process(COMMAND "${CLI}" ${ARGN}
@@ -10,6 +11,7 @@ function(run_cli want)
     list(JOIN ARGN " " args)
     message(FATAL_ERROR "wmnsim_cli ${args}: exit ${rc}, want ${want}\n${out}${err}")
   endif()
+  set(err "${err}" PARENT_SCOPE)
 endfunction()
 
 foreach(model cbr onoff heavytail sessions)
@@ -19,3 +21,8 @@ foreach(model cbr onoff heavytail sessions)
   endforeach()
 endforeach()
 run_cli(1 --nodes abc)
+run_cli(1 --deadline 5)
+run_cli(3 --nodes 30 --seconds 2 --event-budget 5000)
+if(NOT err MATCHES "\\[aborted: event_budget_exhausted\\]")
+  message(FATAL_ERROR "wmnsim_cli --event-budget gave no abort reason:\n${err}")
+endif()

@@ -26,8 +26,6 @@
 //   --seconds T        traffic time                 (default 30)
 //   --event-budget N   abort (exit 3) after N simulated events —
 //                      deterministic runaway guard
-//   --deadline T       wall-clock watchdog: cancel the run after T
-//                      seconds (exit 4)
 //   --seed X           master seed                  (default 1)
 //   --rts B            RTS threshold bytes          (default off)
 //   --churn R          router crashes per minute (seeded Poisson churn
@@ -55,11 +53,8 @@
 #include <utility>
 #include <vector>
 
-#include "sim/cancel_token.hpp"
-
 #include "exp/failure.hpp"
 #include "exp/scenario.hpp"
-#include "exp/supervision.hpp"
 #include "exp/timeseries.hpp"
 #include "stats/table.hpp"
 
@@ -150,7 +145,6 @@ int main(int argc, char** argv) {
   cfg.traffic_time = sim::Time::seconds(30.0);
   std::string timeseries_path;
   std::string flows_path;
-  double deadline_s = 0.0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -193,8 +187,6 @@ int main(int argc, char** argv) {
       cfg.traffic_time = sim::Time::seconds(next());
     } else if (a == "--event-budget") {
       cfg.event_budget = count();
-    } else if (a == "--deadline") {
-      deadline_s = next();
     } else if (a == "--seed") {
       cfg.seed = count();
     } else if (a == "--rts") {
@@ -251,26 +243,15 @@ int main(int argc, char** argv) {
             << " pkt/s, protocol " << core::protocol_name(cfg.protocol)
             << ", seed " << cfg.seed << "\n";
 
-  // Optional run supervision (docs/TOOLING.md, "Run supervision &
-  // resume"): the event budget aborts deterministically inside the
-  // kernel; the wall-clock watchdog lives out here in the harness and
-  // only ever flips a cooperative cancel token.
-  sim::CancelToken cancel;
-  exp::Watchdog watchdog;
-  exp::Watchdog::Lease lease;
-  if (deadline_s > 0.0) {
-    scenario.set_cancel_token(&cancel);
-    lease = watchdog.watch(cancel, deadline_s);
-  }
+  // The event budget aborts deterministically inside the kernel; the
+  // run's metrics do not exist then, only the reason.
   try {
     scenario.run();
   } catch (const exp::RunAborted& e) {
-    lease.release();
     std::cerr << "[aborted: " << exp::failure_kind_name(e.kind()) << "] "
               << e.what() << "\n";
-    return e.kind() == exp::FailureKind::kEventBudgetExhausted ? 3 : 4;
+    return 3;
   }
-  lease.release();
   const exp::RunMetrics m = scenario.metrics();
 
   stats::Table t({"metric", "value"});

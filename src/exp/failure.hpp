@@ -1,17 +1,10 @@
-// Structured failure taxonomy for supervised replications.
+// Structured failure taxonomy for sweep replications.
 //
 // A replication slot that does not produce clean metrics fails with
-// exactly one FailureKind, machine-checkable by the harness, CI, and
-// the journal — never a free-text-only error string. The split that
-// matters operationally is transient vs deterministic:
-//
-//   * deterministic kinds (kException, kCheckTaint,
-//     kEventBudgetExhausted) are pure functions of (config, seed) —
-//     retrying replays the identical failure, so the sweep engine never
-//     does;
-//   * transient kinds (kDeadlineExceeded, kBadAlloc) depend on host
-//     state — a noisy-neighbour stall or memory pressure — and are
-//     retried with the *same seed* up to the engine's retry limit.
+// exactly one FailureKind, machine-checkable by the harness and CI —
+// never a free-text-only error string. The sweep never retries a slot:
+// same config + same seed = same trace. A std::bad_alloc (host memory,
+// not the run) is reported as the kException it is.
 #pragma once
 
 #include <array>
@@ -25,29 +18,19 @@ enum class FailureKind : std::uint8_t {
   kNone = 0,                  // slot completed clean
   kException,                 // replication body threw
   kCheckTaint,                // finished, but WMN_CHECK violations counted
-  kDeadlineExceeded,          // watchdog cancelled a hung replication
   kEventBudgetExhausted,      // deterministic event budget tripped
-  kBadAlloc,                  // allocation failure (std::bad_alloc)
 };
 
-inline constexpr std::size_t kFailureKindCount = 6;
+inline constexpr std::size_t kFailureKindCount = 4;
 
 [[nodiscard]] constexpr const char* failure_kind_name(FailureKind k) {
   switch (k) {
     case FailureKind::kNone: return "none";
     case FailureKind::kException: return "exception";
     case FailureKind::kCheckTaint: return "check_taint";
-    case FailureKind::kDeadlineExceeded: return "deadline_exceeded";
     case FailureKind::kEventBudgetExhausted: return "event_budget_exhausted";
-    case FailureKind::kBadAlloc: return "bad_alloc";
   }
   return "unknown";
-}
-
-// Transient failures may pass on a retry with the same seed;
-// deterministic ones cannot (same config + same seed = same trace).
-[[nodiscard]] constexpr bool failure_is_transient(FailureKind k) {
-  return k == FailureKind::kDeadlineExceeded || k == FailureKind::kBadAlloc;
 }
 
 // Per-kind slot counts, indexed by FailureKind's underlying value.

@@ -2,8 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "exp/scenario.hpp"
 #include "sim/fingerprint.hpp"
@@ -122,11 +120,7 @@ void mix_fault(sim::Fingerprint& fp, const fault::FaultPlan& f) {
 }
 
 // ---------------------------------------------------------------------
-// Field enumeration — single source of truth for writer AND parser, so
-// a RunMetrics field added here can never silently drop out of one
-// side. (A field added to RunMetrics but not here fails the resume
-// tests: the recomputed fingerprint matches but the aggregate diff
-// catches the zeroed field.)
+// Field enumeration: every RunMetrics field the record carries, by type.
 // ---------------------------------------------------------------------
 
 #define WMN_JOURNAL_U64_FIELDS(X) \
@@ -206,80 +200,12 @@ void append_hex64(std::string& out, std::uint64_t v) {
   out += buf;
 }
 
-// Hexfloat round-trips every finite double bit-exactly through strtod;
-// that exactness is what makes "resumed == uninterrupted" literal.
+// Hexfloat round-trips every finite double bit-exactly through strtod,
+// so a reader recovers the exact metric the run computed.
 void append_f64(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "\"%a\"", v);
   out += buf;
-}
-
-// ---------------------------------------------------------------------
-// Parsing — a deliberately small scanner for exactly the flat JSON the
-// writer emits: {"key":value,...} with values that are unsigned
-// decimals, quoted strings, or arrays of quoted strings. Anything else
-// (truncation mid-line, binary garbage, an unknown shape) returns
-// nullopt and the caller re-runs the slot.
-// ---------------------------------------------------------------------
-
-struct Cursor {
-  const char* p;
-  const char* end;
-
-  [[nodiscard]] bool done() const { return p >= end; }
-  [[nodiscard]] bool accept(char c) {
-    if (done() || *p != c) return false;
-    ++p;
-    return true;
-  }
-};
-
-bool scan_quoted(Cursor& c, std::string_view& out) {
-  if (!c.accept('"')) return false;
-  const char* start = c.p;
-  while (!c.done() && *c.p != '"') ++c.p;
-  if (c.done()) return false;
-  out = std::string_view(start, static_cast<std::size_t>(c.p - start));
-  ++c.p;  // closing quote
-  return true;
-}
-
-bool scan_u64(Cursor& c, std::uint64_t& out) {
-  const char* start = c.p;
-  while (!c.done() && *c.p >= '0' && *c.p <= '9') ++c.p;
-  if (c.p == start || c.p - start > 20) return false;
-  out = 0;
-  for (const char* q = start; q != c.p; ++q) {
-    out = out * 10 + static_cast<std::uint64_t>(*q - '0');
-  }
-  return true;
-}
-
-bool parse_hexfloat(std::string_view s, double& out) {
-  char buf[48];
-  if (s.empty() || s.size() >= sizeof(buf)) return false;
-  std::memcpy(buf, s.data(), s.size());
-  buf[s.size()] = '\0';
-  char* endp = nullptr;
-  out = std::strtod(buf, &endp);
-  return endp == buf + s.size();
-}
-
-bool parse_hex64(std::string_view s, std::uint64_t& out) {
-  if (s.size() != 16) return false;
-  out = 0;
-  for (const char ch : s) {
-    std::uint64_t digit = 0;
-    if (ch >= '0' && ch <= '9') {
-      digit = static_cast<std::uint64_t>(ch - '0');
-    } else if (ch >= 'a' && ch <= 'f') {
-      digit = static_cast<std::uint64_t>(ch - 'a') + 10;
-    } else {
-      return false;
-    }
-    out = (out << 4) | digit;
-  }
-  return true;
 }
 
 }  // namespace
@@ -378,111 +304,6 @@ std::string journal_line(const JournalRecord& rec) {
 #undef WMN_X
   out += '}';
   return out;
-}
-
-std::optional<JournalRecord> parse_journal_line(std::string_view line) {
-  JournalRecord rec;
-  Cursor c{line.data(), line.data() + line.size()};
-  if (!c.accept('{')) return std::nullopt;
-
-  // Presence tracking: every field the writer emits must appear exactly
-  // once, or the line is damaged.
-  bool have_v = false, have_cell = false, have_rep = false;
-  bool have_cfg = false, have_fp = false, have_fault_enabled = false;
-#define WMN_X(field) bool have_##field = false;
-  WMN_JOURNAL_U64_FIELDS(WMN_X)
-  WMN_JOURNAL_F64_FIELDS(WMN_X)
-  WMN_JOURNAL_VEC_FIELDS(WMN_X)
-#undef WMN_X
-
-  bool first = true;
-  while (true) {
-    if (c.accept('}')) break;
-    if (!first && !c.accept(',')) return std::nullopt;
-    first = false;
-
-    std::string_view key;
-    if (!scan_quoted(c, key)) return std::nullopt;
-    if (!c.accept(':')) return std::nullopt;
-
-    if (key == "v") {
-      std::uint64_t v = 0;
-      if (!scan_u64(c, v)) return std::nullopt;
-      if (v != static_cast<std::uint64_t>(kJournalVersion)) {
-        return std::nullopt;
-      }
-      have_v = true;
-    } else if (key == "cell") {
-      if (!scan_u64(c, rec.cell)) return std::nullopt;
-      have_cell = true;
-    } else if (key == "rep") {
-      if (!scan_u64(c, rec.rep)) return std::nullopt;
-      have_rep = true;
-    } else if (key == "cfg" || key == "fp") {
-      std::string_view s;
-      std::uint64_t v = 0;
-      if (!scan_quoted(c, s) || !parse_hex64(s, v)) return std::nullopt;
-      (key == "cfg" ? rec.cfg_digest : rec.fingerprint) = v;
-      (key == "cfg" ? have_cfg : have_fp) = true;
-    } else if (key == "fault_enabled") {
-      std::uint64_t v = 0;
-      if (!scan_u64(c, v) || v > 1) return std::nullopt;
-      rec.metrics.fault_enabled = v != 0;
-      have_fault_enabled = true;
-    }
-#define WMN_X(field)                                     \
-    else if (key == #field) {                            \
-      if (!scan_u64(c, rec.metrics.field)) return std::nullopt; \
-      have_##field = true;                               \
-    }
-    WMN_JOURNAL_U64_FIELDS(WMN_X)
-#undef WMN_X
-#define WMN_X(field)                                     \
-    else if (key == #field) {                            \
-      std::string_view s;                                \
-      if (!scan_quoted(c, s)) return std::nullopt;       \
-      if (!parse_hexfloat(s, rec.metrics.field)) return std::nullopt; \
-      have_##field = true;                               \
-    }
-    WMN_JOURNAL_F64_FIELDS(WMN_X)
-#undef WMN_X
-#define WMN_X(field)                                     \
-    else if (key == #field) {                            \
-      if (!c.accept('[')) return std::nullopt;           \
-      if (!c.accept(']')) {                              \
-        while (true) {                                   \
-          std::string_view s;                            \
-          double v = 0.0;                                \
-          if (!scan_quoted(c, s)) return std::nullopt;   \
-          if (!parse_hexfloat(s, v)) return std::nullopt; \
-          rec.metrics.field.push_back(v);                \
-          if (c.accept(']')) break;                      \
-          if (!c.accept(',')) return std::nullopt;       \
-        }                                                \
-      }                                                  \
-      have_##field = true;                               \
-    }
-    WMN_JOURNAL_VEC_FIELDS(WMN_X)
-#undef WMN_X
-    else {
-      return std::nullopt;  // unknown key: not ours, or damaged
-    }
-  }
-  if (!c.done()) return std::nullopt;  // trailing garbage after '}'
-
-  bool complete = have_v && have_cell && have_rep && have_cfg && have_fp &&
-                  have_fault_enabled;
-#define WMN_X(field) complete = complete && have_##field;
-  WMN_JOURNAL_U64_FIELDS(WMN_X)
-  WMN_JOURNAL_F64_FIELDS(WMN_X)
-  WMN_JOURNAL_VEC_FIELDS(WMN_X)
-#undef WMN_X
-  if (!complete) return std::nullopt;
-  return rec;
-}
-
-bool journal_record_consistent(const JournalRecord& rec) {
-  return fingerprint(rec.metrics) == rec.fingerprint;
 }
 
 }  // namespace wmn::exp

@@ -1,33 +1,23 @@
-// Checkpoint/resume journal for sweeps.
+// Per-slot record of a sweep: one JSONL line per clean slot.
 //
-// SweepEngine appends one JSONL record per *completed, untainted*
-// replication slot as it finishes, flushed line-by-line, so a killed or
-// OOM'd process loses at most the slot in flight — never the completed
-// prefix of a multi-hour campaign. A rerun in resume mode reloads every
-// record whose identity checks out and re-executes only the missing
-// slots; the aggregate output is bit-identical to an uninterrupted run.
+// SweepEngine::run() writes JOURNAL_<id>.jsonl (truncating any earlier
+// file) after its workers have joined, one line per completed,
+// untainted replication slot in (cell, rep) order. Failed and tainted
+// slots get no line. The record is write-only: nothing in the harness
+// reads it back; it is the per-seed source for paired comparisons.
 //
-// Record identity is three-fold, and all of it is verified on load:
-//   * cfg    — digest of the slot's cell ScenarioConfig (every field).
-//              A parseable record whose digest mismatches the current
-//              sweep is a *different experiment*: resume refuses
-//              outright rather than mixing results.
-//   * seed   — must equal replication_seed(base, cell, rep) recomputed
-//              from the current sweep.
-//   * fp     — exp::fingerprint() of the stored metrics, recomputed
-//              from the parsed values. A bit-flipped or truncated
-//              metrics payload fails this check and the line is
-//              skipped (that slot simply re-runs).
+// Each line carries the slot's identity next to its metrics:
+//   * cell, rep — the slot's position in the sweep;
+//   * cfg       — config_digest() of the cell's ScenarioConfig;
+//   * seed      — replication_seed(base, cell, rep), the run's seed;
+//   * fp        — exp::fingerprint() of the metrics at write time.
 //
-// Doubles are serialized as C hexfloats ("%a") and u64 digests as
-// fixed-width hex, so the parse→serialize round trip is bit-exact —
-// the property the resume-equals-uninterrupted contract rests on.
+// Doubles are written as C hexfloats ("%a") and u64 digests as
+// fixed-width hex, so every value reads back bit-exactly.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "exp/metrics.hpp"
 
@@ -39,7 +29,7 @@ inline constexpr int kJournalVersion = 1;
 
 // Digest over every ScenarioConfig field (placement, mobility, traffic
 // incl. the rate envelope, protocol options, phy/mac, faults, timing,
-// base seed, supervision budget). Pure and stable: the same config
+// base seed, event budget). Pure and stable: the same config
 // always digests the same, any field change digests differently.
 [[nodiscard]] std::uint64_t config_digest(const ScenarioConfig& cfg);
 
@@ -54,17 +44,5 @@ struct JournalRecord {
 
 // Serialize one record as a single JSON line (no trailing newline).
 [[nodiscard]] std::string journal_line(const JournalRecord& rec);
-
-// Parse one journal line. Returns nullopt on any structural damage
-// (truncation, corruption, unknown version, missing field) — the
-// caller skips the line and re-runs the slot. Internal consistency
-// (fingerprint vs metrics) is NOT checked here; see
-// journal_record_consistent().
-[[nodiscard]] std::optional<JournalRecord> parse_journal_line(
-    std::string_view line);
-
-// True iff the record's stored fingerprint matches a recomputation
-// from its parsed metrics — the bit-exactness proof for resume.
-[[nodiscard]] bool journal_record_consistent(const JournalRecord& rec);
 
 }  // namespace wmn::exp

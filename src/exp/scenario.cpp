@@ -214,18 +214,13 @@ void Scenario::run() {
   for (NodeStack& n : nodes_) n.phy->settle();
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(wmn-nondeterminism)
   wall_seconds_ = std::chrono::duration<double>(t1 - t0).count();
-  // A run cut short by supervision produced a truncated trace, not a
-  // measurement: surface the structured reason, never partial metrics.
-  const sim::Simulator::AbortReason reason = sim_.abort_reason();
-  if (reason != sim::Simulator::AbortReason::kNone) {
-    const std::string at = std::to_string(sim_.now().to_seconds()) + "s";
-    if (reason == sim::Simulator::AbortReason::kEventBudget) {
-      throw RunAborted(FailureKind::kEventBudgetExhausted,
-                       "event budget (" + std::to_string(sim_.event_budget()) +
-                           " events) exhausted at t=" + at);
-    }
-    throw RunAborted(FailureKind::kDeadlineExceeded,
-                     "cancelled by the run supervisor at t=" + at);
+  // A run cut short by the event budget produced a truncated trace, not
+  // a measurement: surface the structured reason, never partial metrics.
+  if (sim_.budget_exhausted()) {
+    throw RunAborted(FailureKind::kEventBudgetExhausted,
+                     "event budget (" + std::to_string(sim_.event_budget()) +
+                         " events) exhausted at t=" +
+                         std::to_string(sim_.now().to_seconds()) + "s");
   }
   check_copy_identities();
   ran_ = true;

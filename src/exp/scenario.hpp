@@ -110,10 +110,9 @@ struct ScenarioConfig {
 
   // Deterministic run-away guard: abort the run (Scenario::run() throws
   // exp::RunAborted, kEventBudgetExhausted) once the simulator has
-  // executed this many events. A pure function of the event count —
-  // bit-reproducible across hosts, unlike any wall-clock deadline.
-  // 0 (the default) disables the budget; existing fingerprints are
-  // untouched.
+  // executed this many events. A pure function of the event count, so
+  // bit-reproducible across hosts. 0 (the default) disables the budget;
+  // existing fingerprints are untouched.
   std::uint64_t event_budget = 0;
 
   // Channel spatial neighbourhood index + link-budget cache. Off, the
@@ -132,19 +131,10 @@ class Scenario {
   Scenario(const Scenario&) = delete;
   Scenario& operator=(const Scenario&) = delete;
 
-  // Execute warmup + traffic + drain. Throws exp::RunAborted when the
-  // run was cut short by the event budget (kEventBudgetExhausted) or a
-  // cancelled token (kDeadlineExceeded) — a truncated trace is not a
-  // measurement, so no metrics survive an abort.
+  // Execute warmup + traffic + drain. Throws exp::RunAborted
+  // (kEventBudgetExhausted) when the event budget cut the run short — a
+  // truncated trace is not a measurement, so no metrics survive it.
   void run();
-
-  // Cooperative cancellation: the simulator polls `token` every
-  // `poll_every` events (see sim::Simulator::set_cancel_token). The
-  // token must outlive run(); pass nullptr to detach.
-  void set_cancel_token(const sim::CancelToken* token,
-                        std::uint64_t poll_every = 1024) {
-    sim_.set_cancel_token(token, poll_every);
-  }
 
   // Aggregate metrics; valid after run().
   [[nodiscard]] RunMetrics metrics() const;

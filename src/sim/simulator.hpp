@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "core/check.hpp"
-#include "sim/cancel_token.hpp"
 #include "sim/event.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -81,16 +80,14 @@ class Simulator {
   // `at` — run the next item now, inline. That holds only where the run
   // loop would have popped that item next anyway: it precedes the
   // calendar top, lies within the run_until() deadline, no stop() is
-  // pending, the event budget does not trip and the cancel token is not
-  // due for a poll. False means: key the stream back into the calendar
-  // at (at, seq) and return; the run loop counts the finished item.
+  // pending and the event budget does not trip. False means: key the
+  // stream back into the calendar at (at, seq) and return; the run loop
+  // counts the finished item.
   [[nodiscard]] bool advance_inline(Time at, std::uint64_t seq) {
     if (stopped_ || at > deadline_) return false;
     if (event_budget_ != 0 && events_executed_ + 1 >= event_budget_) return false;
-    if (cancel_token_ != nullptr && cancel_countdown_ == 1) return false;
     if (!calendar_.precedes_top(at, seq)) return false;
     ++events_executed_;
-    if (cancel_token_ != nullptr) --cancel_countdown_;
     now_ = at;
     return true;
   }
@@ -99,15 +96,8 @@ class Simulator {
   // events_pending() reads as if every item were scheduled on its own.
   void add_held_events(std::int64_t delta) { held_events_ += delta; }
 
-  // --- supervision ----------------------------------------------------
-  // Why a run loop ended early, beyond an explicit stop().
-  enum class AbortReason : std::uint8_t {
-    kNone,         // ran to completion (or stop()/deadline)
-    kEventBudget,  // event budget exhausted — deterministic
-    kCancelled,    // cooperative cancel token observed set
-  };
-
-  // Deterministic event budget: abort the run once `events_executed()`
+  // --- event budget --------------------------------------------------
+  // Deterministic runaway guard: abort the run once `events_executed()`
   // reaches `max_events` with more work pending. A pure function of the
   // event count — two same-seed runs trip it at the identical event —
   // so a budgeted run is exactly reproducible. 0 (the default) disables
@@ -117,26 +107,9 @@ class Simulator {
   }
   [[nodiscard]] std::uint64_t event_budget() const { return event_budget_; }
 
-  // Cooperative cancellation: poll `token` every `poll_every` executed
-  // events and abort the run when it is set. The kernel only ever loads
-  // one relaxed atomic — no clocks, no blocking — so a run that is NOT
-  // cancelled is bit-identical to an unsupervised one. Pass nullptr to
-  // detach. Granularity: a cancel is observed within `poll_every`
-  // events of being requested.
-  void set_cancel_token(const CancelToken* token,
-                        std::uint64_t poll_every = 1024) {
-    WMN_CHECK_GT(poll_every, std::uint64_t{0},
-                 "cancel poll interval must be positive");
-    cancel_token_ = token;
-    cancel_poll_every_ = poll_every == 0 ? 1 : poll_every;
-    cancel_countdown_ = cancel_poll_every_;
-  }
-
-  // Why the last run_until() aborted; kNone for a clean finish.
-  [[nodiscard]] AbortReason abort_reason() const { return abort_reason_; }
-  [[nodiscard]] bool aborted() const {
-    return abort_reason_ != AbortReason::kNone;
-  }
+  // True iff the last run_until() ended because the budget tripped; a
+  // stop(), a deadline or a drained calendar is a clean finish.
+  [[nodiscard]] bool budget_exhausted() const { return budget_exhausted_; }
 
   // --- execution -----------------------------------------------------
   // Run until the calendar drains or stop() is called.
@@ -147,22 +120,14 @@ class Simulator {
   // min(deadline, time of last event) unless stopped early.
   void run_until(Time deadline) {
     stopped_ = false;
-    abort_reason_ = AbortReason::kNone;
+    budget_exhausted_ = false;
     deadline_ = deadline;
     while (!stopped_ && !calendar_.empty()) {
       if (event_budget_ != 0 && events_executed_ >= event_budget_)
           [[unlikely]] {
-        abort_reason_ = AbortReason::kEventBudget;
+        budget_exhausted_ = true;
         stopped_ = true;
         return;
-      }
-      if (cancel_token_ != nullptr && --cancel_countdown_ == 0) [[unlikely]] {
-        cancel_countdown_ = cancel_poll_every_;
-        if (cancel_token_->cancelled()) {
-          abort_reason_ = AbortReason::kCancelled;
-          stopped_ = true;
-          return;
-        }
       }
       const Time t = calendar_.next_time();
       if (t > deadline) {
@@ -207,11 +172,8 @@ class Simulator {
   std::uint64_t events_executed_ = 0;
   std::int64_t held_events_ = 0;
   std::uint64_t event_budget_ = 0;  // 0 = unlimited
-  const CancelToken* cancel_token_ = nullptr;
-  std::uint64_t cancel_poll_every_ = 1024;
-  std::uint64_t cancel_countdown_ = 1024;
   bool stopped_ = false;
-  AbortReason abort_reason_ = AbortReason::kNone;
+  bool budget_exhausted_ = false;
 };
 
 }  // namespace wmn::sim

@@ -7,10 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "exp/journal.hpp"
 
 namespace wmn::exp {
 namespace {
@@ -46,10 +54,7 @@ class FakeEngine : public SweepEngine {
   std::function<RunMetrics(const ScenarioConfig&)> body;
 
  protected:
-  RunMetrics execute(const ScenarioConfig& cfg,
-                     sim::CancelToken* /*cancel*/) override {
-    return body(cfg);
-  }
+  RunMetrics execute(const ScenarioConfig& cfg) override { return body(cfg); }
 };
 
 ScenarioConfig tiny_config(std::uint64_t seed) {
@@ -103,10 +108,132 @@ TEST(SweepEngine, CheckTaintMarksSlotFailedButKeepsMetrics) {
 
   const auto slots = engine.cell(id);
   EXPECT_FALSE(slots[0].ok());
+  EXPECT_EQ(slots[0].kind, FailureKind::kCheckTaint);
   ASSERT_TRUE(slots[0].metrics.has_value());  // kept for inspection
   EXPECT_NE(slots[0].error.find("invariant violation"), std::string::npos);
   EXPECT_TRUE(slots[1].ok());
   EXPECT_EQ(engine.cell_metrics(id).size(), 1u);
+}
+
+TEST(SweepEngine, FailureCountsCoverEveryKind) {
+  FakeEngine engine(1);
+  engine.body = [](const ScenarioConfig& cfg) -> RunMetrics {
+    RunMetrics m;
+    switch (cfg.n_nodes) {
+      case 1: return m;
+      case 2: throw std::runtime_error("boom");
+      case 3: m.check_violations = 1; return m;
+      case 4: throw RunAborted(FailureKind::kEventBudgetExhausted, "budget");
+      default: throw std::bad_alloc();  // host memory: just an exception
+    }
+  };
+  for (std::size_t n = 1; n <= 5; ++n) {
+    ScenarioConfig cfg = tiny_config(29 + n);
+    cfg.n_nodes = n;
+    engine.add_cell(cfg, 1);
+  }
+  engine.run();
+  const FailureCounts counts = engine.failure_counts();
+  EXPECT_EQ(counts[static_cast<std::size_t>(FailureKind::kNone)], 1u);
+  EXPECT_EQ(counts[static_cast<std::size_t>(FailureKind::kException)], 2u);
+  EXPECT_EQ(counts[static_cast<std::size_t>(FailureKind::kCheckTaint)], 1u);
+  EXPECT_EQ(
+      counts[static_cast<std::size_t>(FailureKind::kEventBudgetExhausted)],
+      1u);
+  EXPECT_EQ(engine.cell(4)[0].kind, FailureKind::kException);
+  EXPECT_EQ(engine.failed_count(), 4u);
+  const std::string report = engine.failure_report();
+  EXPECT_NE(report.find("[exception]: boom"), std::string::npos);
+  EXPECT_NE(report.find("[check_taint]"), std::string::npos);
+  EXPECT_NE(report.find("[event_budget_exhausted]: budget"), std::string::npos);
+}
+
+// The unsigned decimal after "key": in one record line.
+std::uint64_t record_field(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no " << tag << " in " << line;
+    return 0;
+  }
+  return std::stoull(line.substr(at + tag.size()));
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(SweepEngine, RecordHoldsOneLinePerCleanSlotInSlotOrder) {
+  const std::string path = testing::TempDir() + "wmn_sweep_record.jsonl";
+  std::remove(path.c_str());
+  const std::uint64_t bad_seed = replication_seed(42, 0, 1);
+  const std::uint64_t tainted_seed = replication_seed(43, 1, 0);
+  const auto run_campaign = [&] {
+    FakeEngine engine(4);
+    engine.body = [&](const ScenarioConfig& cfg) {
+      if (cfg.seed == bad_seed) throw std::runtime_error("injected crash");
+      RunMetrics m;
+      m.seed = cfg.seed;
+      if (cfg.seed == tainted_seed) m.check_violations = 1;
+      return m;
+    };
+    engine.add_cell(tiny_config(42), 3);
+    engine.add_cell(tiny_config(43), 2);
+    engine.enable_journal(path);
+    engine.run();
+    EXPECT_EQ(engine.failed_count(), 2u);
+  };
+  // Clean slots in (cell, rep) order; the crashed (0, 1) and the
+  // tainted (1, 0) have no line.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> want = {
+      {0, 0}, {0, 2}, {1, 1}};
+  const std::uint64_t bases[] = {42, 43};
+  // A second campaign into the same path replaces the first.
+  for (int pass = 0; pass < 2; ++pass) {
+    run_campaign();
+    const std::vector<std::string> lines = read_lines(path);
+    ASSERT_EQ(lines.size(), want.size()) << "pass " << pass;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const auto [cell, rep] = want[i];
+      EXPECT_EQ(record_field(lines[i], "cell"), cell);
+      EXPECT_EQ(record_field(lines[i], "rep"), rep);
+      EXPECT_EQ(record_field(lines[i], "seed"),
+                replication_seed(bases[cell], cell, rep));
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SweepEngine, UnwritableRecordFailsBeforeAnySlotRuns) {
+  FakeEngine engine(2);
+  std::atomic<int> executed{0};
+  engine.body = [&executed](const ScenarioConfig& cfg) {
+    ++executed;
+    RunMetrics m;
+    m.seed = cfg.seed;
+    return m;
+  };
+  engine.add_cell(tiny_config(5), 2);
+  engine.enable_journal(testing::TempDir() + "no_such_dir/record.jsonl");
+  EXPECT_THROW(engine.run(), std::runtime_error);
+  EXPECT_EQ(executed.load(), 0);
+}
+
+TEST(SweepEngine, ConfigDigestSeparatesConfigs) {
+  const ScenarioConfig a = tiny_config(42);
+  ScenarioConfig b = a;
+  EXPECT_EQ(config_digest(a), config_digest(b));  // pure
+  b.traffic.rate_pps = 5.0;
+  EXPECT_NE(config_digest(a), config_digest(b));
+  ScenarioConfig c = a;
+  c.traffic.rate_envelope = {{0.0, 1.0}, {5.0, 4.0}};
+  EXPECT_NE(config_digest(a), config_digest(c));
+  ScenarioConfig d = a;
+  d.event_budget = 1000;
+  EXPECT_NE(config_digest(a), config_digest(d));
 }
 
 TEST(SweepEngine, SeedsAndResultsIndependentOfThreadCount) {

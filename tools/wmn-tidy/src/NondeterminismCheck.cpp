@@ -13,7 +13,7 @@ using namespace clang::ast_matchers;
 namespace {
 
 // The one place allowed to hold raw threading primitives: the sweep
-// concurrency layer (exp::SweepEngine and its supervision machinery).
+// concurrency layer (exp::SweepEngine and its worker threads).
 // Everywhere else a std::thread or std::mutex means simulation state
 // is about to be touched from an unsanctioned thread — which breaks
 // the determinism contract even when it happens to be race-free.

@@ -72,7 +72,7 @@ RAW_THREADING_RE = re.compile(
     r"shared_timed_mutex|condition_variable(?:_any)?)\b")
 
 # The one place allowed to hold raw threading primitives: the sweep
-# concurrency layer (exp::SweepEngine and supervision). Matches the
+# concurrency layer (exp::SweepEngine and its worker threads). Matches the
 # plugin's isSanctionedThreadingFile.
 SANCTIONED_THREADING_RE = re.compile(r"src[/\\]exp[/\\]")
 
