@@ -1,8 +1,8 @@
 # Smoke test of the wmnsim_cli entry point, run by ctest as
 #   cmake -DCLI=<path to wmnsim_cli> -P cli_smoke_test.cmake
 # Every traffic model runs for 1 s of traffic, on random pairs and
-# toward 3 gateways, and must exit 0; a malformed value or an unknown
-# flag must exit 1; a run the event budget cuts short must exit 3.
+# toward 3 gateways, and must exit 0; a malformed or out-of-range value
+# or an unknown flag must exit 1; a run the event budget cuts short must exit 3.
 
 function(run_cli want)
   execute_process(COMMAND "${CLI}" ${ARGN}
@@ -22,6 +22,19 @@ foreach(model cbr onoff heavytail sessions)
 endforeach()
 run_cli(1 --nodes abc)
 run_cli(1 --deadline 5)
+# Values that parse but make no run: each must be refused, not run
+# empty, ignored or left to an invariant check.
+run_cli(1 --seconds -2)
+run_cli(1 --area -100 100)
+run_cli(1 --rate -1)
+run_cli(1 --session-rate -1)
+run_cli(1 --users 0)
+run_cli(1 --gateways 0)
+run_cli(1 --speed -1)
+run_cli(1 --churn -1)
+run_cli(1 --arrival-gap -1)
+run_cli(1 --nodes 20 --outage 50 1 2)
+run_cli(1 --outage 3 5 1)
 run_cli(3 --nodes 30 --seconds 2 --event-budget 5000)
 if(NOT err MATCHES "\\[aborted: event_budget_exhausted\\]")
   message(FATAL_ERROR "wmnsim_cli --event-budget gave no abort reason:\n${err}")

@@ -39,7 +39,10 @@
 //   --flows-csv FILE   write per-flow results CSV
 //
 // A malformed value (not a number, a negative or fractional count, an
-// unknown name, a bad envelope, an output file that cannot be written)
+// unknown name, a bad envelope, a non-positive --seconds, --area,
+// --rate, --session-rate, --users or --gateways, a negative --speed,
+// --churn or --arrival-gap, an --outage for a node outside the mesh or
+// with T1 <= T0 or T0 < 0, an output file that cannot be written)
 // prints a message and exits 1, as an unknown flag does.
 #include <algorithm>
 #include <charconv>
@@ -215,6 +218,33 @@ int main(int argc, char** argv) {
       return 0;
     } else {
       fail("unknown flag '" + a + "'");
+    }
+  }
+  // Checks that span flags (--outage against --nodes) run once all are
+  // parsed.
+  if (cfg.traffic_time <= sim::Time::zero()) fail("--seconds wants a positive time");
+  if (cfg.area_width_m <= 0.0 || cfg.area_height_m <= 0.0) {
+    fail("--area wants a positive width and height");
+  }
+  if (cfg.traffic.rate_pps <= 0.0) fail("--rate wants a rate > 0");
+  if (cfg.traffic.pattern == exp::TrafficSpec::Pattern::kGateway &&
+      cfg.traffic.n_gateways == 0) {
+    fail("--gateways wants at least one gateway");
+  }
+  if (cfg.traffic.session_rate_per_user_per_s <= 0.0) {
+    fail("--session-rate wants a rate > 0");
+  }
+  if (cfg.traffic.users_per_node == 0) fail("--users wants at least one user");
+  if (cfg.mobility.max_speed_mps < 0.0) fail("--speed wants a speed >= 0");
+  if (cfg.fault.churn.rate_per_s < 0.0) fail("--churn wants a rate >= 0");
+  if (cfg.traffic.mean_arrival_gap_s < 0.0) fail("--arrival-gap wants a gap >= 0");
+  for (const fault::NodeOutage& o : cfg.fault.outages) {
+    if (o.node >= cfg.n_nodes) {
+      fail("--outage node " + std::to_string(o.node) + " is outside a mesh of " +
+           std::to_string(cfg.n_nodes) + " nodes");
+    }
+    if (o.down_at < sim::Time::zero() || o.up_at <= o.down_at) {
+      fail("--outage wants 0 <= T0 < T1");
     }
   }
   // Find out now, not after the run, that an output cannot be written.

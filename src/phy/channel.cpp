@@ -39,13 +39,6 @@ void WirelessChannel::enable_spatial_index(double area_width_m,
   area_height_m_ = area_height_m;
 }
 
-double WirelessChannel::link_rx_power_dbm(const WifiPhy& tx,
-                                          const WifiPhy& rx) const {
-  const sim::Time now = sim_.now();
-  return propagation_->rx_power_dbm(tx.config().tx_power_dbm, tx.position(now),
-                                    rx.position(now), tx.node_id(), rx.node_id());
-}
-
 std::uint32_t WirelessChannel::open_stream(net::Packet packet,
                                            sim::Time duration) {
   std::uint32_t id = free_head_;
@@ -108,6 +101,14 @@ void sort_nearly_sorted(std::vector<std::uint64_t>& keys) {
     }
     budget -= k - j;
   }
+}
+
+// A memoised link's propagation delay, as its 32-bit record stores it.
+std::uint32_t link_delay_ns(double distance_m) {
+  const std::int64_t ns = sim::Time::seconds(distance_m / kSpeedOfLight).ns();
+  WMN_CHECK(ns >= 0 && ns <= std::int64_t{0xFFFFFFFF},
+            "propagation delay does not fit a 32-bit link record");
+  return static_cast<std::uint32_t>(ns);
 }
 
 template <typename Item>
@@ -313,59 +314,43 @@ void WirelessChannel::rebuild_neighbor_cache(std::uint32_t src_index) {
   nc.lockable.clear();
   nc.weak.clear();
   nc.rx_index.clear();
-  nc.is_cached.clear();
-  nc.power_dbm.clear();
-  nc.power_mw.clear();
-  nc.delay.clear();
   nc.order.clear();
-  const WifiPhy& src = *radios_[src_index];
   index_->gather(src_index, radio_range_m_[src_index], gather_scratch_);
   nc.culled = radios_.size() - 1 - gather_scratch_.size();
-  const bool src_pinned = index_->pinned(src_index);
-  const mobility::Vec2 src_pos = index_->bounds(src_index).lo;
-
-  // Both endpoints holding still for this index version means the
-  // budget can be memoised: batch every such pair through the kernel
-  // once (identical math to what a transmission would run, including
-  // the shadowing per-link draw) and store power in both units plus
-  // the propagation delay. Pairs already under the receiver's floor
-  // fold into the bulk drop count.
-  rebuild_batch_.clear();
-  if (src_pinned) {
-    for (const std::uint32_t i : gather_scratch_) {
-      if (index_->pinned(i)) {
-        rebuild_batch_.push(index_->bounds(i).lo, radios_[i]->node_id());
-      }
-    }
-    LinkBudgetKernel::evaluate(*propagation_, src.config().tx_power_dbm,
-                               src_pos, src.node_id(), rebuild_batch_);
-  }
-  nc.n_live = static_cast<std::uint32_t>(gather_scratch_.size() -
-                                         rebuild_batch_.size());
-  if (nc.n_live == 0) {
-    rebuild_static(nc);
+  // Every endpoint holding still for this index version means the
+  // whole list can be memoised; one moving endpoint makes it live.
+  nc.memoised = index_->pinned(src_index) &&
+                std::all_of(gather_scratch_.begin(), gather_scratch_.end(),
+                            [this](std::uint32_t i) { return index_->pinned(i); });
+  if (nc.memoised) {
+    rebuild_static(nc, *radios_[src_index]);
   } else {
-    rebuild_live(nc, src_pinned);
+    rebuild_live(nc);
   }
   nc.built_version = index_->version();
 }
 
-void WirelessChannel::rebuild_static(NeighborCache& nc) {
-  // Every candidate is memoised: classify each link once, lockable ones
-  // into begin order, weak ones with their ledger units.
+void WirelessChannel::rebuild_static(NeighborCache& nc, const WifiPhy& src) {
+  // Evaluate every link once (identical math to what a transmission
+  // would run, including the shadowing per-link draw) and classify it:
+  // lockable ones into begin order, weak ones with their ledger units.
+  // Links already under the receiver's floor fold into the bulk drop
+  // count.
+  links_.clear();
+  for (const std::uint32_t i : gather_scratch_) {
+    links_.push_back(LinkEval{index_->bounds(i).lo, 0.0, 0.0,
+                              radios_[i]->node_id()});
+  }
+  evaluate_links(src, index_->bounds(src.channel_index()).lo);
   for (std::size_t k = 0; k < gather_scratch_.size(); ++k) {
     const std::uint32_t i = gather_scratch_[k];
     const WifiPhy& rx = *radios_[i];
-    const double p_dbm = rebuild_batch_.power_dbm[k];
+    const double p_dbm = links_[k].power_dbm;
     if (p_dbm < rx.config().detection_floor_dbm) {
       ++nc.culled;
       continue;
     }
-    const std::int64_t delay_ns =
-        sim::Time::seconds(rebuild_batch_.distance_m[k] / kSpeedOfLight).ns();
-    WMN_CHECK(delay_ns >= 0 && delay_ns <= std::int64_t{0xFFFFFFFF},
-              "propagation delay does not fit a 32-bit link record");
-    const auto d = static_cast<std::uint32_t>(delay_ns);
+    const std::uint32_t d = link_delay_ns(links_[k].distance_m);
     const double p_mw = dbm_to_mw(p_dbm);
     if (rx.is_weak(p_dbm)) {
       nc.weak.push_back(WeakLink{i, d, rx.weak_units(p_mw)});
@@ -385,57 +370,32 @@ void WirelessChannel::rebuild_static(NeighborCache& nc) {
   nc.lockable.shrink_to_fit();
   nc.weak.shrink_to_fit();
   nc.rx_index.shrink_to_fit();
-  nc.is_cached.shrink_to_fit();
-  nc.power_dbm.shrink_to_fit();
-  nc.power_mw.shrink_to_fit();
-  nc.delay.shrink_to_fit();
   nc.order.shrink_to_fit();
 }
 
-void WirelessChannel::rebuild_live(NeighborCache& nc, bool src_pinned) {
-  // Exact sizes up front: every candidate takes a position, and at most
-  // the batched pairs take a memoised budget.
-  nc.rx_index.reserve(gather_scratch_.size());
-  nc.is_cached.reserve(gather_scratch_.size());
-  nc.order.reserve(gather_scratch_.size());
-  nc.power_dbm.reserve(rebuild_batch_.size());
-  nc.power_mw.reserve(rebuild_batch_.size());
-  nc.delay.reserve(rebuild_batch_.size());
-  std::size_t cursor = 0;
-  for (const std::uint32_t i : gather_scratch_) {
-    if (src_pinned && index_->pinned(i)) {
-      const double p_dbm = rebuild_batch_.power_dbm[cursor];
-      const double dist = rebuild_batch_.distance_m[cursor];
-      ++cursor;
-      if (p_dbm < radios_[i]->config().detection_floor_dbm) {
-        ++nc.culled;
-        continue;
-      }
-      nc.rx_index.push_back(i);
-      nc.is_cached.push_back(1);
-      nc.power_dbm.push_back(p_dbm);
-      nc.power_mw.push_back(dbm_to_mw(p_dbm));
-      nc.delay.push_back(sim::Time::seconds(dist / kSpeedOfLight));
-    } else {
-      nc.rx_index.push_back(i);
-      nc.is_cached.push_back(0);
-    }
-  }
-  // The budget arrays hold memoised entries only. Once a source starts
-  // moving, few of its links stay memoised: give back the capacity the
-  // all-pinned start-up left behind rather than keep it for the run.
-  if (nc.power_dbm.capacity() > 2 * nc.power_dbm.size() + 16) {
-    nc.power_dbm.shrink_to_fit();
-    nc.power_mw.shrink_to_fit();
-    nc.delay.shrink_to_fit();
-  }
-  // Copies begin in (delay, candidate position) order; a live list
-  // starts from attach order and is re-sorted per transmission.
+void WirelessChannel::rebuild_live(NeighborCache& nc) {
+  // Every candidate, in ascending attach order; its link is evaluated
+  // per transmission. Copies begin in (delay, candidate position)
+  // order, and the order starts from attach order and is re-sorted per
+  // transmission. The record arrays of an earlier static list go back.
+  nc.rx_index.assign(gather_scratch_.begin(), gather_scratch_.end());
   for (std::size_t k = 0; k < nc.rx_index.size(); ++k) {
     nc.order.push_back(static_cast<std::uint32_t>(k));
   }
   nc.lockable.shrink_to_fit();
   nc.weak.shrink_to_fit();
+}
+
+void WirelessChannel::evaluate_links(const WifiPhy& src, mobility::Vec2 tx_pos) {
+  // Two straight loops, and the caller uses the results in a third:
+  // fusing evaluation with use measured slower (DESIGN.md, "Link
+  // budgets").
+  for (LinkEval& l : links_) l.distance_m = link_distance_m(tx_pos, l.rx_pos);
+  const double tx_dbm = src.config().tx_power_dbm;
+  const std::uint32_t tx_id = src.node_id();
+  for (LinkEval& l : links_) {
+    l.power_dbm = propagation_->power_dbm(tx_dbm, l.distance_m, tx_id, l.rx_id);
+  }
 }
 
 void WirelessChannel::transmit_indexed(const WifiPhy& src,
@@ -452,7 +412,7 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
   counters_.copies_dropped_floor += nc.culled;
   const std::uint32_t id = open_stream(packet, duration);
 
-  if (nc.n_live == 0) {
+  if (nc.memoised) {
     // Static mesh: every budget is memoised and classified, and the
     // lockable links are in begin order — no propagation math, no unit
     // conversions, no sort.
@@ -471,45 +431,32 @@ void WirelessChannel::transmit_indexed(const WifiPhy& src,
     return;
   }
 
-  // Mixed cache: batch the mobile candidates through the kernel, then
-  // merge with the memoised ones in ascending attach order (the order
-  // the per-pair scan visits, so every copy takes the same rank and seq).
+  // Live list: evaluate every candidate, then queue each copy in
+  // ascending attach order (the order the per-pair scan visits, so
+  // every copy takes the same rank and seq).
   const std::size_t n = nc.rx_index.size();
-  batch_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (nc.is_cached[i] == 0) {
-      const std::uint32_t r = nc.rx_index[i];
-      batch_.push(radios_[r]->position(now), radios_[r]->node_id());
-    }
+  links_.clear();
+  for (const std::uint32_t i : nc.rx_index) {
+    const WifiPhy& rx = *radios_[i];
+    links_.push_back(LinkEval{rx.position(now), 0.0, 0.0, rx.node_id()});
   }
-  LinkBudgetKernel::evaluate(*propagation_, src.config().tx_power_dbm, tx_pos,
-                             src.node_id(), batch_);
+  evaluate_links(src, tx_pos);
   slots_.resize(n);
-  std::size_t cached = 0;
-  std::size_t cursor = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    WifiPhy* rx = radios_[nc.rx_index[i]];
-    Slot& slot = slots_[i];
+  for (std::size_t k = 0; k < n; ++k) {
+    WifiPhy* rx = radios_[nc.rx_index[k]];
+    const LinkEval& l = links_[k];
+    Slot& slot = slots_[k];
     slot.rank = kNoRank;
-    double p_dbm = 0.0;
-    double p_mw = 0.0;
-    if (nc.is_cached[i] != 0) {
-      p_dbm = nc.power_dbm[cached];
-      p_mw = nc.power_mw[cached];
-      slot.delay = nc.delay[cached];
-      ++cached;
-    } else {
-      p_dbm = batch_.power_dbm[cursor];
-      slot.delay = sim::Time::seconds(batch_.distance_m[cursor] / kSpeedOfLight);
-      ++cursor;
-      if (p_dbm < rx->config().detection_floor_dbm) {
-        ++counters_.copies_dropped_floor;
-        continue;
-      }
-      p_mw = dbm_to_mw(p_dbm);
+    slot.delay = sim::Time::seconds(l.distance_m / kSpeedOfLight);
+    if (l.power_dbm < rx->config().detection_floor_dbm) {
+      ++counters_.copies_dropped_floor;
+      continue;
     }
     const auto rank = static_cast<std::uint32_t>(pending_.size());
-    if (add_copy_or_weak(rx, p_dbm, p_mw, slot.delay, now, duration)) slot.rank = rank;
+    if (add_copy_or_weak(rx, l.power_dbm, dbm_to_mw(l.power_dbm), slot.delay,
+                         now, duration)) {
+      slot.rank = rank;
+    }
   }
   launch_reordered(id, now, nc);
 }
@@ -526,9 +473,9 @@ void WirelessChannel::transmit_scan(const WifiPhy& src,
   const std::uint32_t id = open_stream(packet, duration);
   for (WifiPhy* rx : radios_) {
     if (rx == &src) continue;
-    const mobility::Vec2 rx_pos = rx->position(now);
-    double p_dbm = propagation_->rx_power_dbm(
-        src.config().tx_power_dbm, tx_pos, rx_pos, src.node_id(), rx->node_id());
+    const double d = link_distance_m(tx_pos, rx->position(now));
+    double p_dbm = propagation_->power_dbm(src.config().tx_power_dbm, d,
+                                           src.node_id(), rx->node_id());
     if (fault_ != nullptr) {
       if (!fault_->node_up(rx->node_id())) {
         ++counters_.copies_dropped_fault;
@@ -541,8 +488,7 @@ void WirelessChannel::transmit_scan(const WifiPhy& src,
       continue;
     }
     add_copy_or_weak(rx, p_dbm, dbm_to_mw(p_dbm),
-                     sim::Time::seconds(link_distance_m(tx_pos, rx_pos) / kSpeedOfLight),
-                     now, duration);
+                     sim::Time::seconds(d / kSpeedOfLight), now, duration);
   }
   launch_pending(id, now);
 }
@@ -584,7 +530,7 @@ std::size_t WirelessChannel::memory_bytes() const {
                       begin_keys_.capacity() * sizeof(std::uint64_t) +
                       radio_range_m_.capacity() * sizeof(double) +
                       gather_scratch_.capacity() * sizeof(std::uint32_t) +
-                      batch_.memory_bytes() + rebuild_batch_.memory_bytes() +
+                      links_.capacity() * sizeof(LinkEval) +
                       neighbor_caches_.capacity() * sizeof(NeighborCache);
   for (const Stream& s : streams_) bytes += s.copies.capacity() * sizeof(Copy);
   for (const NeighborCache& nc : neighbor_caches_) bytes += nc.memory_bytes();

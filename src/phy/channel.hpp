@@ -43,23 +43,27 @@
 // Two fan-out paths. The per-pair scan (transmit_scan) walks every
 // attached receiver in attach order with one scalar propagation call
 // each and no range proof; it is the reference. enable_spatial_index()
-// activates the fast path, two layers over the phy::LinkBudgetKernel's
-// reusable SoA buffers:
+// activates the fast path, two layers:
 //
 //   * a phy::SpatialIndex (uniform grid fed by mobility epochs) culls
 //     receivers provably out of range (PropagationModel::max_range_m)
 //     before any propagation math;
 //   * a per-source neighbour cache memoises the candidate list and,
-//     for pinned-position pairs (both mobility bounds are points), the
-//     full link budget — power in dBm and milliwatts (a weak link's in
-//     the receiver's ledger units) plus the propagation delay — so a
-//     static mesh pays the propagation model (and the dBm->mW pow())
-//     once per link per run.
+//     when the source and every candidate are pinned (their mobility
+//     bounds are points), every link's full budget — power in dBm and
+//     milliwatts (a weak link's in the receiver's ledger units) plus
+//     the propagation delay — so a static mesh pays the propagation
+//     model (and the dBm->mW pow()) once per link per run. A list with
+//     one moving endpoint evaluates all its links per transmission.
+//
+// Links are evaluated in one two-pass shape (evaluate_links): all
+// distances first, then one PropagationModel::power_dbm call per link,
+// and only then does the caller use the results.
 //
 // The indexed path is bit-identical to the per-pair scan: candidates
 // are examined in attach order, culled pairs are provably below the
 // floor and are bulk-accounted as copies_dropped_floor, and cached
-// budgets are the exact values the scalar model returns. Because the
+// budgets are the exact values the model returns. Because the
 // scan never consults max_range_m, a wrong range inversion shows up as
 // a difference between the two. With a fault overlay installed the
 // channel runs the per-pair scan so the overlay's counter attribution
@@ -73,7 +77,6 @@
 
 #include "net/packet.hpp"
 #include "phy/fault_overlay.hpp"
-#include "phy/link_budget_kernel.hpp"
 #include "phy/propagation.hpp"
 #include "phy/spatial_index.hpp"
 #include "phy/wifi_phy.hpp"
@@ -110,10 +113,6 @@ class WirelessChannel {
 
   [[nodiscard]] std::size_t radio_count() const { return radios_.size(); }
 
-  // Received power between two attached radios right now — used by
-  // scenario builders to check topology connectivity before a run.
-  [[nodiscard]] double link_rx_power_dbm(const WifiPhy& tx, const WifiPhy& rx) const;
-
   // Install (or clear, with nullptr) the fault overlay. Non-owning; the
   // overlay must outlive its installation. See phy/fault_overlay.hpp.
   void set_fault_overlay(const FaultOverlay* overlay) { fault_ = overlay; }
@@ -140,9 +139,9 @@ class WirelessChannel {
   // the receiver counts the copy as dropped while down.
   bool fault_drop_weak_copy();
 
-  // Dynamic footprint of the channel's own state (stream pool, SoA
-  // caches, kernel batches, spatial index scratch) — feeds the
-  // bytes_per_node bench counter.
+  // Dynamic footprint of the channel's own state (stream pool,
+  // neighbour caches, link-evaluation scratch, spatial index) — feeds
+  // the bytes_per_node bench counter.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
@@ -194,9 +193,8 @@ class WirelessChannel {
   };
   static constexpr std::uint32_t kNoRank = 0xFFFFFFFFu;
 
-  // A memoised link of a fully memoised list, in begin order: the
-  // receiver's attach index, the propagation delay and the power in
-  // both units.
+  // A memoised lockable link: the receiver's attach index, the
+  // propagation delay and the power in both units.
   struct LockableLink {
     std::uint32_t rx;
     std::uint32_t delay_ns;
@@ -214,54 +212,53 @@ class WirelessChannel {
   static_assert(sizeof(WeakLink) == 16);
 
   // Per-source candidate list, valid for one SpatialIndex version.
-  // Memoised (pinned-pair) links carry the exact budget, computed once
-  // at rebuild through the same kernel the live path uses.
   //
   // `culled` counts receivers provably below the detection floor for
-  // this version (out of range, or a pinned pair whose exact cached
-  // budget is under the receiver's floor) — bulk-added to
+  // this version (out of range, or in a memoised list a link whose
+  // exact budget is under the receiver's floor) — bulk-added to
   // copies_dropped_floor per transmission so the counter matches the
   // per-pair scan exactly.
   //
-  // Copies begin in (delay, candidate position) order. A fully
-  // memoised list (n_live == 0, the static-mesh common case) holds
-  // only two record arrays, classified once at rebuild: `lockable`,
-  // sorted in begin order then, so a static mesh never sorts a stream,
-  // and `weak`, in attach order. Most of a transmission's copies are
-  // weak, so a weak link is 16 bytes and carries its ledger units, not
-  // milliwatts.
+  // Copies begin in (delay, candidate position) order. A memoised list
+  // (every endpoint pinned, the static-mesh common case) holds only
+  // two record arrays, evaluated and classified once at rebuild:
+  // `lockable`, sorted in begin order then, so a static mesh never
+  // sorts a stream, and `weak`, in attach order. Most of a
+  // transmission's copies are weak, so a weak link is 16 bytes and
+  // carries its ledger units, not milliwatts.
   //
-  // A list with live links (a mobile endpoint) uses the SoA arrays
-  // instead, elements in ascending attach order. The budget arrays hold
-  // its memoised entries only, in candidate order; live entries are
-  // re-evaluated per transmission and store nothing there. `order`
-  // keeps every candidate, starting from attach order and re-sorted at
-  // each transmission from the previous transmission's order: nodes
-  // move little between two transmissions of one source, so few entries
-  // move (8% per transmission on the 10 m/s benchmark mesh).
+  // A live list (a moving endpoint) keeps every candidate in
+  // `rx_index`, in ascending attach order, and evaluates every link
+  // per transmission. `order` keeps every candidate, starting from
+  // attach order and re-sorted at each transmission from the previous
+  // transmission's order: nodes move little between two transmissions
+  // of one source, so few entries move (8% per transmission on the
+  // 10 m/s benchmark mesh).
   struct NeighborCache {
     std::uint64_t built_version = ~std::uint64_t{0};
     std::uint64_t culled = 0;
-    std::uint32_t n_live = 0;
+    bool memoised = false;
     std::vector<LockableLink> lockable;
     std::vector<WeakLink> weak;
     std::vector<std::uint32_t> rx_index;
-    std::vector<std::uint8_t> is_cached;  // 1 = memoised budget below
-    std::vector<double> power_dbm;
-    std::vector<double> power_mw;
-    std::vector<sim::Time> delay;
     std::vector<std::uint32_t> order;
 
     [[nodiscard]] std::size_t memory_bytes() const {
       return lockable.capacity() * sizeof(LockableLink) +
              weak.capacity() * sizeof(WeakLink) +
              rx_index.capacity() * sizeof(std::uint32_t) +
-             is_cached.capacity() +
-             power_dbm.capacity() * sizeof(double) +
-             power_mw.capacity() * sizeof(double) +
-             delay.capacity() * sizeof(sim::Time) +
              order.capacity() * sizeof(std::uint32_t);
     }
+  };
+
+  // One link of a transmitter under evaluation: the receiver's
+  // position and node id go in, the floored distance and the received
+  // power come out.
+  struct LinkEval {
+    mobility::Vec2 rx_pos;
+    double distance_m;
+    double power_dbm;
+    std::uint32_t rx_id;
   };
 
   std::uint32_t open_stream(net::Packet packet, sim::Time duration);
@@ -293,11 +290,14 @@ class WirelessChannel {
   void refresh_ranges();
   void build_spatial_index();
   void rebuild_neighbor_cache(std::uint32_t src_index);
-  // The two halves of a rebuild, over gather_scratch_ and
-  // rebuild_batch_: a fully memoised list fills the link records, one
-  // with live links the SoA arrays. Each frees the other's storage.
-  void rebuild_static(NeighborCache& nc);
-  void rebuild_live(NeighborCache& nc, bool src_pinned);
+  // The two halves of a rebuild, over gather_scratch_: a memoised list
+  // evaluates its links and fills the classified link records, a live
+  // one its candidate arrays. Each frees the other's storage.
+  void rebuild_static(NeighborCache& nc, const WifiPhy& src);
+  void rebuild_live(NeighborCache& nc);
+  // Evaluate every link in links_ from `src` at `tx_pos`: all distances
+  // first, then one power_dbm call per link.
+  void evaluate_links(const WifiPhy& src, mobility::Vec2 tx_pos);
   void transmit_indexed(const WifiPhy& src, const net::Packet& packet,
                         sim::Time duration, sim::Time now,
                         mobility::Vec2 tx_pos);
@@ -317,11 +317,10 @@ class WirelessChannel {
   std::uint32_t free_head_ = kNilStream;
   std::size_t in_flight_ = 0;
   Counters counters_;
-  // Reusable kernel buffers (hoisted out of any per-node state): one
-  // for the live links of an indexed transmission, one for cache
-  // rebuilds.
-  LinkBudgetKernel::Batch batch_;
-  LinkBudgetKernel::Batch rebuild_batch_;
+  // Reusable link-evaluation scratch, shared by memoised-list rebuilds
+  // and live-list transmissions (a rebuild is used up before a
+  // transmission's links are gathered).
+  std::vector<LinkEval> links_;
 
   // Conservative per-source detection ranges (max_range_m at the
   // minimum attached floor) — the spatial index's cull radius and grid

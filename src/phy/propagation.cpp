@@ -10,19 +10,6 @@
 
 namespace wmn::phy {
 
-void PropagationModel::rx_power_dbm_batch(const LinkBatchView& batch) const {
-  // Fallback for models that don't provide a batch loop: the scalar
-  // virtual per element. Bit-identity with the scalar path is then a
-  // tautology; derived overrides must preserve it (the kernel tests
-  // compare both paths element-wise).
-  for (std::size_t i = 0; i < batch.n; ++i) {
-    batch.out_power_dbm[i] = rx_power_dbm(
-        batch.tx_power_dbm, batch.tx_pos,
-        mobility::Vec2{batch.rx_x[i], batch.rx_y[i]}, batch.tx_id,
-        batch.rx_id[i]);
-  }
-}
-
 // --- Friis ------------------------------------------------------------
 
 FriisModel::FriisModel(double frequency_hz, double system_loss_db)
@@ -30,23 +17,13 @@ FriisModel::FriisModel(double frequency_hz, double system_loss_db)
   WMN_CHECK_GT(frequency_hz, 0.0, "carrier frequency must be positive");
 }
 
-double FriisModel::power_at(double tx_power_dbm, double d) const {
+double FriisModel::power_dbm(double tx_power_dbm, double distance_m,
+                             std::uint32_t, std::uint32_t) const {
   const double lambda = kSpeedOfLight / frequency_hz_;
   const double pl_db =
-      20.0 * std::log10(4.0 * std::numbers::pi * d / lambda) + system_loss_db_;
+      20.0 * std::log10(4.0 * std::numbers::pi * distance_m / lambda) +
+      system_loss_db_;
   return tx_power_dbm - pl_db;
-}
-
-double FriisModel::rx_power_dbm(double tx_power_dbm, mobility::Vec2 tx_pos,
-                                mobility::Vec2 rx_pos, std::uint32_t,
-                                std::uint32_t) const {
-  return power_at(tx_power_dbm, link_distance_m(tx_pos, rx_pos));
-}
-
-void FriisModel::rx_power_dbm_batch(const LinkBatchView& batch) const {
-  for (std::size_t i = 0; i < batch.n; ++i) {
-    batch.out_power_dbm[i] = power_at(batch.tx_power_dbm, batch.distance_m[i]);
-  }
 }
 
 double FriisModel::max_range_m(double tx_power_dbm, double floor_dbm) const {
@@ -68,23 +45,12 @@ LogDistanceModel::LogDistanceModel(double exponent, double reference_distance_m,
             "log-distance model needs positive exponent and reference");
 }
 
-double LogDistanceModel::power_at(double tx_power_dbm, double d) const {
-  const double dc = std::max(d, reference_distance_m_);
+double LogDistanceModel::power_dbm(double tx_power_dbm, double distance_m,
+                                   std::uint32_t, std::uint32_t) const {
+  const double dc = std::max(distance_m, reference_distance_m_);
   const double pl_db =
       reference_loss_db_ + 10.0 * exponent_ * std::log10(dc / reference_distance_m_);
   return tx_power_dbm - pl_db;
-}
-
-double LogDistanceModel::rx_power_dbm(double tx_power_dbm, mobility::Vec2 tx_pos,
-                                      mobility::Vec2 rx_pos, std::uint32_t,
-                                      std::uint32_t) const {
-  return power_at(tx_power_dbm, link_distance_m(tx_pos, rx_pos));
-}
-
-void LogDistanceModel::rx_power_dbm_batch(const LinkBatchView& batch) const {
-  for (std::size_t i = 0; i < batch.n; ++i) {
-    batch.out_power_dbm[i] = power_at(batch.tx_power_dbm, batch.distance_m[i]);
-  }
 }
 
 double LogDistanceModel::max_range_m(double tx_power_dbm,
@@ -106,27 +72,17 @@ TwoRayGroundModel::TwoRayGroundModel(double frequency_hz, double antenna_height_
   WMN_CHECK_GT(antenna_height_m, 0.0, "antenna height must be positive");
 }
 
-double TwoRayGroundModel::power_at(double tx_power_dbm, double d) const {
+double TwoRayGroundModel::power_dbm(double tx_power_dbm, double d,
+                                    std::uint32_t tx_id,
+                                    std::uint32_t rx_id) const {
   const double lambda = kSpeedOfLight / frequency_hz_;
   const double dc = 4.0 * std::numbers::pi * antenna_height_m_ * antenna_height_m_ /
                     lambda;
-  if (d < dc) return friis_.power_at(tx_power_dbm, d);
+  if (d < dc) return friis_.power_dbm(tx_power_dbm, d, tx_id, rx_id);
   // Pr = Pt * ht^2 hr^2 / d^4 (both antennas at the same height).
   const double h2 = antenna_height_m_ * antenna_height_m_;
   const double gain_lin = (h2 * h2) / (d * d * d * d);
   return tx_power_dbm + linear_to_db(gain_lin);
-}
-
-double TwoRayGroundModel::rx_power_dbm(double tx_power_dbm, mobility::Vec2 tx_pos,
-                                       mobility::Vec2 rx_pos, std::uint32_t,
-                                       std::uint32_t) const {
-  return power_at(tx_power_dbm, link_distance_m(tx_pos, rx_pos));
-}
-
-void TwoRayGroundModel::rx_power_dbm_batch(const LinkBatchView& batch) const {
-  for (std::size_t i = 0; i < batch.n; ++i) {
-    batch.out_power_dbm[i] = power_at(batch.tx_power_dbm, batch.distance_m[i]);
-  }
 }
 
 double TwoRayGroundModel::max_range_m(double tx_power_dbm,
@@ -161,22 +117,11 @@ double LogNormalShadowing::link_offset_db(std::uint32_t a, std::uint32_t b) cons
   return rng.normal(0.0, sigma_db_);
 }
 
-double LogNormalShadowing::rx_power_dbm(double tx_power_dbm, mobility::Vec2 tx_pos,
-                                        mobility::Vec2 rx_pos, std::uint32_t tx_id,
-                                        std::uint32_t rx_id) const {
-  return inner_->rx_power_dbm(tx_power_dbm, tx_pos, rx_pos, tx_id, rx_id) +
+double LogNormalShadowing::power_dbm(double tx_power_dbm, double distance_m,
+                                     std::uint32_t tx_id,
+                                     std::uint32_t rx_id) const {
+  return inner_->power_dbm(tx_power_dbm, distance_m, tx_id, rx_id) +
          link_offset_db(tx_id, rx_id);
-}
-
-void LogNormalShadowing::rx_power_dbm_batch(const LinkBatchView& batch) const {
-  inner_->rx_power_dbm_batch(batch);
-  // Order-free: each offset depends only on (seed, link ids), so adding
-  // them after the inner batch is the same as interleaving them with
-  // scalar evaluation. FP addition order per element is unchanged
-  // (inner + offset), so the sum is bit-identical to the scalar path.
-  for (std::size_t i = 0; i < batch.n; ++i) {
-    batch.out_power_dbm[i] += link_offset_db(batch.tx_id, batch.rx_id[i]);
-  }
 }
 
 double LogNormalShadowing::max_range_m(double tx_power_dbm,

@@ -1,25 +1,19 @@
 // Radio propagation (path-loss) models.
 //
-// A model maps (tx power, positions, link identity) to received power
-// in dBm. Link identity (the unordered node-id pair) lets the shadowing
-// wrapper draw a per-link offset that is deterministic for a given
-// master seed and symmetric (reciprocal links fade identically), which
-// keeps runs reproducible and unicast/ACK behaviour consistent.
+// A model maps (tx power, link distance, link identity) to received
+// power in dBm. Link identity (the unordered node-id pair) lets the
+// shadowing wrapper draw a per-link offset that is deterministic for a
+// given master seed and symmetric (reciprocal links fade identically),
+// which keeps runs reproducible and unicast/ACK behaviour consistent.
 //
-// Besides the scalar per-pair query, every model evaluates whole
-// batches of links against one transmitter (rx_power_dbm_batch). The
-// batch contract is strict: for every element the batch output must be
-// bit-identical to the scalar rx_power_dbm call — the channel mixes
-// memoised (batch-computed) and per-transmission (also batch-computed)
-// budgets freely and the determinism fingerprint would expose any ulp
-// of divergence. The built-in models share one per-distance core
-// between the scalar and batch paths so the identity holds by
-// construction; the base-class default simply loops the scalar virtual,
-// so third-party models inherit correctness (not speed) for free.
+// Each model has exactly one path-loss function, power_dbm(). Every
+// caller (the channel's per-pair scan, its neighbour cache and its live
+// links, the tests) reaches it through link_distance_m(), so the
+// memoised and the per-transmission budgets are the same IEEE-754
+// operations on the same inputs and agree bit for bit.
 #pragma once
 
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -28,29 +22,12 @@
 
 namespace wmn::phy {
 
-// SoA view of one transmitter against a batch of candidate receivers.
-// All arrays hold `n` elements and are caller-owned (see
-// LinkBudgetKernel, which owns reusable buffers and fills
-// `distance_m` before handing the view to the model).
-struct LinkBatchView {
-  double tx_power_dbm = 0.0;
-  mobility::Vec2 tx_pos{};
-  std::uint32_t tx_id = 0;
-  std::size_t n = 0;
-  const double* rx_x = nullptr;       // receiver positions
-  const double* rx_y = nullptr;
-  const std::uint32_t* rx_id = nullptr;  // receiver node ids (shadowing)
-  const double* distance_m = nullptr;    // precomputed link_distance_m()
-  double* out_power_dbm = nullptr;       // filled by the model
-};
-
 // The one distance function every propagation path uses: straight-line
 // Euclidean distance floored to a few centimetres so co-located nodes
 // cannot produce infinite receive power. sqrt(dx^2 + dy^2) rather than
-// std::hypot: sqrt is a correctly-rounded single instruction, so the
-// scalar loop and the auto-vectorised loop produce the same bits
-// (hypot is only near-correctly rounded and is not vectorisable). Mesh coordinates are O(km), far from the
-// overflow regime hypot exists to handle.
+// std::hypot: sqrt is correctly rounded on every platform, hypot only
+// nearly so. Mesh coordinates are O(km), far from the overflow regime
+// hypot exists to handle.
 [[nodiscard]] inline double link_distance_m(mobility::Vec2 a,
                                             mobility::Vec2 b) {
   const double dx = a.x - b.x;
@@ -63,17 +40,20 @@ class PropagationModel {
  public:
   virtual ~PropagationModel() = default;
 
-  [[nodiscard]] virtual double rx_power_dbm(double tx_power_dbm,
-                                            mobility::Vec2 tx_pos,
-                                            mobility::Vec2 rx_pos,
-                                            std::uint32_t tx_id,
-                                            std::uint32_t rx_id) const = 0;
+  // Received power over a link of `distance_m` (already floored by
+  // link_distance_m) from node tx_id to node rx_id.
+  [[nodiscard]] virtual double power_dbm(double tx_power_dbm,
+                                         double distance_m,
+                                         std::uint32_t tx_id,
+                                         std::uint32_t rx_id) const = 0;
 
-  // Batch form: fill batch.out_power_dbm[i] for every element, bit-
-  // identical to the scalar call on the same pair. The default loops
-  // the scalar virtual (correct for any derived model); the built-in
-  // models override with straight-line loops over batch.distance_m.
-  virtual void rx_power_dbm_batch(const LinkBatchView& batch) const;
+  // Received power between two positions.
+  [[nodiscard]] double rx_power_dbm(double tx_power_dbm, mobility::Vec2 tx_pos,
+                                    mobility::Vec2 rx_pos, std::uint32_t tx_id,
+                                    std::uint32_t rx_id) const {
+    return power_dbm(tx_power_dbm, link_distance_m(tx_pos, rx_pos), tx_id,
+                     rx_id);
+  }
 
   // Inverse of the path-loss curve: a distance R such that for EVERY
   // pair of positions farther apart than R and every link identity,
@@ -96,18 +76,11 @@ class FriisModel final : public PropagationModel {
  public:
   explicit FriisModel(double frequency_hz = 2.4e9, double system_loss_db = 0.0);
 
-  [[nodiscard]] double rx_power_dbm(double tx_power_dbm, mobility::Vec2 tx_pos,
-                                    mobility::Vec2 rx_pos, std::uint32_t,
-                                    std::uint32_t) const override;
-
-  void rx_power_dbm_batch(const LinkBatchView& batch) const override;
+  [[nodiscard]] double power_dbm(double tx_power_dbm, double distance_m,
+                                 std::uint32_t, std::uint32_t) const override;
 
   [[nodiscard]] double max_range_m(double tx_power_dbm,
                                    double floor_dbm) const override;
-
-  // Shared scalar core: received power at a (floored) distance. Public
-  // because TwoRayGroundModel reuses it below its crossover distance.
-  [[nodiscard]] double power_at(double tx_power_dbm, double d) const;
 
  private:
   double frequency_hz_;
@@ -124,20 +97,13 @@ class LogDistanceModel final : public PropagationModel {
   explicit LogDistanceModel(double exponent = 2.5, double reference_distance_m = 1.0,
                             double reference_loss_db = 40.0);
 
-  [[nodiscard]] double rx_power_dbm(double tx_power_dbm, mobility::Vec2 tx_pos,
-                                    mobility::Vec2 rx_pos, std::uint32_t,
-                                    std::uint32_t) const override;
-
-  void rx_power_dbm_batch(const LinkBatchView& batch) const override;
+  [[nodiscard]] double power_dbm(double tx_power_dbm, double distance_m,
+                                 std::uint32_t, std::uint32_t) const override;
 
   [[nodiscard]] double max_range_m(double tx_power_dbm,
                                    double floor_dbm) const override;
 
-  [[nodiscard]] double exponent() const { return exponent_; }
-
  private:
-  [[nodiscard]] double power_at(double tx_power_dbm, double d) const;
-
   double exponent_;
   double reference_distance_m_;
   double reference_loss_db_;
@@ -149,11 +115,8 @@ class TwoRayGroundModel final : public PropagationModel {
  public:
   TwoRayGroundModel(double frequency_hz = 2.4e9, double antenna_height_m = 1.5);
 
-  [[nodiscard]] double rx_power_dbm(double tx_power_dbm, mobility::Vec2 tx_pos,
-                                    mobility::Vec2 rx_pos, std::uint32_t,
-                                    std::uint32_t) const override;
-
-  void rx_power_dbm_batch(const LinkBatchView& batch) const override;
+  [[nodiscard]] double power_dbm(double tx_power_dbm, double distance_m,
+                                 std::uint32_t, std::uint32_t) const override;
 
   // Max of the two regimes' inversions: beyond both, whichever piece
   // applies at a given distance is below the floor.
@@ -161,8 +124,6 @@ class TwoRayGroundModel final : public PropagationModel {
                                    double floor_dbm) const override;
 
  private:
-  [[nodiscard]] double power_at(double tx_power_dbm, double d) const;
-
   FriisModel friis_;
   double frequency_hz_;
   double antenna_height_m_;
@@ -176,15 +137,12 @@ class LogNormalShadowing final : public PropagationModel {
   LogNormalShadowing(std::unique_ptr<PropagationModel> inner, double sigma_db,
                      std::uint64_t seed);
 
-  [[nodiscard]] double rx_power_dbm(double tx_power_dbm, mobility::Vec2 tx_pos,
-                                    mobility::Vec2 rx_pos, std::uint32_t tx_id,
-                                    std::uint32_t rx_id) const override;
-
-  // Batches the inner model, then adds the per-link offset element-
-  // wise. The offset is a pure function of (seed, link id pair) — no
-  // draw order, no shared stream — which is exactly what makes the
-  // shadowed budget batchable without breaking fingerprints.
-  void rx_power_dbm_batch(const LinkBatchView& batch) const override;
+  // The inner model's power plus the per-link offset. The offset is a
+  // pure function of (seed, link id pair): no draw order, no shared
+  // stream, so a memoised budget equals a freshly evaluated one.
+  [[nodiscard]] double power_dbm(double tx_power_dbm, double distance_m,
+                                 std::uint32_t tx_id,
+                                 std::uint32_t rx_id) const override;
 
   // Inner range at a floor lowered by kSigmaBound * sigma. The offset
   // is one Marsaglia-polar normal draw from RngStream: |z| is provably

@@ -302,11 +302,10 @@ TEST(GracefulDegradation, LocalRepairBridgesBrokenLink) {
 class OneWayBlock final : public phy::PropagationModel {
  public:
   OneWayBlock(std::uint32_t tx, std::uint32_t rx) : tx_(tx), rx_(rx) {}
-  [[nodiscard]] double rx_power_dbm(double tx_power_dbm, Vec2 tx_pos,
-                                    Vec2 rx_pos, std::uint32_t tx_id,
-                                    std::uint32_t rx_id) const override {
-    const double p =
-        base_.rx_power_dbm(tx_power_dbm, tx_pos, rx_pos, tx_id, rx_id);
+  [[nodiscard]] double power_dbm(double tx_power_dbm, double distance_m,
+                                 std::uint32_t tx_id,
+                                 std::uint32_t rx_id) const override {
+    const double p = base_.power_dbm(tx_power_dbm, distance_m, tx_id, rx_id);
     return (tx_id == tx_ && rx_id == rx_) ? p - 200.0 : p;
   }
 

@@ -231,15 +231,6 @@ TEST(WifiPhy, ChannelCountsCopies) {
   EXPECT_EQ(tb.channel.counters().copies_dropped_floor, 1u); // node 2
 }
 
-TEST(WifiPhy, LinkPowerQueryMatchesModel) {
-  TestBed tb({{0, 0}, {250, 0}});
-  const double p = tb.channel.link_rx_power_dbm(*tb.phys[0], *tb.phys[1]);
-  LogDistanceModel model;
-  const double expected =
-      model.rx_power_dbm(PhyConfig{}.tx_power_dbm, {0, 0}, {250, 0}, 0, 1);
-  EXPECT_DOUBLE_EQ(p, expected);
-}
-
 TEST(WifiPhy, PropagationDelayOrdersDistantReceivers) {
   // Two receivers at different distances: the near one locks first.
   TestBed tb({{0, 0}, {30, 0}, {240, 0}});

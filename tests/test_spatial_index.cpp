@@ -85,8 +85,8 @@ TEST(MaxRange, BasePropagationModelReportsUnbounded) {
   // A model that does not override max_range_m must advertise infinity
   // (the index then gathers every receiver), never a finite guess.
   class Opaque final : public PropagationModel {
-    [[nodiscard]] double rx_power_dbm(double tx, Vec2, Vec2, std::uint32_t,
-                                      std::uint32_t) const override {
+    [[nodiscard]] double power_dbm(double tx, double, std::uint32_t,
+                                   std::uint32_t) const override {
       return tx - 50.0;
     }
   };
@@ -256,10 +256,10 @@ TEST(SpatialIndexEquivalence, RandomPlacementsWithShadowing) {
 // frame.
 class ShortRangeModel final : public PropagationModel {
  public:
-  [[nodiscard]] double rx_power_dbm(double tx_power_dbm, Vec2 tx_pos,
-                                    Vec2 rx_pos, std::uint32_t tx_id,
-                                    std::uint32_t rx_id) const override {
-    return inner_.rx_power_dbm(tx_power_dbm, tx_pos, rx_pos, tx_id, rx_id);
+  [[nodiscard]] double power_dbm(double tx_power_dbm, double distance_m,
+                                 std::uint32_t tx_id,
+                                 std::uint32_t rx_id) const override {
+    return inner_.power_dbm(tx_power_dbm, distance_m, tx_id, rx_id);
   }
   [[nodiscard]] double max_range_m(double tx_power_dbm,
                                    double floor_dbm) const override {
@@ -419,13 +419,20 @@ TEST(SpatialIndexEquivalence, ScenarioFingerprintStaticMesh) {
 }
 
 TEST(SpatialIndexEquivalence, ScenarioFingerprintMobileShadowed) {
-  const exp::ScenarioConfig cfg = scenario_config(7, true, 4.0);
-  WirelessChannel::Counters plain{}, fast{};
-  const std::uint64_t fp_plain = run_fingerprint(cfg, false, &plain);
-  const std::uint64_t fp_fast = run_fingerprint(cfg, true, &fast);
-  EXPECT_EQ(fp_plain, fp_fast);
-  EXPECT_EQ(plain.copies_delivered, fast.copies_delivered);
-  EXPECT_EQ(plain.copies_dropped_floor, fast.copies_dropped_floor);
+  // A list with a moving endpoint is re-evaluated on every
+  // transmission, an all-pinned one memoised; the per-pair scan
+  // evaluates everything afresh.
+  for (const double sigma : {4.0, 6.0}) {
+    const exp::ScenarioConfig cfg = scenario_config(7, true, sigma);
+    WirelessChannel::Counters plain{}, fast{};
+    const std::uint64_t fp_plain = run_fingerprint(cfg, false, &plain);
+    const std::uint64_t fp_fast = run_fingerprint(cfg, true, &fast);
+    EXPECT_EQ(fp_plain, fp_fast) << "sigma=" << sigma;
+    EXPECT_EQ(plain.transmissions, fast.transmissions) << "sigma=" << sigma;
+    EXPECT_EQ(plain.copies_delivered, fast.copies_delivered) << "sigma=" << sigma;
+    EXPECT_EQ(plain.copies_dropped_floor, fast.copies_dropped_floor)
+        << "sigma=" << sigma;
+  }
 }
 
 TEST(SpatialIndexEquivalence, PooledIndexedMatchesSerialFullScan) {
