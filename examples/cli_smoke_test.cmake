@@ -3,6 +3,7 @@
 # Every traffic model runs for 1 s of traffic, on random pairs and
 # toward 3 gateways, and must exit 0; a malformed or out-of-range value
 # or an unknown flag must exit 1; a run the event budget cuts short must exit 3.
+# A run that offers no packet reports its PDR as n/a, not as total loss.
 
 function(run_cli want)
   execute_process(COMMAND "${CLI}" ${ARGN}
@@ -11,6 +12,7 @@ function(run_cli want)
     list(JOIN ARGN " " args)
     message(FATAL_ERROR "wmnsim_cli ${args}: exit ${rc}, want ${want}\n${out}${err}")
   endif()
+  set(out "${out}" PARENT_SCOPE)
   set(err "${err}" PARENT_SCOPE)
 endfunction()
 
@@ -20,6 +22,10 @@ foreach(model cbr onoff heavytail sessions)
             --traffic ${model} ${pattern})
   endforeach()
 endforeach()
+run_cli(0 --nodes 20 --flows 0 --seconds 1)
+if(NOT out MATCHES "PDR +\\| n/a \\(no packets sent\\)")
+  message(FATAL_ERROR "wmnsim_cli --flows 0 did not report PDR as n/a:\n${out}")
+endif()
 run_cli(1 --nodes abc)
 run_cli(1 --deadline 5)
 # Values that parse but make no run: each must be refused, not run

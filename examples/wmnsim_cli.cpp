@@ -285,7 +285,9 @@ int main(int argc, char** argv) {
   const exp::RunMetrics m = scenario.metrics();
 
   stats::Table t({"metric", "value"});
-  t.add_row({"PDR", stats::Table::num(m.pdr, 3)});
+  // RunMetrics::pdr reads 0 when nothing was offered; that is no loss.
+  t.add_row({"PDR", m.data_sent == 0 ? std::string("n/a (no packets sent)")
+                                     : stats::Table::num(m.pdr, 3)});
   t.add_row({"mean delay (ms)", stats::Table::num(m.mean_delay_ms, 1)});
   t.add_row({"mean jitter (ms)", stats::Table::num(m.mean_jitter_ms, 1)});
   t.add_row({"throughput (kb/s)", stats::Table::num(m.throughput_kbps, 1)});

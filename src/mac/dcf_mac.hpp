@@ -5,7 +5,11 @@
 // Channel access: a station with a pending frame waits for the medium
 // to be idle for DIFS, then counts down a backoff of uniform[0, CW]
 // slots, freezing whenever the medium goes busy and resuming after the
-// next idle DIFS. Unicast frames are acknowledged after SIFS; a missing
+// next idle DIFS. The countdown is arithmetic on the CCA edges' own
+// instants, which the radio may deliver late (see WifiPhy): one access
+// timer sits at the earliest instant the countdown could complete, and
+// when it fires the MAC settles the radio and either transmits or
+// moves the timer on. Unicast frames are acknowledged after SIFS; a missing
 // ACK doubles CW (binary exponential backoff) and retries up to the
 // retry limit, after which the frame is dropped and the upper layer is
 // told the link failed (AODV's link-break trigger). Broadcast frames
@@ -152,15 +156,31 @@ class DcfMac final : public phy::PhyListener {
   [[nodiscard]] sim::Time difs() const { return cfg_.sifs + cfg_.slot * 2; }
 
   // Every TxState change goes through here: it subscribes the MAC to
-  // the radio's CCA edges exactly while it is in kAccess.
+  // the radio's CCA edges exactly while it is in kAccess, and drops the
+  // countdown and its timer outside it.
   void set_state(TxState s);
 
   // Begin/continue the channel-access procedure for current_.
   void start_access(bool new_backoff);
-  void on_difs_elapsed();
-  void pause_backoff();
-  void resume_access();
-  void backoff_expired();
+  // The medium went busy at `at` (CCA or NAV): stop the countdown,
+  // keeping the backoff slots that fully elapsed. A countdown that
+  // completes at `at` is not stopped: its transmission goes first.
+  void freeze(sim::Time at);
+  // When the countdown completes if the medium stays idle from
+  // idle_since_ on (Time::max() when it is not counting).
+  [[nodiscard]] sim::Time completion() const {
+    return idle_since_ == sim::Time::max()
+               ? sim::Time::max()
+               : idle_since_ + difs() + cfg_.slot * backoff_slots_;
+  }
+  // The earliest instant the countdown could complete; Time::max()
+  // when only an event can start it (a lock or transmission ending,
+  // the NAV expiring).
+  [[nodiscard]] sim::Time access_due() const;
+  // Keep the access timer at access_due(); an unchanged instant keeps
+  // the pending event.
+  void rearm_access();
+  void on_access_timer();
   void transmit_current();
   void send_data_frame();
   void on_ack_timeout();
@@ -173,6 +193,8 @@ class DcfMac final : public phy::PhyListener {
   void on_nav_expired();
   void finish_current(bool success);
   void send_ack(net::Address to, std::uint16_t seq);
+  // A decoded frame: control frames act on the exchange, data goes up.
+  void handle_frame(net::Packet packet);
   void handle_data(net::Packet packet, const MacHeader& hdr);
 
   sim::Simulator& sim_;
@@ -193,9 +215,14 @@ class DcfMac final : public phy::PhyListener {
 
   std::uint32_t cw_ = 31;
   std::uint32_t backoff_slots_ = 0;
-  sim::Time backoff_started_{};
-  sim::EventId difs_timer_{};
-  sim::EventId backoff_timer_{};
+  // The countdown's DIFS began here (Time::max() while not counting);
+  // the backoff slots follow it.
+  sim::Time idle_since_ = sim::Time::max();
+  // The access timer, pending at access_at_ (Time::max() when none),
+  // at calendar seq access_seq_ (0 when none).
+  sim::EventId access_timer_{};
+  sim::Time access_at_ = sim::Time::max();
+  std::uint64_t access_seq_ = 0;
   sim::EventId ack_timer_{};
 
   // Our own ACK/CTS is on the air (responses bypass the access queue

@@ -28,8 +28,6 @@ WifiPhy::WifiPhy(sim::Simulator& simulator, const PhyConfig& cfg,
   set_lockable_energy(0.0);
 }
 
-WifiPhy::~WifiPhy() { sim_.cancel(watch_event_); }
-
 sim::Time WifiPhy::tx_duration(std::uint32_t bytes) const {
   const double payload_s = static_cast<double>(bytes) * 8.0 / cfg_.bit_rate_bps;
   return cfg_.preamble + sim::Time::seconds(payload_s);
@@ -40,7 +38,6 @@ void WifiPhy::watch_cca(bool on) {
   // Settle while still unwatched: edges before now are history.
   if (on) settle();
   watched_ = on;
-  rearm_watch();
 }
 
 void WifiPhy::set_up(bool up) {
@@ -64,21 +61,38 @@ void WifiPhy::set_up(bool up) {
     down_time_ += sim_.now() - down_since_;
   }
   if (sensed_busy() != last_cca_busy_) refresh_cca(sim_.now());
-  rearm_watch();
 }
 
 void WifiPhy::refresh_cca(sim::Time at) {
   const bool busy = !last_cca_busy_;
-  if (busy) {
-    busy_since_ = at;
-  } else {
-    counters_.busy_time += at - busy_since_;
-  }
+  if (!busy) counters_.busy_time += at - cca_since_;
+  cca_since_ = at;
   last_cca_busy_ = busy;
-  if (watched_ && listener_ != nullptr) {
-    WMN_CHECK(at == sim_.now(), "a watched radio settled a CCA edge late");
-    listener_->on_cca_change(busy);
+  if (watched_ && listener_ != nullptr) listener_->on_cca_change(busy);
+}
+
+sim::Time WifiPhy::earliest_idle() const {
+  if (!up_) return sim_.now();  // a dead radio senses nothing
+  if (state_ != State::kIdle) return sim::Time::max();
+  const sim::Time next_transition = std::min(next_weak_begin(), next_weak_end());
+  WMN_CHECK_GT(next_transition, sim_.now(), "earliest_idle on an unsettled radio");
+  if (!sensed_busy()) return sim_.now();
+  // Busy on energy alone. Busy turns idle only when a copy ends, and an
+  // end lowers the weak sum by at most its own units (copies that begin
+  // in between only raise it), so the first end at which that bound
+  // drops below the threshold is the earliest candidate. Lockable
+  // copies still on the air began during a transmission or a lock and
+  // end in events the listener does not hear, so the bound is taken
+  // against the threshold as if they had ended.
+  const std::int64_t busy_units =
+      arrivals_.empty() ? weak_busy_units_ : busy_units_over(0.0);
+  std::int64_t bound = weak_units_;
+  if (bound < busy_units) return sim_.now();
+  for (std::size_t i = weak_ends_head_; i < weak_ends_.size(); ++i) {
+    bound -= weak_ends_[i].units;
+    if (bound < busy_units) return weak_ends_[i].end;
   }
+  return sim::Time::max();
 }
 
 double WifiPhy::lockable_mw(std::uint64_t except_key) const {
@@ -89,17 +103,14 @@ double WifiPhy::lockable_mw(std::uint64_t except_key) const {
   return sum;
 }
 
-void WifiPhy::set_lockable_energy(double mw) {
-  energy_mw_ = mw;
+std::int64_t WifiPhy::busy_units_over(double mw) const {
   // The least unit count whose power reaches what the lockable sum
   // leaves of the threshold (rounded up).
   const double need = (cca_threshold_mw_ - mw) * weak_units_per_mw_;
-  if (need <= 0.0) {
-    weak_busy_units_ = 0;
-    return;
-  }
-  weak_busy_units_ = static_cast<std::int64_t>(need);
-  if (static_cast<double>(weak_busy_units_) < need) ++weak_busy_units_;
+  if (need <= 0.0) return 0;
+  auto units = static_cast<std::int64_t>(need);
+  if (static_cast<double>(units) < need) ++units;
+  return units;
 }
 
 // --- interference ledger ----------------------------------------------------
@@ -149,50 +160,6 @@ void WifiPhy::settle_due() {
     weak_ends_.clear();
     weak_ends_head_ = 0;
   }
-  // Copies that went on the air may end before the watched transition.
-  if (watched_) rearm_watch();
-}
-
-void WifiPhy::rearm_watch_slow() {
-  // The next transition that can flip the verdict. Busy turns idle only
-  // when a copy ends, and an end on the air lowers the sum by at most
-  // its own units (copies that begin in between only raise it); idle
-  // turns busy only when a copy begins, by at most the units begun so
-  // far. So the watch waits for the first transition at which the
-  // bound crosses the threshold; the sums are exact integers.
-  sim::Time next = sim::Time::max();
-  if (watched_ && up_ && state_ == State::kIdle) {
-    std::int64_t bound = weak_units_;
-    if (last_cca_busy_) {
-      for (std::size_t i = weak_ends_head_; i < weak_ends_.size(); ++i) {
-        bound -= weak_ends_[i].units;
-        if (bound < weak_busy_units_) {
-          next = weak_ends_[i].end;
-          break;
-        }
-      }
-    } else {
-      for (std::size_t i = ledger_head_; i < ledger_.size(); ++i) {
-        bound += ledger_[i].units;
-        if (bound >= weak_busy_units_) {
-          next = ledger_[i].begin;
-          break;
-        }
-      }
-    }
-  }
-  if (next == watch_at_) return;
-  sim_.cancel(watch_event_);
-  watch_at_ = next;
-  if (next != sim::Time::max()) {
-    watch_event_ = sim_.schedule_at(next, [this] { on_watch(); });
-  }
-}
-
-void WifiPhy::on_watch() {
-  watch_at_ = sim::Time::max();
-  settle();
-  rearm_watch();
 }
 
 // --- own transmissions and lockable arrivals --------------------------------
@@ -209,7 +176,6 @@ void WifiPhy::send(net::Packet packet) {
   channel_->transmit(*this, packet, duration);
   sim_.schedule(duration, [this] { finish_tx(); });
   if (sensed_busy() != last_cca_busy_) refresh_cca(sim_.now());
-  rearm_watch();
 }
 
 void WifiPhy::finish_tx() {
@@ -219,7 +185,6 @@ void WifiPhy::finish_tx() {
   // Energy that arrived while we were transmitting may still be on the
   // air; CCA reflects it now that TX no longer dominates.
   if (sensed_busy() != last_cca_busy_) refresh_cca(sim_.now());
-  rearm_watch();
   if (listener_ != nullptr) listener_->on_tx_end();
 }
 
@@ -266,7 +231,6 @@ WifiPhy::ArrivalEnd WifiPhy::begin_arrival(const net::Packet& packet,
 
   const ArrivalEnd end{key, sim_.reserve_seq()};
   if (sensed_busy() != last_cca_busy_) refresh_cca(sim_.now());
-  rearm_watch();
   return end;
 }
 
@@ -306,7 +270,6 @@ void WifiPhy::end_arrival(std::uint64_t key) {
     }
   }
   if (sensed_busy() != last_cca_busy_) refresh_cca(sim_.now());
-  rearm_watch();
 }
 
 }  // namespace wmn::phy

@@ -33,10 +33,11 @@
 // threshold, so a weak transition costs an add and a compare.
 //
 // CCA edges reach the listener only while it watches (watch_cca): the
-// MAC subscribes while it contends for the medium. While watched, idle
-// and up, the radio keeps one calendar event at its next ledger
-// transition, so the listener sees every busy/idle edge at its exact
-// nanosecond; otherwise weak copies schedule nothing.
+// MAC subscribes while it contends for the medium. The radio schedules
+// no event for an edge. A weak copy's edge reaches the listener when
+// the ledger settles, which may be after the edge's instant; the
+// listener reads that instant from cca_since(), and bounds when the
+// next idle edge can come with earliest_idle().
 //
 // Reception outcome: a locked frame is decoded successfully iff the
 // SINR — locked power over (noise floor + the *maximum* concurrent
@@ -154,7 +155,9 @@ class PhyListener {
   virtual void on_tx_end() = 0;
 
   // Carrier-sense state changed (true = busy). Called only while the
-  // radio is watched (WifiPhy::watch_cca).
+  // radio is watched (WifiPhy::watch_cca), and possibly after the edge's
+  // instant: a lazy settle delivers the edges it applies, in order.
+  // WifiPhy::cca_since() gives the instant during the call.
   virtual void on_cca_change(bool busy) = 0;
 };
 
@@ -164,8 +167,6 @@ class WifiPhy {
 
   WifiPhy(sim::Simulator& simulator, const PhyConfig& cfg, std::uint32_t node_id,
           const mobility::MobilityModel* mobility);
-
-  ~WifiPhy();
 
   WifiPhy(const WifiPhy&) = delete;
   WifiPhy& operator=(const WifiPhy&) = delete;
@@ -195,6 +196,18 @@ class WifiPhy {
   // listener sees is one that happens after the call.
   void watch_cca(bool on);
   [[nodiscard]] bool watched() const { return watched_; }
+
+  // The instant the CCA verdict last flipped: during on_cca_change, the
+  // instant of the edge being delivered.
+  [[nodiscard]] sim::Time cca_since() const { return cca_since_; }
+
+  // The earliest instant, at or after now, at which CCA could turn idle
+  // given what is on the air: copies that arrive later only keep it
+  // busy longer. Now when CCA is idle. Time::max() while the radio
+  // transmits or holds a reception lock; that ends in an event the
+  // listener hears (on_tx_end, on_rx_end) before any idle edge. Reads
+  // a settled radio.
+  [[nodiscard]] sim::Time earliest_idle() const;
 
   [[nodiscard]] State state() const { return state_; }
 
@@ -261,7 +274,6 @@ class WifiPhy {
             [](const WeakCopy& c) { return c.begin; });
     // A radio nothing reads for a while still keeps a short ledger.
     if (ledger_.size() - ledger_head_ >= kLedgerBatch) settle_due();
-    if (watched_) rearm_watch_slow();
   }
 
   // add_weak_units at `power_mw`.
@@ -299,7 +311,7 @@ class WifiPhy {
   [[nodiscard]] sim::Time cumulative_busy_time() {
     settle();
     sim::Time t = counters_.busy_time;
-    if (last_cca_busy_) t += sim_.now() - busy_since_;
+    if (last_cca_busy_) t += sim_.now() - cca_since_;
     return t;
   }
 
@@ -393,9 +405,15 @@ class WifiPhy {
   [[nodiscard]] double lock_interference_mw() const {
     return locked_others_mw_ + weak_mw();
   }
+  // The least weak unit count that makes CCA busy on top of `mw` of
+  // lockable power.
+  [[nodiscard]] std::int64_t busy_units_over(double mw) const;
   // The lockable sum changed: re-derive the weak units that make CCA
   // busy on top of it.
-  void set_lockable_energy(double mw);
+  void set_lockable_energy(double mw) {
+    energy_mw_ = mw;
+    weak_busy_units_ = busy_units_over(mw);
+  }
   void settle_due();
   [[nodiscard]] sim::Time next_weak_begin() const {
     return ledger_head_ < ledger_.size() ? ledger_[ledger_head_].begin
@@ -408,13 +426,6 @@ class WifiPhy {
   // The CCA verdict flipped at `at`: account busy time and tell a
   // watching listener.
   void refresh_cca(sim::Time at);
-  // Keep the watch event at the next ledger transition that can flip
-  // the CCA verdict while watched, idle and up; cancel it otherwise.
-  void rearm_watch() {
-    if (watched_ || watch_at_ != sim::Time::max()) rearm_watch_slow();
-  }
-  void rearm_watch_slow();
-  void on_watch();
 
   // The members the ledger touches come first and together: entering
   // and settling weak copies is most of a radio's work, and keeping it
@@ -446,17 +457,13 @@ class WifiPhy {
   State state_ = State::kIdle;
   // The flags share state_'s word instead of padding a word each.
   bool locked_ = false;         // reception lock held (fields below)
-  bool last_cca_busy_ = false;  // CCA verdict since busy_since_
+  bool last_cca_busy_ = false;  // CCA verdict since cca_since_
   bool up_ = true;              // fault-injection power state
   bool watched_ = false;        // listener subscribed to CCA edges
   detail::SmallVec<WeakEnd, 2 * kLedgerBatch> weak_ends_;
   std::size_t weak_ends_head_ = 0;
   double weak_unit_mw_;
-  sim::Time busy_since_{};
-
-  // The watch event, pending at watch_at_ (Time::max() when none).
-  sim::EventId watch_event_{};
-  sim::Time watch_at_ = sim::Time::max();
+  sim::Time cca_since_{};
 
   std::vector<Arrival> arrivals_;
   // Sum of arrivals_' power, added in list order (linear mW).

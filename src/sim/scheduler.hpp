@@ -66,7 +66,8 @@ class Scheduler {
   }
 
   // Insert at the key (at, seq); `seq` must come from reserve_seq() and
-  // be used at most once.
+  // key at most one live event at a time (a cancelled or fired event's
+  // seq may key its replacement).
   template <typename F>
   EventId schedule_keyed(Time at, std::uint64_t seq, F&& fn);
 

@@ -58,7 +58,12 @@ TEST(DcfModel, LargerPayloadIsMoreEfficient) {
 }
 
 // Validation: n saturated stations in one collision domain, simulator
-// vs model, within the fidelity expected of the Bianchi family.
+// vs model. Every station sends to one receiver at the centre of a
+// 25 m circle, so all frames reach it at the same power and no
+// collision can be captured: two frames that overlap there are both
+// lost, as the model assumes. (Sending to a ring neighbour instead
+// measures spatial reuse: neighbours are 6 m apart and interferers up
+// to 50 m, so the 10 dB SINR threshold lets far pairs decode at once.)
 class DcfModelValidation : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(DcfModelValidation, SimulatorMatchesModel) {
@@ -75,31 +80,30 @@ TEST_P(DcfModelValidation, SimulatorMatchesModel) {
   std::vector<std::unique_ptr<mac::DcfMac>> macs;
   std::uint64_t delivered_bytes = 0;
 
-  // Stations on a small circle (everyone hears everyone).
-  for (std::uint32_t i = 0; i < n; ++i) {
+  // Stations 0..n-1 on the circle, the receiver (station n) at its
+  // centre: everyone hears everyone.
+  for (std::uint32_t i = 0; i <= n; ++i) {
     const double a = 2.0 * 3.14159265 * i / n;
-    mob.push_back(std::make_unique<ConstantPositionModel>(
-        Vec2{25.0 * std::cos(a), 25.0 * std::sin(a)}));
+    const Vec2 at = i == n ? Vec2{0.0, 0.0} : Vec2{25.0 * std::cos(a), 25.0 * std::sin(a)};
+    mob.push_back(std::make_unique<ConstantPositionModel>(at));
     phys.push_back(
         std::make_unique<phy::WifiPhy>(simr, phy::PhyConfig{}, i, mob.back().get()));
     channel.attach(phys.back().get());
     macs.push_back(std::make_unique<mac::DcfMac>(simr, mac::MacConfig{},
                                                  net::Address(i), *phys.back(),
                                                  factory));
-    macs.back()->set_rx_callback(
-        [&delivered_bytes](net::Packet p, net::Address) {
-          delivered_bytes += p.payload_bytes();
-        });
   }
-  // Saturate every station toward its ring neighbour.
-  const double sim_seconds = 20.0;
+  macs[n]->set_rx_callback([&delivered_bytes](net::Packet p, net::Address) {
+    delivered_bytes += p.payload_bytes();
+  });
+  // Saturate every station toward the receiver.
+  const double sim_seconds = 10.0;
   for (std::uint32_t i = 0; i < n; ++i) {
     // 250 pkt/s per station: above per-station capacity even for the
     // smallest population, so the queue never drains (true saturation).
     for (int k = 0; k < static_cast<int>(sim_seconds * 250); ++k) {
       simr.schedule_at(sim::Time::millis(k * 4.0), [&, i] {
-        macs[i]->enqueue(factory.make(512, simr.now()),
-                         net::Address((i + 1) % n));
+        macs[i]->enqueue(factory.make(512, simr.now()), net::Address(n));
       });
     }
   }
@@ -109,12 +113,17 @@ TEST_P(DcfModelValidation, SimulatorMatchesModel) {
   DcfModelParams params;
   params.n_stations = n;
   const double model_bps = solve_dcf_saturation(params).throughput_bps;
-  EXPECT_NEAR(sim_bps / model_bps, 1.0, 0.15)
+  // At 3 stations collisions are rare and the model's decoupling
+  // approximation is nearly exact (0.998-1.004 over seeds 1-6): the
+  // tighter band there is what sees the DIFS, only ~2% of a 512-byte
+  // frame's cycle at 2 Mb/s.
+  const double band = n <= 3 ? 0.01 : 0.05;
+  EXPECT_NEAR(sim_bps / model_bps, 1.0, band)
       << "sim=" << sim_bps << " model=" << model_bps;
 }
 
 INSTANTIATE_TEST_SUITE_P(StationCounts, DcfModelValidation,
-                         ::testing::Values(3, 6, 10));
+                         ::testing::Values(3, 6, 10, 25));
 
 }  // namespace
 }  // namespace wmn::stats

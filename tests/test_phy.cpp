@@ -45,6 +45,7 @@ class RecordingListener final : public PhyListener {
   void on_cca_change(bool busy) override {
     note('C');
     cca_changes.push_back(busy);
+    if (phy != nullptr) cca_at.push_back(phy->cca_since());
   }
 
   void note(char kind) {
@@ -57,8 +58,10 @@ class RecordingListener final : public PhyListener {
   std::vector<net::Packet> received;
   std::vector<double> rx_power_dbm;
   std::vector<bool> cca_changes;
+  std::vector<sim::Time> cca_at;  // each edge's instant (needs phy)
   std::uint32_t node = 0;
   const sim::Simulator* sim = nullptr;
+  const WifiPhy* phy = nullptr;
   std::vector<Callback>* journal = nullptr;
 };
 
@@ -75,6 +78,7 @@ struct TestBed {
       listeners.back()->node = static_cast<std::uint32_t>(i);
       listeners.back()->sim = &sim;
       listeners.back()->journal = &journal;
+      listeners.back()->phy = phys.back().get();
       phys.back()->set_listener(listeners.back().get());
       channel.attach(phys.back().get());
     }
@@ -147,11 +151,17 @@ TEST(WifiPhy, FarFrameStillRaisesCca) {
   TestBed tb({{0, 0}, {320, 0}});
   tb.phys[1]->watch_cca(true);
   tb.sim.schedule(sim::Time::zero(), [&] { tb.phys[0]->send(tb.packet(500)); });
-  tb.sim.run();
+  tb.sim.run_until(sim::Time::millis(10.0));
   EXPECT_TRUE(tb.listeners[1]->received.empty());
+  // The weak copy is no event: its edges reach the listener when the
+  // radio is next read, each stamped with its own instant.
+  EXPECT_TRUE(tb.listeners[1]->cca_changes.empty());
+  EXPECT_EQ(tb.phys[1]->cumulative_busy_time(), tb.phys[0]->tx_duration(500));
   // The receiver saw the medium busy for the frame's air time.
   ASSERT_EQ(tb.listeners[1]->cca_changes, (std::vector<bool>{true, false}));
-  EXPECT_EQ(tb.phys[1]->cumulative_busy_time(), tb.phys[0]->tx_duration(500));
+  const sim::Time begin = sim::Time::seconds(320.0 / kSpeedOfLight);
+  EXPECT_EQ(tb.listeners[1]->cca_at,
+            (std::vector<sim::Time>{begin, begin + tb.phys[0]->tx_duration(500)}));
   EXPECT_EQ(tb.phys[1]->counters().rx_below_sensitivity, 1u);
 }
 
@@ -762,19 +772,62 @@ TEST(InterferenceLedger, WatchedListenerSeesEdgesAtTheirNanosecond) {
       phy->add_weak_copy(sim::Time::nanos(1234), sim::Time::nanos(5678), dbm_to_mw(-90.0));
     }
   });
-  tb.sim.run();
+  // A read between the edges delivers the first, after its instant.
+  tb.sim.schedule_at(sim::Time::nanos(3000), [&] { tb.phys[0]->settle(); });
+  tb.sim.run_until(sim::Time::micros(10.0));
+  EXPECT_EQ(tb.sim.events_executed(), 2u);  // no event for either edge
+  EXPECT_EQ(tb.listeners[0]->cca_changes, (std::vector<bool>{true}));
+  // Both radios account the same busy time, settling when read; the
+  // watched one delivers its second edge then.
+  EXPECT_EQ(tb.phys[0]->cumulative_busy_time(), sim::Time::nanos(4444));
+  EXPECT_EQ(tb.phys[1]->cumulative_busy_time(), sim::Time::nanos(4444));
   const std::vector<Callback> edges = tb.journal_of('C');
   ASSERT_EQ(edges.size(), 2u);
   EXPECT_EQ(edges[0].node, 0u);
-  EXPECT_EQ(edges[0].at, sim::Time::nanos(1234));
+  EXPECT_EQ(edges[0].at, sim::Time::nanos(3000));  // delivered at the read
   EXPECT_EQ(edges[1].node, 0u);
-  EXPECT_EQ(edges[1].at, sim::Time::nanos(5678));
+  EXPECT_EQ(edges[1].at, sim::Time::micros(10.0));
   EXPECT_EQ(tb.listeners[0]->cca_changes, (std::vector<bool>{true, false}));
+  EXPECT_EQ(tb.listeners[0]->cca_at,
+            (std::vector<sim::Time>{sim::Time::nanos(1234), sim::Time::nanos(5678)}));
   EXPECT_TRUE(tb.listeners[1]->cca_changes.empty());
-  // Both radios account the same busy time; the unwatched one settles
-  // when read.
-  EXPECT_EQ(tb.phys[0]->cumulative_busy_time(), sim::Time::nanos(4444));
-  EXPECT_EQ(tb.phys[1]->cumulative_busy_time(), sim::Time::nanos(4444));
+}
+
+TEST(InterferenceLedger, EarliestIdleBoundsTheIdleEdge) {
+  // Two -90 dBm copies: either alone is above the -92 dBm threshold, so
+  // CCA stays busy until both have ended.
+  TestBed tb({{0, 0}});
+  WifiPhy& phy = *tb.phys[0];
+  const double mw = dbm_to_mw(-90.0);
+  std::vector<sim::Time> bounds;
+  tb.sim.schedule(sim::Time::zero(), [&] {
+    bounds.push_back(phy.earliest_idle());  // idle: now
+    phy.add_weak_copy(sim::Time::micros(10.0), sim::Time::micros(50.0), mw);
+    phy.add_weak_copy(sim::Time::micros(20.0), sim::Time::micros(80.0), mw);
+  });
+  tb.sim.schedule_at(sim::Time::micros(30.0), [&] {
+    phy.settle();
+    bounds.push_back(phy.earliest_idle());
+  });
+  // A third copy begins at 60 us and keeps the medium busy past 80 us:
+  // the bound read before it was a bound, not the edge.
+  tb.sim.schedule_at(sim::Time::micros(55.0), [&] {
+    phy.add_weak_copy(sim::Time::micros(60.0), sim::Time::micros(90.0), mw);
+  });
+  tb.sim.schedule_at(sim::Time::micros(70.0), [&] {
+    phy.settle();
+    bounds.push_back(phy.earliest_idle());
+  });
+  tb.sim.run();
+  EXPECT_EQ(bounds, (std::vector<sim::Time>{sim::Time::zero(), sim::Time::micros(80.0),
+                                            sim::Time::micros(90.0)}));
+  // While the radio transmits, only finish_tx can end the busy period.
+  tb.sim.schedule_at(sim::Time::micros(100.0), [&] {
+    phy.send(tb.packet(10));
+    bounds.push_back(phy.earliest_idle());
+  });
+  tb.sim.run();
+  EXPECT_EQ(bounds.back(), sim::Time::max());
 }
 
 TEST(InterferenceLedger, CrashInTheMiddleOfAnEntry) {
