@@ -1,15 +1,16 @@
 // Per-slot record of a sweep: one JSONL line per clean slot.
 //
-// SweepEngine::run() writes JOURNAL_<id>.jsonl (truncating any earlier
-// file) after its workers have joined, one line per completed,
-// untainted replication slot in (cell, rep) order. Failed and tainted
+// SweepEngine::run() writes the record at enable_journal()'s path
+// (bench_catalogue: JOURNAL_catalogue.jsonl), truncating any earlier
+// file, after its workers have joined: one line per completed,
+// untainted distinct slot in (cell, rep) order. Failed and tainted
 // slots get no line. The record is write-only: nothing in the harness
 // reads it back; it is the per-seed source for paired comparisons.
 //
 // Each line carries the slot's identity next to its metrics:
 //   * cell, rep — the slot's position in the sweep;
 //   * cfg       — config_digest() of the cell's ScenarioConfig;
-//   * seed      — replication_seed(base, cell, rep), the run's seed;
+//   * seed      — replication_seed(base, rep), the run's seed;
 //   * fp        — exp::fingerprint() of the metrics at write time.
 //
 // Doubles are written as C hexfloats ("%a") and u64 digests as

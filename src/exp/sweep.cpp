@@ -28,10 +28,19 @@ std::size_t SweepEngine::add_cell(const ScenarioConfig& cfg,
                                   std::size_t n_reps, std::string label) {
   WMN_CHECK(!ran_, "add_cell after run(): a SweepEngine drains once");
   WMN_CHECK_GT(n_reps, std::size_t{0}, "a sweep cell needs >= 1 replication");
+  const std::uint64_t digest = config_digest(cfg);
+  const auto queued = std::find_if(
+      cells_.begin(), cells_.end(),
+      [digest](const Cell& c) { return c.digest == digest; });
+  if (queued != cells_.end()) {
+    WMN_CHECK_EQ(queued->n_reps, n_reps,
+                 "a config queued twice must ask for the same replications");
+    return static_cast<std::size_t>(queued - cells_.begin());
+  }
   Cell cell;
   cell.label = std::move(label);
   cell.cfg = cfg;
-  cell.digest = config_digest(cfg);
+  cell.digest = digest;
   cell.first = outcomes_.size();
   cell.n_reps = n_reps;
   outcomes_.resize(outcomes_.size() + n_reps);
@@ -55,7 +64,7 @@ void SweepEngine::run_slot(std::size_t cell_id, std::size_t rep) {
   const Cell& cell = cells_[cell_id];
   RepOutcome& out = outcomes_[cell.first + rep];
   ScenarioConfig cfg = cell.cfg;  // private copy per task
-  cfg.seed = replication_seed(cell.cfg.seed, cell_id, rep);
+  cfg.seed = replication_seed(cell.cfg.seed, rep);
   out.seed = cfg.seed;
 
   try {

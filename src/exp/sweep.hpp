@@ -19,9 +19,13 @@
 //                           per clean slot, in slot order, once the
 //                           workers have joined (see exp/journal.hpp).
 //
-// Seeds are derived by replication_seed(base, point, rep) — a pure
-// SplitMix64 function of the indices — so results are bit-identical
-// regardless of thread count or task execution order.
+// Rep r of every cell runs at replication_seed(cfg.seed, r) — a pure
+// SplitMix64 function of the config's base seed and r — so results are
+// bit-identical regardless of thread count or task execution order, and
+// cells that differ only in protocol or a variant knob share their seeds
+// (common random numbers: each contrast compares equal topologies and
+// flows). A config queued twice is one cell, so each distinct
+// (config, rep) runs once.
 #pragma once
 
 #include <cstdint>
@@ -54,16 +58,15 @@ namespace wmn::exp {
   return x ^ (x >> 31);
 }
 
-// The seed of replication `rep` of sweep cell `point`, derived from the
-// cell's base seed. Pure function of its arguments: the same sweep
-// produces the same seeds whether it runs on 1 thread or 64, in any
-// task order. Two mixing rounds keep distinct (point, rep) pairs from
-// colliding even for adjacent base seeds.
+// The seed of replication `rep` of a config with base seed `base_seed`.
+// Pure function of its arguments: the same sweep produces the same
+// seeds whether it runs on 1 thread or 64, in any task order, and
+// whatever other cells are queued with it. Two mixing rounds keep
+// distinct (base, rep) pairs from colliding even for adjacent base
+// seeds.
 [[nodiscard]] constexpr std::uint64_t replication_seed(std::uint64_t base_seed,
-                                                       std::uint64_t point,
                                                        std::uint64_t rep) {
-  return splitmix64(splitmix64(base_seed ^ (point * 0xBF58476D1CE4E5B9ULL)) +
-                    rep);
+  return splitmix64(splitmix64(base_seed) + rep);
 }
 
 // One replication slot of a sweep cell. ok() means clean metrics;
@@ -93,8 +96,10 @@ class SweepEngine {
   virtual ~SweepEngine() = default;
 
   // Enqueue one sweep cell: n_reps replications of cfg. The returned
-  // id indexes cell()/cell_metrics() after run(). The label (e.g. the
-  // protocol name) makes failure reports readable.
+  // id indexes cell()/cell_metrics() after run(). A cfg whose
+  // config_digest is already queued returns that cell's id (n_reps must
+  // match, and the first label stays). The label (e.g. the protocol
+  // name) makes failure reports readable.
   std::size_t add_cell(const ScenarioConfig& cfg, std::size_t n_reps,
                        std::string label = {});
 
@@ -150,7 +155,7 @@ class SweepEngine {
 };
 
 // Run `n_reps` independent replications of `base` across `threads`
-// workers, seeded replication_seed(base.seed, 0, i).
+// workers, seeded replication_seed(base.seed, i).
 // Strict wrapper over SweepEngine: throws std::runtime_error with the
 // failure report if any replication failed (benches that want partial
 // results use SweepEngine directly).

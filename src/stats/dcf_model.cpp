@@ -17,15 +17,15 @@ double tau_of_p(double p, double w, double m) {
 }  // namespace
 
 DcfModelResult solve_dcf_saturation(const DcfModelParams& params) {
-  WMN_CHECK_GE(params.n_stations, 2u,
-               "Bianchi model needs at least two stations");
+  WMN_CHECK_GE(params.n_stations, 1u, "Bianchi model needs a station");
   DcfModelResult r;
   const double n = static_cast<double>(params.n_stations);
   const double w = static_cast<double>(params.cw_min) + 1.0;
   const double m = std::log2((static_cast<double>(params.cw_max) + 1.0) / w);
 
-  // Damped fixed-point iteration on p.
-  double p = 0.1;
+  // Damped fixed-point iteration on p. A lone station never collides:
+  // p = 0 is its fixed point at once, so tau = 2 / (CWmin + 2).
+  double p = params.n_stations > 1 ? 0.1 : 0.0;
   double tau = 0.0;
   int it = 0;
   for (; it < 10000; ++it) {

@@ -126,7 +126,7 @@ TEST(Determinism, SlicedRunMatchesOneRun) {
 // The tentpole contract of the persistent-pool sweep engine: a sweep
 // drained by N long-lived workers must yield the same per-replication
 // fingerprints as the same sweep run on one thread. Seeds are a pure
-// function of (base, point, rep), so thread count and task execution
+// function of (base, rep), so thread count and task execution
 // order cannot leak into the results.
 TEST(Determinism, PoolVsSerialFingerprintsPerReplication) {
   for (core::Protocol protocol :
@@ -145,7 +145,7 @@ TEST(Determinism, PoolVsSerialFingerprintsPerReplication) {
     const auto pooled = exp::run_replications(cfg, 3, 4);
     ASSERT_EQ(serial.size(), pooled.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].seed, exp::replication_seed(42, 0, i));
+      EXPECT_EQ(serial[i].seed, exp::replication_seed(42, i));
       EXPECT_EQ(exp::fingerprint(serial[i]), exp::fingerprint(pooled[i]))
           << core::protocol_name(protocol) << " rep " << i;
     }

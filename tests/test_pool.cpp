@@ -26,19 +26,20 @@ namespace {
 // ----- seed derivation -------------------------------------------------------
 
 TEST(ReplicationSeed, PureAndCollisionFreeAcrossTheGrid) {
-  // Pure function of (base, point, rep): same inputs, same seed —
-  // which is what makes sweep results independent of thread count and
-  // task execution order.
-  EXPECT_EQ(replication_seed(1000, 3, 2), replication_seed(1000, 3, 2));
-  // No collisions across a bench-sized grid, including the adjacent
-  // base seeds benches historically used (base, base+1, ...).
+  // Pure function of (base, rep): same inputs, same seed — which is
+  // what makes sweep results independent of thread count, task
+  // execution order and the other cells queued.
+  EXPECT_EQ(replication_seed(1000, 2), replication_seed(1000, 2));
+  // No collisions across a bench-sized grid of adjacent base seeds
+  // (base, base+1, ...) and replications.
   std::vector<std::uint64_t> seen;
-  for (std::uint64_t base : {1000ull, 1001ull, 42ull}) {
-    for (std::uint64_t point = 0; point < 24; ++point) {
-      for (std::uint64_t rep = 0; rep < 16; ++rep) {
-        seen.push_back(replication_seed(base, point, rep));
-      }
+  for (std::uint64_t base = 1000; base < 1024; ++base) {
+    for (std::uint64_t rep = 0; rep < 16; ++rep) {
+      seen.push_back(replication_seed(base, rep));
     }
+  }
+  for (std::uint64_t rep = 0; rep < 16; ++rep) {
+    seen.push_back(replication_seed(42, rep));
   }
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
@@ -65,7 +66,7 @@ ScenarioConfig tiny_config(std::uint64_t seed) {
 
 TEST(SweepEngine, ThrowingReplicationBecomesFailedSlotNotTermination) {
   FakeEngine engine(4);
-  const std::uint64_t bad_seed = replication_seed(42, 0, 1);
+  const std::uint64_t bad_seed = replication_seed(42, 1);
   engine.body = [bad_seed](const ScenarioConfig& cfg) {
     if (cfg.seed == bad_seed) throw std::runtime_error("injected crash");
     RunMetrics m;
@@ -96,7 +97,7 @@ TEST(SweepEngine, ThrowingReplicationBecomesFailedSlotNotTermination) {
 
 TEST(SweepEngine, CheckTaintMarksSlotFailedButKeepsMetrics) {
   FakeEngine engine(2);
-  const std::uint64_t tainted_seed = replication_seed(7, 0, 0);
+  const std::uint64_t tainted_seed = replication_seed(7, 0);
   engine.body = [tainted_seed](const ScenarioConfig& cfg) {
     RunMetrics m;
     m.seed = cfg.seed;
@@ -169,8 +170,8 @@ std::vector<std::string> read_lines(const std::string& path) {
 TEST(SweepEngine, RecordHoldsOneLinePerCleanSlotInSlotOrder) {
   const std::string path = testing::TempDir() + "wmn_sweep_record.jsonl";
   std::remove(path.c_str());
-  const std::uint64_t bad_seed = replication_seed(42, 0, 1);
-  const std::uint64_t tainted_seed = replication_seed(43, 1, 0);
+  const std::uint64_t bad_seed = replication_seed(42, 1);
+  const std::uint64_t tainted_seed = replication_seed(43, 0);
   const auto run_campaign = [&] {
     FakeEngine engine(4);
     engine.body = [&](const ScenarioConfig& cfg) {
@@ -201,7 +202,7 @@ TEST(SweepEngine, RecordHoldsOneLinePerCleanSlotInSlotOrder) {
       EXPECT_EQ(record_field(lines[i], "cell"), cell);
       EXPECT_EQ(record_field(lines[i], "rep"), rep);
       EXPECT_EQ(record_field(lines[i], "seed"),
-                replication_seed(bases[cell], cell, rep));
+                replication_seed(bases[cell], rep));
     }
   }
   std::remove(path.c_str());
@@ -245,11 +246,17 @@ TEST(SweepEngine, SeedsAndResultsIndependentOfThreadCount) {
       m.data_sent = cfg.seed % 1000;  // any pure function of the seed
       return m;
     };
-    engine.add_cell(tiny_config(1000), 4, "a");
-    engine.add_cell(tiny_config(1000), 4, "b");  // same base, distinct point
+    const std::size_t a = engine.add_cell(tiny_config(1000), 4, "a");
+    // An equal config is the same cell: it runs once.
+    EXPECT_EQ(engine.add_cell(tiny_config(1000), 4, "a again"), a);
+    ScenarioConfig other = tiny_config(1000);
+    other.protocol = core::Protocol::kAodvFlood;
+    const std::size_t b = engine.add_cell(other, 4, "b");
+    EXPECT_NE(b, a);
+    EXPECT_EQ(engine.task_count(), 8u);
     engine.run();
     std::vector<std::uint64_t> seeds;
-    for (std::size_t c = 0; c < 2; ++c) {
+    for (std::size_t c : {a, b}) {
       for (const RepOutcome& rep : engine.cell(c)) seeds.push_back(rep.seed);
     }
     return seeds;
@@ -257,8 +264,14 @@ TEST(SweepEngine, SeedsAndResultsIndependentOfThreadCount) {
   const auto serial = run_with(1);
   const auto pooled = run_with(8);
   EXPECT_EQ(serial, pooled);
-  // Same base seed in different cells must still draw distinct seeds.
-  EXPECT_NE(serial[0], serial[4]);
+  // Cells that differ only in protocol share their rep seeds (common
+  // random numbers), and the reps within a cell draw distinct ones.
+  ASSERT_EQ(serial.size(), 8u);
+  for (std::size_t rep = 0; rep < 4; ++rep) {
+    EXPECT_EQ(serial[rep], replication_seed(1000, rep));
+    EXPECT_EQ(serial[4 + rep], serial[rep]);
+  }
+  EXPECT_NE(serial[0], serial[1]);
 }
 
 // ----- environment knob validation -------------------------------------------

@@ -217,13 +217,13 @@ INSTANTIATE_TEST_SUITE_P(
 // ----- sweep layer -----------------------------------------------------------
 
 TEST(Sweep, ReplicationsUseDistinctDerivedSeeds) {
-  // Seeds come from the pure (base, point, rep) derivation, not from
-  // base+i counting — so they are independent of thread scheduling and
-  // never collide with a neighbouring sweep point's seeds.
+  // Seeds come from the pure (base, rep) derivation, not from base+i
+  // counting — so they are independent of thread scheduling and never
+  // collide with the next base seed's replications.
   const auto reps = run_replications(small_config(10), 3, 3);
   ASSERT_EQ(reps.size(), 3u);
   for (std::size_t i = 0; i < reps.size(); ++i) {
-    EXPECT_EQ(reps[i].seed, replication_seed(10, 0, i));
+    EXPECT_EQ(reps[i].seed, replication_seed(10, i));
   }
   EXPECT_NE(reps[0].seed, reps[1].seed);
   EXPECT_NE(reps[1].seed, reps[2].seed);
