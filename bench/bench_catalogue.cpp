@@ -26,6 +26,7 @@
 // WMN_THREADS (workers, default hardware concurrency), WMN_QUICK
 // (15 s traffic time for smoke runs).
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -44,6 +45,9 @@ struct Column {
   exp::MetricFn metric;
   int precision = 0;
   bool mean_only = false;  // print the mean alone, without the CI
+  // When set, the cell averages only the reps it holds for, and reads
+  // n/a when it holds for none.
+  std::function<bool(const RunMetrics&)> defined_for = {};
 };
 
 template <auto Field>
@@ -144,9 +148,7 @@ std::vector<Figure> catalogue() {
   std::vector<Row> by_churn;
   for (double per_min : {0.0, 2.0, 6.0, 12.0}) {
     ScenarioConfig cfg = base_config();
-    cfg.options.aodv.local_repair = true;
-    cfg.options.aodv.rrep_blacklist = true;
-    cfg.options.aodv.rerr_to_precursors = true;
+    cfg.options.aodv.graceful_degradation = true;
     if (per_min > 0.0) {
       cfg.fault.churn.rate_per_s = per_min / 60.0;
       cfg.fault.churn.mean_downtime = sim::Time::seconds(10.0);
@@ -215,6 +217,9 @@ std::vector<Figure> catalogue() {
       " RREQ/s",
       [window_s](const M& m) { return static_cast<double>(m.rreq_tx) / window_s; },
       1};
+  // A rep that sent nothing inside a fault window has no outage PDR.
+  Column pdr_outage = col<&M::pdr_during_outage>(" PDR-outage", 3);
+  pdr_outage.defined_for = [](const M& m) { return m.sent_during_outage > 0; };
   const Column fwd_total{
       "fwd total",
       [](const M& m) {
@@ -273,7 +278,7 @@ std::vector<Figure> catalogue() {
             per_protocol(ref, headline)),
       series({"F10", "PDR and recovery latency vs node churn",
               "f10_resilience.csv", {"churn (/min)"}, {},
-              {col<&M::pdr>(" PDR", 3), col<&M::pdr_during_outage>(" PDR-outage", 3),
+              {col<&M::pdr>(" PDR", 3), pdr_outage,
                col<&M::route_recovery_mean_ms>(" recovery ms", 1),
                col<&M::nrl>(" NRL", 2)},
               {}},
@@ -358,8 +363,10 @@ stats::Table render(const Figure& f, const exp::SweepEngine& sweep,
   for (const Row& row : f.rows) {
     std::vector<std::string> cells = row.labels;
     for (std::size_t g = 0; g < row.cells.size(); ++g) {
-      const std::vector<RunMetrics> reps = sweep.cell_metrics(*id++);
+      const std::vector<RunMetrics> all = sweep.cell_metrics(*id++);
       for (const Column& c : f.columns) {
+        std::vector<RunMetrics> reps = all;
+        if (c.defined_for) std::erase_if(reps, std::not_fn(c.defined_for));
         cells.push_back(c.mean_only && !reps.empty()
                             ? stats::Table::num(exp::ci(reps, c.metric).mean,
                                                 c.precision)

@@ -8,7 +8,8 @@
 # Then F2 runs on 1 and then 4 worker threads into one directory: both
 # CSVs must be byte-identical, and the record must hold exactly the
 # second run's 16 clean slots. F2 with F6, which shares F2's cells, must
-# write the same F2 CSV from the same 16 slots.
+# write the same F2 CSV from the same 16 slots. F10's zero-churn row
+# must print its outage PDR as n/a.
 
 function(run_bench want)
   execute_process(COMMAND ${ARGN}
@@ -93,4 +94,38 @@ file(MAKE_DIRECTORY "${WORK_DIR}/f2_pdr_nodes.csv")
 run_bench(1 "${CATALOGUE}" F2)
 if(NOT err MATCHES "cannot write csv")
   message(FATAL_ERROR "bench_catalogue gave no csv message:\n${err}")
+endif()
+
+# F10's zero-churn row runs no fault plan, so no packet is sent inside a
+# fault window: both protocols' outage-PDR cells read n/a, not 0.
+run_bench(0 "${CATALOGUE}" F10)
+file(STRINGS "${WORK_DIR}/f10_resilience.csv" f10)
+list(GET f10 0 header)
+string(REPLACE "," ";" header "${header}")
+set(cells "")
+foreach(line IN LISTS f10)
+  if(line MATCHES "^0,")
+    string(REPLACE "," ";" cells "${line}")
+  endif()
+endforeach()
+if(cells STREQUAL "")
+  message(FATAL_ERROR "f10_resilience.csv has no zero-churn row:\n${f10}")
+endif()
+list(LENGTH header n_columns)
+math(EXPR last "${n_columns} - 1")
+set(n_outage 0)
+foreach(i RANGE ${last})
+  list(GET header ${i} column)
+  if(column MATCHES "PDR-outage")
+    math(EXPR n_outage "${n_outage} + 1")
+    list(GET cells ${i} cell)
+    if(NOT cell STREQUAL "n/a")
+      message(FATAL_ERROR "f10_resilience.csv: zero-churn ${column} reads "
+                          "'${cell}', want n/a:\n${f10}")
+    endif()
+  endif()
+endforeach()
+if(NOT n_outage EQUAL 2)
+  message(FATAL_ERROR "f10_resilience.csv has ${n_outage} PDR-outage "
+                      "columns, want 2:\n${f10}")
 endif()

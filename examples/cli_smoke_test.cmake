@@ -3,7 +3,8 @@
 # Every traffic model runs for 1 s of traffic, on random pairs and
 # toward 3 gateways, and must exit 0; a malformed or out-of-range value
 # or an unknown flag must exit 1; a run the event budget cuts short must exit 3.
-# A run that offers no packet reports its PDR as n/a, not as total loss.
+# A run that offers no packet reports its PDR as n/a, not as total loss,
+# and one that sends nothing inside a fault window its outage PDR.
 
 function(run_cli want)
   execute_process(COMMAND "${CLI}" ${ARGN}
@@ -23,8 +24,14 @@ foreach(model cbr onoff heavytail sessions)
   endforeach()
 endforeach()
 run_cli(0 --nodes 20 --flows 0 --seconds 1)
-if(NOT out MATCHES "PDR +\\| n/a \\(no packets sent\\)")
+if(NOT out MATCHES "pdr +\\| n/a \\(no packets sent\\)")
   message(FATAL_ERROR "wmnsim_cli --flows 0 did not report PDR as n/a:\n${out}")
+endif()
+# An outage that ends inside the warm-up sees no packet sent.
+run_cli(0 --nodes 20 --outage 3 0.5 1.0 --seconds 1)
+if(NOT out MATCHES "pdr_during_outage +\\| n/a \\(nothing sent in a fault window\\)")
+  message(FATAL_ERROR "wmnsim_cli --outage in the warm-up did not report "
+                      "the outage PDR as n/a:\n${out}")
 endif()
 run_cli(1 --nodes abc)
 run_cli(1 --deadline 5)

@@ -53,6 +53,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -204,9 +206,7 @@ int main(int argc, char** argv) {
       o.up_at = sim::Time::seconds(next());
       cfg.fault.outages.push_back(o);
     } else if (a == "--repair") {
-      cfg.options.aodv.local_repair = true;
-      cfg.options.aodv.rrep_blacklist = true;
-      cfg.options.aodv.rerr_to_precursors = true;
+      cfg.options.aodv.graceful_degradation = true;
     } else if (a == "--no-spatial-index") {
       cfg.spatial_index = false;
     } else if (a == "--timeseries") {
@@ -284,54 +284,30 @@ int main(int argc, char** argv) {
   }
   const exp::RunMetrics m = scenario.metrics();
 
+  // One row per scalar metric of each group the run produced. A ratio
+  // over nothing reads 0 in RunMetrics; that is no loss, so say n/a.
   stats::Table t({"metric", "value"});
-  // RunMetrics::pdr reads 0 when nothing was offered; that is no loss.
-  t.add_row({"PDR", m.data_sent == 0 ? std::string("n/a (no packets sent)")
-                                     : stats::Table::num(m.pdr, 3)});
-  t.add_row({"mean delay (ms)", stats::Table::num(m.mean_delay_ms, 1)});
-  t.add_row({"mean jitter (ms)", stats::Table::num(m.mean_jitter_ms, 1)});
-  t.add_row({"throughput (kb/s)", stats::Table::num(m.throughput_kbps, 1)});
-  t.add_row({"delivered / sent", std::to_string(m.data_delivered) + " / " +
-                                     std::to_string(m.data_sent)});
-  t.add_row({"RREQ tx", std::to_string(m.rreq_tx)});
-  t.add_row({"RREQ per discovery", stats::Table::num(m.rreq_per_discovery, 1)});
-  t.add_row({"NRL", stats::Table::num(m.nrl, 2)});
-  t.add_row({"discoveries (failed)", std::to_string(m.discoveries) + " (" +
-                                         std::to_string(m.discoveries_failed) +
-                                         ")"});
-  t.add_row({"collisions", std::to_string(m.phy_collisions)});
-  t.add_row({"queue drops", std::to_string(m.mac_queue_drops)});
-  t.add_row({"avg path hops", stats::Table::num(m.avg_path_hops, 1)});
-  t.add_row({"fairness (Jain, active)", stats::Table::num(m.forwarding_jain, 3)});
-  t.add_row({"energy (J)", stats::Table::num(m.total_energy_j, 0)});
-  t.add_row({"energy (mJ/kbit)", stats::Table::num(m.energy_mj_per_kbit, 1)});
-  if (m.gateway_count > 0) {
-    t.add_row({"gateways", std::to_string(m.gateway_count)});
-    t.add_row({"gateway Jain", stats::Table::num(m.gateway_jain, 3)});
-    t.add_row({"gateway load variance",
-               stats::Table::num(m.gateway_load_variance, 1)});
-  }
-  if (m.sessions_started > 0 || m.sessions_rejected > 0) {
-    t.add_row({"sessions (completed)",
-               std::to_string(m.sessions_started) + " (" +
-                   std::to_string(m.sessions_completed) + ")"});
-    t.add_row({"sessions rejected", std::to_string(m.sessions_rejected)});
-  }
-  if (m.fault_enabled) {
-    t.add_row({"crashes / rejoins", std::to_string(m.fault_crashes) + " / " +
-                                        std::to_string(m.fault_rejoins)});
-    t.add_row({"node downtime (s)", stats::Table::num(m.fault_downtime_s, 1)});
-    t.add_row({"PDR during outage", stats::Table::num(m.pdr_during_outage, 3)});
-    t.add_row({"PDR outside outage",
-               stats::Table::num(m.pdr_outside_outage, 3)});
-    t.add_row({"local repairs (ok)",
-               std::to_string(m.local_repairs_attempted) + " (" +
-                   std::to_string(m.local_repairs_succeeded) + ")"});
-    t.add_row({"route recoveries", std::to_string(m.route_recoveries)});
-    t.add_row({"mean recovery (ms)",
-               stats::Table::num(m.route_recovery_mean_ms, 1)});
-    t.add_row({"flows stranded", std::to_string(m.flows_stranded)});
-  }
+  const auto value = [&m](std::string_view name, const auto& v) -> std::string {
+    using T = std::decay_t<decltype(v)>;
+    if (name == "pdr" && m.data_sent == 0) return "n/a (no packets sent)";
+    if (name == "pdr_during_outage" && m.sent_during_outage == 0) {
+      return "n/a (nothing sent in a fault window)";
+    }
+    if constexpr (std::is_same_v<T, double>) {
+      return stats::Table::num(v, v == std::floor(v) ? 0 : 3);
+    } else {
+      return std::to_string(v);
+    }
+  };
+  exp::for_each_metric(m, [&](std::string_view name, exp::MetricGroup group,
+                              const auto& v) {
+    if constexpr (!std::is_same_v<std::decay_t<decltype(v)>,
+                                  std::vector<double>>) {
+      if (exp::group_present(m, group)) {
+        t.add_row({std::string(name), value(name, v)});
+      }
+    }
+  });
   const exp::Scenario::Footprint fp = scenario.footprint();
   const auto share = [&fp](const char* name, std::size_t bytes) {
     return std::string(name) + " " + stats::Table::num(fp.per_node(bytes), 0);
@@ -342,8 +318,6 @@ int main(int argc, char** argv) {
                                share("routing", fp.routing) + " + " +
                                share("channel", fp.channel) + " + " +
                                share("stack", fp.stacks)});
-  t.add_row({"sim events", stats::Table::num(m.sim_event_count, 0)});
-  t.add_row({"wall seconds", stats::Table::num(m.wall_seconds, 2)});
   t.print(std::cout);
 
   if (probe) {

@@ -2,6 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
+#include <vector>
 
 #include "exp/scenario.hpp"
 #include "sim/fingerprint.hpp"
@@ -66,12 +68,10 @@ void mix_protocol_options(sim::Fingerprint& fp,
   fp.mix(static_cast<std::uint64_t>(a.use_load_metric ? 1 : 0));
   fp.mix(static_cast<std::uint64_t>(a.hello_carries_load ? 1 : 0));
   fp.mix(a.nbhd_self_weight);
-  fp.mix(static_cast<std::uint64_t>(a.local_repair ? 1 : 0));
+  fp.mix(static_cast<std::uint64_t>(a.graceful_degradation ? 1 : 0));
   fp.mix(std::uint64_t{a.local_repair_max_dest_hops});
   fp.mix(std::uint64_t{a.local_repair_ttl_slack});
-  fp.mix(static_cast<std::uint64_t>(a.rrep_blacklist ? 1 : 0));
   mix_time(fp, a.blacklist_timeout);
-  fp.mix(static_cast<std::uint64_t>(a.rerr_to_precursors ? 1 : 0));
 }
 
 void mix_traffic(sim::Fingerprint& fp, const TrafficSpec& t) {
@@ -120,75 +120,10 @@ void mix_fault(sim::Fingerprint& fp, const fault::FaultPlan& f) {
 }
 
 // ---------------------------------------------------------------------
-// Field enumeration: every RunMetrics field the record carries, by type.
-// ---------------------------------------------------------------------
-
-#define WMN_JOURNAL_U64_FIELDS(X) \
-  X(seed)                         \
-  X(data_sent)                    \
-  X(data_delivered)               \
-  X(rreq_tx)                      \
-  X(rrep_tx)                      \
-  X(rerr_tx)                      \
-  X(hello_tx)                     \
-  X(control_tx)                   \
-  X(rreq_suppressed)              \
-  X(discoveries)                  \
-  X(discoveries_failed)           \
-  X(mac_queue_drops)              \
-  X(mac_retry_drops)              \
-  X(mac_retries)                  \
-  X(phy_collisions)               \
-  X(forwarding_active_nodes)      \
-  X(gateway_count)                \
-  X(sessions_started)             \
-  X(sessions_completed)           \
-  X(sessions_rejected)            \
-  X(fault_crashes)                \
-  X(fault_rejoins)                \
-  X(fault_blackouts)              \
-  X(sent_during_outage)           \
-  X(delivered_during_outage)      \
-  X(local_repairs_attempted)      \
-  X(local_repairs_succeeded)      \
-  X(route_recoveries)             \
-  X(route_recoveries_abandoned)   \
-  X(flows_stranded)               \
-  X(check_violations)
-
-#define WMN_JOURNAL_F64_FIELDS(X) \
-  X(pdr)                          \
-  X(mean_delay_ms)                \
-  X(mean_jitter_ms)               \
-  X(throughput_kbps)              \
-  X(rreq_per_discovery)           \
-  X(nrl)                          \
-  X(nrl_on_demand)                \
-  X(mean_busy_ratio)              \
-  X(forwarding_jain)              \
-  X(forwarding_peak_to_mean)      \
-  X(gateway_jain)                 \
-  X(gateway_load_variance)        \
-  X(total_energy_j)               \
-  X(mean_node_energy_j)           \
-  X(energy_mj_per_kbit)           \
-  X(avg_path_hops)                \
-  X(fault_downtime_s)             \
-  X(pdr_during_outage)            \
-  X(pdr_outside_outage)           \
-  X(route_recovery_mean_ms)       \
-  X(sim_event_count)              \
-  X(wall_seconds)
-
-#define WMN_JOURNAL_VEC_FIELDS(X) \
-  X(per_node_forwarded)           \
-  X(per_gateway_delivered)
-
-// ---------------------------------------------------------------------
 // Serialization primitives
 // ---------------------------------------------------------------------
 
-void append_u64(std::string& out, std::uint64_t v) {
+void append_value(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
   out += buf;
@@ -202,10 +137,22 @@ void append_hex64(std::string& out, std::uint64_t v) {
 
 // Hexfloat round-trips every finite double bit-exactly through strtod,
 // so a reader recovers the exact metric the run computed.
-void append_f64(std::string& out, double v) {
+void append_value(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "\"%a\"", v);
   out += buf;
+}
+
+void append_value(std::string& out, bool v) {
+  append_value(out, std::uint64_t{v ? 1U : 0U});
+}
+void append_value(std::string& out, const std::vector<double>& v) {
+  out += '[';
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i != 0) out += ',';
+    append_value(out, v[i]);
+  }
+  out += ']';
 }
 
 }  // namespace
@@ -270,38 +217,23 @@ std::string journal_line(const JournalRecord& rec) {
   std::string out;
   out.reserve(1024);
   out += "{\"v\":";
-  append_u64(out, static_cast<std::uint64_t>(kJournalVersion));
+  append_value(out, static_cast<std::uint64_t>(kJournalVersion));
   out += ",\"cell\":";
-  append_u64(out, rec.cell);
+  append_value(out, rec.cell);
   out += ",\"rep\":";
-  append_u64(out, rec.rep);
+  append_value(out, rec.rep);
   out += ",\"cfg\":";
   append_hex64(out, rec.cfg_digest);
   out += ",\"fp\":";
   append_hex64(out, rec.fingerprint);
 
-  const RunMetrics& met = rec.metrics;
-#define WMN_X(field)        \
-  out += ",\"" #field "\":"; \
-  append_u64(out, met.field);
-  WMN_JOURNAL_U64_FIELDS(WMN_X)
-#undef WMN_X
-#define WMN_X(field)        \
-  out += ",\"" #field "\":"; \
-  append_f64(out, met.field);
-  WMN_JOURNAL_F64_FIELDS(WMN_X)
-#undef WMN_X
-  out += ",\"fault_enabled\":";
-  append_u64(out, met.fault_enabled ? 1 : 0);
-#define WMN_X(field)                                 \
-  out += ",\"" #field "\":[";                        \
-  for (std::size_t i = 0; i < met.field.size(); ++i) { \
-    if (i != 0) out += ',';                          \
-    append_f64(out, met.field[i]);                   \
-  }                                                  \
-  out += ']';
-  WMN_JOURNAL_VEC_FIELDS(WMN_X)
-#undef WMN_X
+  for_each_metric(rec.metrics,
+                  [&out](std::string_view name, MetricGroup, const auto& v) {
+                    out += ",\"";
+                    out += name;
+                    out += "\":";
+                    append_value(out, v);
+                  });
   out += '}';
   return out;
 }

@@ -268,18 +268,25 @@ RunMetrics Scenario::metrics() const {
 
   double busy_sum = 0.0;
   std::uint64_t data_forwarded_total = 0;
+  std::uint64_t recovery_ns = 0;
   m.per_node_forwarded.reserve(nodes_.size());
   for (const NodeStack& n : nodes_) {
     const auto& rc = n.agent->counters();
-    m.rreq_tx += rc.rreq_originated + rc.rreq_forwarded;
+    m.rreq_tx += rc.rreq_tx();
     m.rreq_suppressed += rc.rreq_suppressed;
-    m.rrep_tx += rc.rrep_originated + rc.rrep_intermediate + rc.rrep_forwarded;
+    m.rrep_tx += rc.rrep_tx();
     m.rerr_tx += rc.rerr_sent;
     m.hello_tx += rc.hello_sent;
+    m.control_tx += rc.control_tx();
     m.discoveries += rc.discovery_started;
     m.discoveries_failed += rc.discovery_failed;
     data_forwarded_total += rc.data_forwarded;
     m.per_node_forwarded.push_back(static_cast<double>(rc.data_forwarded));
+    m.local_repairs_attempted += rc.local_repair_attempted;
+    m.local_repairs_succeeded += rc.local_repair_succeeded;
+    m.route_recoveries += rc.route_recoveries;
+    recovery_ns += rc.route_recovery_ns_total;
+    m.route_recoveries_abandoned += rc.route_recovery_abandoned;
 
     const auto& mc = n.mac->counters();
     m.mac_queue_drops += mc.queue_drops;
@@ -290,7 +297,6 @@ RunMetrics Scenario::metrics() const {
     m.phy_collisions += n.phy->counters().rx_failed_sinr;
     m.total_energy_j += n.phy->energy_joules();
   }
-  m.control_tx = m.rreq_tx + m.rrep_tx + m.rerr_tx + m.hello_tx;
   m.mean_busy_ratio = busy_sum / static_cast<double>(nodes_.size());
   if (m.discoveries > 0) {
     m.rreq_per_discovery =
@@ -303,6 +309,10 @@ RunMetrics Scenario::metrics() const {
                       static_cast<double>(m.data_delivered);
     m.avg_path_hops = 1.0 + static_cast<double>(data_forwarded_total) /
                                 static_cast<double>(m.data_delivered);
+  }
+  if (m.route_recoveries > 0) {
+    m.route_recovery_mean_ms = static_cast<double>(recovery_ns) /
+                               static_cast<double>(m.route_recoveries) / 1e6;
   }
   m.mean_node_energy_j = m.total_energy_j / static_cast<double>(nodes_.size());
   const double delivered_kbit =
@@ -366,20 +376,6 @@ RunMetrics Scenario::metrics() const {
       m.pdr_outside_outage =
           static_cast<double>(m.data_delivered - m.delivered_during_outage) /
           static_cast<double>(sent_out);
-    }
-
-    std::uint64_t recovery_ns = 0;
-    for (const NodeStack& n : nodes_) {
-      const auto& rc = n.agent->counters();
-      m.local_repairs_attempted += rc.local_repair_attempted;
-      m.local_repairs_succeeded += rc.local_repair_succeeded;
-      m.route_recoveries += rc.route_recoveries;
-      recovery_ns += rc.route_recovery_ns_total;
-      m.route_recoveries_abandoned += rc.route_recovery_abandoned;
-    }
-    if (m.route_recoveries > 0) {
-      m.route_recovery_mean_ms = static_cast<double>(recovery_ns) /
-                                 static_cast<double>(m.route_recoveries) / 1e6;
     }
 
     // Stranded: the flow offered traffic but nothing ever arrived, or

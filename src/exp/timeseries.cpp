@@ -27,10 +27,7 @@ void TimeseriesProbe::sample() {
     s.max_queue_ratio = std::max(s.max_queue_ratio, queue);
     s.mean_nbhd_load += scenario_.agent(i).neighbourhood_load();
 
-    const auto& rc = scenario_.agent(i).counters();
-    s.control_tx_cum += rc.rreq_originated + rc.rreq_forwarded +
-                        rc.rrep_originated + rc.rrep_intermediate +
-                        rc.rrep_forwarded + rc.rerr_sent + rc.hello_sent;
+    s.control_tx_cum += scenario_.agent(i).counters().control_tx();
   }
   const double dn = static_cast<double>(n);
   s.mean_busy_ratio /= dn;

@@ -312,7 +312,7 @@ void AodvAgent::handle_rreq(net::Packet packet, net::Address src) {
 
   if (hdr.origin == self_) return;  // echo of our own flood
 
-  if (cfg_.rrep_blacklist) {
+  if (cfg_.graceful_degradation) {
     // Section 6.8: RREQs over a link we know to be unidirectional are
     // ignored entirely — answering them would just fail again.
     if (const sim::Time* until = blacklist_.find(src); until != nullptr) {
@@ -715,7 +715,7 @@ void AodvAgent::on_mac_tx_failed(net::Address next_hop, net::Packet packet) {
   if (paused_) return;  // crashed between MAC failure and callback
   ++counters_.link_breaks;
 
-  if (cfg_.rrep_blacklist && packet.top_is<RrepHeader>()) {
+  if (cfg_.graceful_degradation && packet.top_is<RrepHeader>()) {
     // A failed RREP unicast is the section 6.8 unidirectionality
     // signal: the RREQ reached us over this link, our reply cannot get
     // back. Ignore the neighbour's RREQs for blacklist_timeout.
@@ -730,7 +730,7 @@ void AodvAgent::on_mac_tx_failed(net::Address next_hop, net::Packet packet) {
   // discovery for it already running.
   net::Address repair_dest;  // default-invalid: no repair
   std::uint8_t repair_hops = 0;
-  if (cfg_.local_repair && packet.top_is<DataHeader>()) {
+  if (cfg_.graceful_degradation && packet.top_is<DataHeader>()) {
     const auto& hdr = packet.peek<DataHeader>();
     if (hdr.origin != self_ && !discoveries_.contains(hdr.dest)) {
       if (const RouteEntry* e = routes_.lookup(hdr.dest, now());
@@ -768,7 +768,8 @@ void AodvAgent::on_mac_tx_failed(net::Address next_hop, net::Packet packet) {
 }
 
 void AodvAgent::start_local_repair(net::Address dest, std::uint8_t last_hops) {
-  WMN_CHECK(cfg_.local_repair, "local repair started while disabled");
+  WMN_CHECK(cfg_.graceful_degradation,
+            "local repair started while disabled");
   WMN_CHECK(!discoveries_.contains(dest),
             "local repair over an already-open discovery");
   ++counters_.local_repair_attempted;
@@ -813,7 +814,7 @@ void AodvAgent::handle_link_break(net::Address next_hop,
 void AodvAgent::emit_rerr(const std::vector<net::Address>& dests,
                           const std::vector<std::uint32_t>& seqnos,
                           std::vector<net::Address> precursor_list) {
-  if (!cfg_.rerr_to_precursors) {
+  if (!cfg_.graceful_degradation) {
     send_rerr(dests, seqnos, net::Address::broadcast());
     return;
   }

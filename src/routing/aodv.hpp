@@ -70,27 +70,24 @@ struct AodvConfig {
   bool hello_carries_load = false;  // HELLOs advertise node load
   double nbhd_self_weight = 0.5;    // own weight in neighbourhood load
 
-  // Graceful degradation (RFC 3561 optional machinery). All of it is
-  // OFF by default: the baseline protocols — and therefore the seed
-  // determinism fingerprints — run the stock engine.
-  //
-  // Local repair (section 6.12): an intermediate node whose next hop
-  // died may re-discover the destination itself instead of RERR-ing to
-  // the source, when the destination was close (few hops) — the repair
-  // RREQ's TTL is last-known hops + slack.
-  bool local_repair = false;
+  // Graceful degradation (RFC 3561 optional machinery): one switch for
+  // three mechanisms. OFF by default: the baseline protocols — and
+  // therefore the seed determinism fingerprints — run the stock engine.
+  //  * Local repair (section 6.12): an intermediate node whose next hop
+  //    died may re-discover the destination itself instead of RERR-ing
+  //    to the source, when the destination was close (few hops) — the
+  //    repair RREQ's TTL is last-known hops + slack.
+  //  * Unidirectional-neighbour blacklist (section 6.8): a failed RREP
+  //    unicast means the reverse link the RREQ arrived over doesn't
+  //    work in our direction; ignore that neighbour's RREQs for a while
+  //    so the next discovery picks a bidirectional path.
+  //  * RERR delivery (section 6.11): unicast to the single precursor
+  //    when there is exactly one, suppress entirely when there are none
+  //    — instead of always broadcasting.
+  bool graceful_degradation = false;
   std::uint8_t local_repair_max_dest_hops = 3;
   std::uint8_t local_repair_ttl_slack = 2;
-  // Unidirectional-neighbour blacklist (section 6.8): a failed RREP
-  // unicast means the reverse link the RREQ arrived over doesn't work
-  // in our direction; ignore that neighbour's RREQs for a while so the
-  // next discovery picks a bidirectional path.
-  bool rrep_blacklist = false;
   sim::Time blacklist_timeout = sim::Time::seconds(3.0);
-  // RERR delivery (section 6.11): unicast to the single precursor when
-  // there is exactly one, suppress entirely when there are none —
-  // instead of always broadcasting.
-  bool rerr_to_precursors = false;
 };
 
 class AodvAgent {
@@ -176,6 +173,18 @@ class AodvAgent {
     std::uint64_t route_recoveries = 0;
     std::uint64_t route_recovery_ns_total = 0;
     std::uint64_t route_recovery_abandoned = 0;
+
+    // Control transmissions: RREQs sent, RREPs sent, and all four
+    // control types.
+    [[nodiscard]] std::uint64_t rreq_tx() const {
+      return rreq_originated + rreq_forwarded;
+    }
+    [[nodiscard]] std::uint64_t rrep_tx() const {
+      return rrep_originated + rrep_intermediate + rrep_forwarded;
+    }
+    [[nodiscard]] std::uint64_t control_tx() const {
+      return rreq_tx() + rrep_tx() + rerr_sent + hello_sent;
+    }
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
@@ -282,7 +291,7 @@ class AodvAgent {
   void handle_link_break(net::Address next_hop,
                          net::Address repair_dest = net::Address{});
   // Decide the RERR recipient (precursor unicast / broadcast /
-  // suppression, per cfg_.rerr_to_precursors) and send. `precursor_list`
+  // suppression, per cfg_.graceful_degradation) and send. `precursor_list`
   // may arrive in any order with duplicates (it concatenates several
   // routes' lists); it is normalised (sorted, unique) internally.
   void emit_rerr(const std::vector<net::Address>& dests,

@@ -187,9 +187,7 @@ TEST(Determinism, PoolVsSerialFingerprintsWithChurn) {
 // flow for this to mean anything, so that is asserted too.
 TEST(Determinism, PoolVsSerialFingerprintsWithChurnAndGracefulRerr) {
   exp::ScenarioConfig cfg = mid_size_config(1337, core::Protocol::kClnlr);
-  cfg.options.aodv.local_repair = true;
-  cfg.options.aodv.rrep_blacklist = true;
-  cfg.options.aodv.rerr_to_precursors = true;
+  cfg.options.aodv.graceful_degradation = true;
   cfg.fault.churn.rate_per_s = 1.0;
   cfg.fault.churn.mean_downtime = sim::Time::seconds(2.0);
   cfg.fault.churn.start = cfg.warmup;

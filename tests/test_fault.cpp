@@ -271,7 +271,7 @@ TEST(GracefulDegradation, LocalRepairBridgesBrokenLink) {
   std::vector<Vec2> pos = {{0.0, 0.0},  {200.0, 0.0}, {400.0, 0.0},
                            {450.0, 120.0}, {600.0, 0.0}};
   routing::AodvConfig cfg;
-  cfg.local_repair = true;
+  cfg.graceful_degradation = true;
   FaultBed tb(pos, cfg);
   FaultPlan plan;
   plan.blackouts.push_back(
@@ -322,7 +322,7 @@ TEST(GracefulDegradation, FailedRrepBlacklistsUnidirectionalNeighbor) {
   // then ignores RREQs arriving from 1 for a while instead of burning
   // a reply on every retry.
   routing::AodvConfig cfg;
-  cfg.rrep_blacklist = true;
+  cfg.graceful_degradation = true;
   cfg.blacklist_timeout = sim::Time::seconds(30.0);
   FaultBed tb(mobility::line_placement(3, 200.0), cfg, 1,
               std::make_unique<OneWayBlock>(0, 1));

@@ -247,9 +247,7 @@ TEST(GoldenDigest, Mesh100Counter) {
 // precursor and was suppressed.
 TEST(GoldenDigest, Mobile100RepairPrecursors) {
   exp::ScenarioConfig cfg = mobile100();
-  cfg.options.aodv.local_repair = true;
-  cfg.options.aodv.rrep_blacklist = true;
-  cfg.options.aodv.rerr_to_precursors = true;
+  cfg.options.aodv.graceful_degradation = true;
   const auto s = expect_golden(cfg, {156348, 0x6141f74b4194282a});
   std::uint64_t suppressed = 0;
   for (std::size_t i = 0; i < s->node_count(); ++i) {

@@ -8,13 +8,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -206,6 +210,80 @@ TEST(SweepEngine, RecordHoldsOneLinePerCleanSlotInSlotOrder) {
     }
   }
   std::remove(path.c_str());
+}
+
+// The quoted hexfloat at `p`, which is left past its closing quote.
+double read_hexfloat(const char*& p) {
+  EXPECT_EQ(*p, '"');
+  char* end = nullptr;
+  const double v = std::strtod(p + 1, &end);
+  EXPECT_EQ(*end, '"');
+  p = end + 1;
+  return v;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// Every field of the metric table reaches the record under its own key,
+// once, with its value bit for bit: counters as decimals, doubles
+// (non-finite and negative zero too) and vectors as hexfloats, the flag
+// as 0/1.
+TEST(JournalLine, CarriesEveryMetricOnceBitExact) {
+  JournalRecord rec;
+  std::size_t fields = 0;
+  for_each_metric(rec.metrics, [&fields](std::string_view, MetricGroup,
+                                         auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    const double k = static_cast<double>(++fields);
+    if constexpr (std::is_same_v<T, std::vector<double>>) {
+      v = {k + 0.25, -k, k / 3.0};
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = k / 7.0;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      v = true;
+    } else {
+      v = 0x1'0000'0000'0000ULL + static_cast<std::uint64_t>(k);
+    }
+  });
+  rec.metrics.mean_delay_ms = std::numeric_limits<double>::infinity();
+  rec.metrics.pdr_outside_outage = -0.0;
+  const std::string line = journal_line(rec);
+
+  std::size_t keys = 0;
+  for (std::size_t at = line.find("\":"); at != std::string::npos;
+       at = line.find("\":", at + 1)) {
+    ++keys;
+  }
+  EXPECT_EQ(keys, 5 + fields);  // v, cell, rep, cfg, fp, then the metrics
+
+  for_each_metric(rec.metrics, [&line](std::string_view name, MetricGroup,
+                                       const auto& want) {
+    using T = std::decay_t<decltype(want)>;
+    const std::string key = "\"" + std::string(name) + "\":";
+    const std::size_t at = line.find(key);
+    ASSERT_NE(at, std::string::npos) << name;
+    EXPECT_EQ(line.find(key, at + 1), std::string::npos) << name;
+    const char* p = line.c_str() + at + key.size();
+    if constexpr (std::is_same_v<T, std::vector<double>>) {
+      ASSERT_EQ(*p++, '[') << name;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        if (i != 0) {
+          ASSERT_EQ(*p++, ',') << name;
+        }
+        EXPECT_TRUE(same_bits(read_hexfloat(p), want[i])) << name << '[' << i;
+      }
+      EXPECT_EQ(*p, ']') << name;
+    } else if constexpr (std::is_same_v<T, double>) {
+      EXPECT_TRUE(same_bits(read_hexfloat(p), want)) << name;
+    } else {
+      char* end = nullptr;
+      EXPECT_EQ(std::strtoull(p, &end, 10), static_cast<std::uint64_t>(want))
+          << name;
+      EXPECT_TRUE(*end == ',' || *end == '}') << name;
+    }
+  });
 }
 
 TEST(SweepEngine, UnwritableRecordFailsBeforeAnySlotRuns) {
